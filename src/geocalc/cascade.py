@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 
 from .errors import (DegenerateAngle, DomainError, ExponentOverflow,
-                     SignMismatch)
+                     NoConvergence, SignMismatch)
 from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      oracle_eval, renormalized, shift10)
+                      renormalized, shift10)
 from .trace import TraceRecorder, foot_label
 
 _ONE = Decimal(1)
@@ -47,7 +47,6 @@ class Construction:
     cos_c: Decimal
     perpendicular: Decimal
     depth: int
-    backend: str = "construction"
 
     def __post_init__(self):
         _check_cosine(self.cos_c)
@@ -55,8 +54,6 @@ class Construction:
             raise DomainError("perpendicular length must be positive")
         if self.depth < 1:
             raise DomainError("depth must be at least 1")
-        if self.backend not in ("construction", "oracle"):
-            raise DomainError(f"unknown backend {self.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,9 @@ def _mantissa_power(m: Decimal, n: int, ctx: Context,
     return ctx.power(m, Decimal(n))
 
 
-def power(x: SignedScaled, n: int,
-          policy: PrecisionPolicy = DEFAULT_POLICY,
-          backend: str = "construction",
-          recorder: TraceRecorder | None = None,
-          max_abs_exponent: int = MAX_ABS_EXPONENT) -> SignedScaled:
-    """x**n for integer n != 0 via a depth-|n| cascade."""
+def check_power(x: SignedScaled, n: int,
+                max_abs_exponent: int = MAX_ABS_EXPONENT):
+    """Raise unless n is nonzero and within the cap, and x**n in range."""
     if n == 0:
         raise DomainError("exponent must be nonzero")
     if abs(n) > max_abs_exponent:
@@ -149,13 +143,19 @@ def power(x: SignedScaled, n: int,
     est = abs(n) * abs(x.exponent - 1 + math.log10(float(shift10(x.mantissa, 1))))
     if est > EXPONENT_BOUND * 1.01:
         raise ExponentOverflow("result exponent out of range")
+
+
+def power(x: SignedScaled, n: int,
+          policy: PrecisionPolicy = DEFAULT_POLICY,
+          recorder: TraceRecorder | None = None,
+          max_abs_exponent: int = MAX_ABS_EXPONENT) -> SignedScaled:
+    """x**n for integer n != 0 via a depth-|n| cascade."""
+    check_power(x, n, max_abs_exponent)
     if n < 0:
-        inv = reciprocal(x, policy=policy, backend=backend, recorder=recorder)
-        return power(inv, -n, policy=policy, backend=backend,
-                     recorder=recorder, max_abs_exponent=max_abs_exponent)
+        inv = reciprocal(x, policy=policy, recorder=recorder)
+        return power(inv, -n, policy=policy, recorder=recorder,
+                     max_abs_exponent=max_abs_exponent)
     sign = -1 if (x.sign < 0 and n % 2) else 1
-    if backend == "oracle":
-        return oracle_eval("pow", (x, n), policy).magnitude().with_sign(sign)
     if x.is_power_of_ten:
         # exact decade: 0.1**n needs no geometry
         result = SignedScaled(sign, _TENTH, (x.exponent - 1) * n + 1)
@@ -170,12 +170,9 @@ def power(x: SignedScaled, n: int,
 
 def reciprocal(x: SignedScaled,
                policy: PrecisionPolicy = DEFAULT_POLICY,
-               backend: str = "construction",
                recorder: TraceRecorder | None = None,
                method: str = "angle") -> SignedScaled:
     """1/x.  Both methods set a cosine of 1/R with R = 10*mantissa in (1,10)."""
-    if backend == "oracle":
-        return oracle_eval("recip", (x,), policy)
     if x.is_power_of_ten:
         return SignedScaled(x.sign, _TENTH, 2 - x.exponent)
     ctx = policy.ctx()
@@ -222,15 +219,12 @@ def _parity_adjust(a: SignedScaled, b: SignedScaled):
 
 def geometric_mean(a: SignedScaled, b: SignedScaled,
                    policy: PrecisionPolicy = DEFAULT_POLICY,
-                   backend: str = "construction",
                    recorder: TraceRecorder | None = None,
                    method: str = "bisect") -> SignedScaled:
     """sqrt(a*b); both operands negative gives the negative mean."""
     if a.sign != b.sign:
         raise SignMismatch("geometric mean needs matching signs")
     sign = a.sign
-    if backend == "oracle":
-        return oracle_eval("gmean", (a, b), policy)
     m1, m2, half = _parity_adjust(a, b)
     if m1 == m2:
         # equal mantissas: the mean is the operand scale itself
@@ -268,7 +262,6 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
     lo = Decimal("1e-15")
     hi = _ONE - Decimal("1e-15")
     target = big
-    c = None
     for i in range(_BISECT_CAP):
         c = ctx.divide(ctx.add(lo, hi), _TWO)
         ab = ctx.divide(small, ctx.multiply(c, c))
@@ -281,6 +274,8 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
             lo = c  # hypotenuse cut too long: open the angle
         else:
             hi = c
+    else:
+        raise NoConvergence("rotation search exhausted its cap")
     bd = ctx.divide(small, c)
     if recorder is not None:
         recorder.measure("BD", bd)
@@ -289,27 +284,21 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
 
 def multiply(a: SignedScaled, b: SignedScaled,
              policy: PrecisionPolicy = DEFAULT_POLICY,
-             backend: str = "construction",
              recorder: TraceRecorder | None = None) -> SignedScaled:
     """a*b: square of the geometric mean of the magnitudes."""
     sign = a.sign * b.sign
-    if backend == "oracle":
-        return oracle_eval("mul", (a, b), policy)
     gm = geometric_mean(a.magnitude(), b.magnitude(), policy=policy,
-                        backend=backend, recorder=recorder)
-    sq = power(gm, 2, policy=policy, backend=backend, recorder=recorder)
+                        recorder=recorder)
+    sq = power(gm, 2, policy=policy, recorder=recorder)
     return sq.with_sign(sign)
 
 
 def divide(num: SignedScaled, den: SignedScaled,
            policy: PrecisionPolicy = DEFAULT_POLICY,
-           backend: str = "construction",
            recorder: TraceRecorder | None = None,
            method: str = "hypotenuse") -> SignedScaled:
     """num/den via a unit-base triangle whose hypotenuse is the denominator."""
     sign = num.sign * den.sign
-    if backend == "oracle":
-        return oracle_eval("div", (num, den), policy)
     ctx = policy.ctx()
     if den.is_power_of_ten:
         return SignedScaled(sign, num.mantissa,

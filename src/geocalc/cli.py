@@ -11,18 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
+from decimal import Decimal, ROUND_CEILING
 
-from .cascade import divide, geometric_mean, multiply, power, reciprocal
+from .cascade import (check_power, divide, geometric_mean, multiply, power,
+                      reciprocal)
 from .diagram import render_svg, write_svg
 from .errors import GeocalcError
 from .euler import antilog, approximate_e, natural_log
 from .exponents import (evaluate_cf, recover_rational_exponent,
                         solve_integer_exponent)
-from .mechsim import MeasurementModel, run_op as device_op, run_script
-from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      normalize, to_text)
-from .roots import RootQuery, nth_root, rational_power
+from .mechsim import (SCRIPTS, MeasurementModel, run_op as device_op,
+                      run_script)
+from .numcore import (PrecisionPolicy, SignedScaled, normalize, oracle_eval,
+                      renormalized, to_text)
+from .roots import RootQuery, check_rational_power, nth_root, rational_power
 from .trace import TraceRecorder, parse_trace
 
 RESULT_SCHEMA = {
@@ -68,6 +70,15 @@ def _fmt_decimal(d: Decimal, digits: int) -> str:
     return to_text(SignedScaled.from_decimal(d), digits)
 
 
+def _fmt_bound(d: Decimal) -> str:
+    """A nonnegative bound to 3 digits, rounded up so it stays a bound."""
+    if d == 0:
+        return "0"
+    v = SignedScaled.from_decimal(d)
+    up = v.mantissa.quantize(Decimal("0.001"), rounding=ROUND_CEILING)
+    return to_text(renormalized(1, up, v.exponent), 3)
+
+
 def _emit(args, payload: dict, plain: str) -> str:
     if args.json:
         return json.dumps(payload, sort_keys=True)
@@ -85,10 +96,9 @@ def _finish_trace(args, recorder: TraceRecorder | None, payload: dict):
 
 
 def _recorder_for(args) -> TraceRecorder | None:
-    wants = getattr(args, "emit_trace", None) or getattr(args, "diagram", None)
-    if not wants:
+    if not (args.emit_trace or args.diagram):
         return None
-    if getattr(args, "backend", "construction") != "construction":
+    if args.backend != "construction":
         raise _UsageError("traces exist only on the construction backend")
     return TraceRecorder()
 
@@ -99,87 +109,53 @@ def _device_result(args, op: str, inputs: list[str]) -> str:
     model = MeasurementModel(resolution=args.resolution)
     res = device_op(op, inputs, model, _policy(args))
     value = to_text(res.value, args.digits)
-    bound = _fmt_decimal(res.half_width, 3)
+    bound = _fmt_bound(res.half_width)
     payload = {"op": op, "inputs": inputs, "result": value,
                "error_bound": bound}
     return _emit(args, payload, f"{value} +/- {bound}")
 
 
-def _engine_result(args, op: str, inputs: list[str], value: SignedScaled,
-                   recorder: TraceRecorder | None,
-                   extra: dict | None = None) -> str:
-    text = to_text(value, args.digits)
-    payload = {"op": op, "inputs": inputs, "result": text}
-    if extra:
-        payload.update(extra)
-    _finish_trace(args, recorder, payload)
-    return _emit(args, payload, text)
-
-
 # --- handlers -----------------------------------------------------------
 
-def _h_pow(args):
-    if args.resolution is not None:
-        return _device_result(args, "pow", [args.x, str(args.n)])
+# One row per engine operation: library function, the domain check the
+# oracle backend runs first (the library function runs its own, and a
+# root's query checks its index and sign), operands (m and n are ints,
+# the others decimal literals), help text.  Functions are looked up by
+# name when called, so that a wrapper bound over the module global, such
+# as a profiler's, sees every call.
+_ENGINE = {
+    "pow": ("power", "check_power", "xn", "integer power x**n"),
+    "root": ("nth_root", None, "xn", "principal n-th root"),
+    "powfrac": ("rational_power", "check_rational_power", "xmn",
+                "rational power x**(m/n)"),
+    "recip": ("reciprocal", None, "x", "reciprocal 1/x"),
+    "mul": ("multiply", None, "ab", "product a*b"),
+    "div": ("divide", None, "ab", "quotient a/b"),
+    "gmean": ("geometric_mean", None, "ab", "geometric mean of a and b"),
+}
+
+
+def _h_engine(args):
+    op = args.command
+    func, check, names, _ = _ENGINE[op]
+    inputs = [str(getattr(args, name)) for name in names]
+    if getattr(args, "resolution", None) is not None:
+        return _device_result(args, op, inputs)
     rec = _recorder_for(args)
-    v = power(normalize(args.x), args.n, policy=_policy(args),
-              backend=args.backend, recorder=rec)
-    return _engine_result(args, "pow", [args.x, str(args.n)], v, rec)
-
-
-def _h_root(args):
-    if args.resolution is not None:
-        return _device_result(args, "root", [args.x, str(args.n)])
-    rec = _recorder_for(args)
-    v = nth_root(RootQuery(normalize(args.x), args.n), policy=_policy(args),
-                 backend=args.backend, recorder=rec)
-    return _engine_result(args, "root", [args.x, str(args.n)], v, rec)
-
-
-def _h_powfrac(args):
-    rec = _recorder_for(args)
-    v = rational_power(normalize(args.x), args.m, args.n,
-                       policy=_policy(args), backend=args.backend,
-                       recorder=rec)
-    return _engine_result(args, "powfrac",
-                          [args.x, str(args.m), str(args.n)], v, rec)
-
-
-def _h_recip(args):
-    if args.resolution is not None:
-        return _device_result(args, "recip", [args.x])
-    rec = _recorder_for(args)
-    v = reciprocal(normalize(args.x), policy=_policy(args),
-                   backend=args.backend, recorder=rec)
-    return _engine_result(args, "recip", [args.x], v, rec)
-
-
-def _h_mul(args):
-    if args.resolution is not None:
-        return _device_result(args, "mul", [args.a, args.b])
-    rec = _recorder_for(args)
-    v = multiply(normalize(args.a), normalize(args.b), policy=_policy(args),
-                 backend=args.backend, recorder=rec)
-    return _engine_result(args, "mul", [args.a, args.b], v, rec)
-
-
-def _h_div(args):
-    if args.resolution is not None:
-        return _device_result(args, "div", [args.a, args.b])
-    rec = _recorder_for(args)
-    v = divide(normalize(args.a), normalize(args.b), policy=_policy(args),
-               backend=args.backend, recorder=rec)
-    return _engine_result(args, "div", [args.a, args.b], v, rec)
-
-
-def _h_gmean(args):
-    if args.resolution is not None:
-        return _device_result(args, "gmean", [args.a, args.b])
-    rec = _recorder_for(args)
-    v = geometric_mean(normalize(args.a), normalize(args.b),
-                       policy=_policy(args), backend=args.backend,
-                       recorder=rec)
-    return _engine_result(args, "gmean", [args.a, args.b], v, rec)
+    operands = [getattr(args, name) if name in "mn"
+                else normalize(getattr(args, name)) for name in names]
+    call = [RootQuery(*operands)] if op == "root" else operands
+    policy = _policy(args)
+    if args.backend == "oracle":
+        if check is not None:
+            globals()[check](*operands)
+        value = oracle_eval(op, tuple(operands), policy)
+    else:
+        value = globals()[func](*call, policy=policy, recorder=rec)
+    text = to_text(value, args.digits)
+    payload = {"op": op, "inputs": inputs, "result": text}
+    _finish_trace(args, rec, payload)
+    return _emit(args, payload, text)
 
 
 def _h_ln(args):
@@ -200,7 +176,7 @@ def _h_antilog(args):
 def _h_euler(args):
     approx = approximate_e(args.n, policy=_policy(args))
     text = _fmt_decimal(approx.value, args.digits)
-    bound = _fmt_decimal(approx.error_bound, 3)
+    bound = _fmt_bound(approx.error_bound)
     payload = {"op": "euler", "inputs": [str(args.n)], "result": text,
                "error_bound": bound}
     return _emit(args, payload, f"{text} (error < {bound})")
@@ -237,7 +213,7 @@ def _h_simulate(args):
     lines = []
     for res in results:
         value = to_text(res.value, args.digits)
-        bound = _fmt_decimal(res.half_width, 3)
+        bound = _fmt_bound(res.half_width)
         if args.json:
             lines.append(json.dumps(
                 {"op": "simulate", "inputs": [args.script], "result": value,
@@ -292,47 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("pow", parents=[common, backend, trace, res],
-                       help="integer power x**n")
-    p.add_argument("x")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_h_pow)
-
-    p = sub.add_parser("root", parents=[common, backend, trace, res],
-                       help="principal n-th root")
-    p.add_argument("x")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_h_root)
-
-    p = sub.add_parser("powfrac", parents=[common, backend, trace],
-                       help="rational power x**(m/n)")
-    p.add_argument("x")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_h_powfrac)
-
-    p = sub.add_parser("recip", parents=[common, backend, trace, res],
-                       help="reciprocal 1/x")
-    p.add_argument("x")
-    p.set_defaults(func=_h_recip)
-
-    p = sub.add_parser("mul", parents=[common, backend, trace, res],
-                       help="product a*b")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_h_mul)
-
-    p = sub.add_parser("div", parents=[common, backend, trace, res],
-                       help="quotient a/b")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_h_div)
-
-    p = sub.add_parser("gmean", parents=[common, backend, trace, res],
-                       help="geometric mean of a and b")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_h_gmean)
+    for op, (_func, _check, names, text) in _ENGINE.items():
+        p = sub.add_parser(op, help=text, parents=[common, backend, trace]
+                           + ([res] if op in SCRIPTS else []))
+        for name in names:
+            p.add_argument(name, type=int if name in "mn" else None)
+        p.set_defaults(func=_h_engine)
 
     p = sub.add_parser("ln", parents=[common, cf],
                        help="natural logarithm")

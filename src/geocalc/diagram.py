@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import InconsistentTrace
 from .trace import TraceStep, parse_trace
@@ -245,7 +244,8 @@ def render_svg(trace, title: str | None = None) -> str:
     out.append(f"<style>{_STYLE}</style>")
     out.append('<rect width="100%" height="100%" fill="#fdfdfd"/>')
     if title:
-        out.append(f'<text x="{_fmt(_MARGIN)}" y="24">{escape(title)}</text>')
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(f'<text x="{_fmt(_MARGIN)}" y="24">{text}</text>')
     out.append('<g id="segments">')
     for seg in scene.segments:
         out.append(f'<line class="{seg.cls}" x1="{_fmt(tx(seg.x1))}" '

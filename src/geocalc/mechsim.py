@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 
+from .cascade import _parity_adjust
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
                      DomainError, EvenRootOfNegative, NoConvergence,
                      NotFastened, ParseError, SignMismatch)
@@ -399,15 +400,7 @@ def _script_gmean(a: SignedScaled, b: SignedScaled,
     h = model.half_step
     log = _Log(model)
     sign = a.sign
-    m1, k1 = a.mantissa, a.exponent
-    m2, k2 = b.mantissa, b.exponent
-    if (k1 + k2) % 2:
-        # exponent sum must be even; drop one operand a decade
-        if k1 >= k2:
-            m1, k1 = shift10(m1, -1), k1 + 1
-        else:
-            m2, k2 = shift10(m2, -1), k2 + 1
-    half_exp = (k1 + k2) // 2
+    m1, m2, half_exp = _parity_adjust(a, b)
     if m1 == m2:
         r = log.read("ED", m1)
         return _package(sign, r, half_exp, _point(m1).widen(h), log, ctx)
@@ -477,7 +470,7 @@ def _script_root(x: SignedScaled, n: int, model: MeasurementModel,
                 rel = rel.mul(_Iv(_DOWN.divide(q, _UP.add(q, h)),
                                   _UP.divide(q, _DOWN.subtract(q, h))))
                 jj = _renorm_shift(q)
-                p, j, d_since = shift10(q, jj), j - jj, 0
+                p, j, d_since = shift10(q, jj), j + jj, 0
         return p, j, rel
 
     lo, hi = Decimal("1e-6"), _ONE - Decimal("1e-6")
@@ -658,8 +651,24 @@ def _script_cf(x: SignedScaled, a: SignedScaled, model: MeasurementModel,
 
 # --- script driver ------------------------------------------------------
 
-_ARG_COUNT = {"pow": 2, "root": 2, "mul": 2, "div": 2, "gmean": 2,
-              "recip": 1, "cf": 2}
+# op: (script, operand kinds); "num" operands are decimal literals
+SCRIPTS = {"pow": (_script_power, ("num", "int")),
+           "root": (_script_root, ("num", "int")),
+           "mul": (_script_multiply, ("num", "num")),
+           "div": (_script_divide, ("num", "num")),
+           "gmean": (_script_gmean, ("num", "num")),
+           "recip": (_script_recip, ("num",)),
+           "cf": (_script_cf, ("num", "num"))}
+
+
+def _script(op: str, n_args: int):
+    """The script and operand kinds of `op`, checking its arity."""
+    if op not in SCRIPTS:
+        raise ParseError(f"unknown device operation {op!r}")
+    script, kinds = SCRIPTS[op]
+    if n_args != len(kinds):
+        raise ParseError(f"{op} takes {len(kinds)} arguments, got {n_args}")
+    return script, kinds
 
 
 def parse_script_line(line: str):
@@ -672,38 +681,17 @@ def parse_script_line(line: str):
             resolution = Decimal(rest.pop().split("=", 1)[1])
         except ArithmeticError:
             raise ParseError(f"bad resolution in {line!r}")
-    if op not in _ARG_COUNT:
-        raise ParseError(f"unknown device operation {op!r}")
-    if len(rest) != _ARG_COUNT[op]:
-        raise ParseError(f"{op} takes {_ARG_COUNT[op]} arguments, "
-                         f"got {len(rest)}")
+    _script(op, len(rest))
     return op, rest, resolution
 
 
 def run_op(op: str, args: list[str], model: MeasurementModel,
            policy: PrecisionPolicy = DEFAULT_POLICY,
            n_arms: int = 10) -> MeasuredResult:
-    if op == "pow":
-        return _script_power(normalize(args[0]), int(args[1]), model,
-                             policy, n_arms)
-    if op == "root":
-        return _script_root(normalize(args[0]), int(args[1]), model,
-                            policy, n_arms)
-    if op == "mul":
-        return _script_multiply(normalize(args[0]), normalize(args[1]),
-                                model, policy, n_arms)
-    if op == "div":
-        return _script_divide(normalize(args[0]), normalize(args[1]),
-                              model, policy, n_arms)
-    if op == "gmean":
-        return _script_gmean(normalize(args[0]), normalize(args[1]),
-                             model, policy, n_arms)
-    if op == "recip":
-        return _script_recip(normalize(args[0]), model, policy, n_arms)
-    if op == "cf":
-        return _script_cf(normalize(args[0]), normalize(args[1]),
-                          model, policy, n_arms)
-    raise ParseError(f"unknown device operation {op!r}")
+    script, kinds = _script(op, len(args))
+    operands = [normalize(a) if kind == "num" else int(a)
+                for a, kind in zip(args, kinds)]
+    return script(*operands, model, policy, n_arms)
 
 
 def run_script(script, model: MeasurementModel | None = None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_HALF_EVEN
+from decimal import MAX_PREC, Context, Decimal, ROUND_HALF_EVEN
 
 from .errors import DomainError, ParseError, SignMismatch, ZeroNotRepresentable
 
@@ -22,6 +22,10 @@ _EMAX = 10 ** 17
 
 _ONE = Decimal(1)
 _TENTH = Decimal("0.1")
+
+# Rounds a mantissa to any number of places: the thread's default
+# 28-digit context cannot hold 29 or more.
+_QUANTIZE = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN)
 
 
 def shift10(d: Decimal, k: int) -> Decimal:
@@ -137,7 +141,7 @@ def to_text(v: SignedScaled, digits: int) -> str:
     """Render as d.ddd...e<k>, round-half-even to `digits` significant digits."""
     if digits < 1:
         raise DomainError("digits must be at least 1")
-    q = v.mantissa.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
+    q = _QUANTIZE.quantize(v.mantissa, Decimal(1).scaleb(-digits))
     exponent = v.exponent
     if q == _ONE:
         # 0.9999... rounded up a decade

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 
 from .cascade import _mantissa_power, divide, multiply, power
-from .errors import DomainError, EvenRootOfNegative
+from .errors import DomainError, EvenRootOfNegative, NoConvergence
 from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      oracle_eval, renormalized)
+                      renormalized)
 from .trace import TraceRecorder
 
 _ONE = Decimal(1)
@@ -44,54 +44,45 @@ class RootQuery:
 
 
 def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
-                    recorder: TraceRecorder | None = None,
-                    watch=None) -> Decimal:
+                    recorder: TraceRecorder | None = None) -> Decimal:
     """Cosine c with c**n == target, 0 < target < 1, by bisection.
 
-    `watch`, when given, sees (lo, hi, f_lo, f_hi) each iteration; the
-    bracket always satisfies f(hi) >= target >= f(lo).
+    The bracket always satisfies f(hi) >= target >= f(lo).
     """
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
     lo = Decimal("1e-15")
     hi = _ONE - Decimal("1e-15")
     nn = Decimal(n)
-    c = None
     for i in range(_SEARCH_CAP):
-        if watch is not None:
-            watch(lo, hi, ctx.power(lo, nn), ctx.power(hi, nn))
         c = ctx.divide(ctx.add(lo, hi), _TWO)
         p = ctx.power(c, nn)
         if recorder is not None and i < 4:
             recorder.rotate("C", c, i)
         err = ctx.subtract(p, target)
         if err.copy_abs() <= rel_tol * target:
-            break
+            return c
         if p > target:
             hi = c
         else:
             lo = c
         if ctx.subtract(hi, lo) <= rel_tol * lo:
-            c = ctx.divide(ctx.add(lo, hi), _TWO)
-            break
-    return c
+            return ctx.divide(ctx.add(lo, hi), _TWO)
+    raise NoConvergence("root search exhausted its cap")
 
 
 def nth_root(query: RootQuery,
              policy: PrecisionPolicy = DEFAULT_POLICY,
-             backend: str = "construction",
              recorder: TraceRecorder | None = None) -> SignedScaled:
     """Principal nth root (negative radicand allowed for odd n)."""
     x = query.radicand
     if query.numerator_form is not None:
         l, m = query.numerator_form
-        x = divide(l, m, policy=policy, backend=backend, recorder=recorder)
+        x = divide(l, m, policy=policy, recorder=recorder)
     n = query.index
     if n == 1:
         return x
     sign = x.sign
-    if backend == "oracle":
-        return oracle_eval("root", (x, n), policy)
     if x.magnitude().is_unit:
         return x  # |x| == 1: the root is x itself for any valid index
     ctx = policy.ctx()
@@ -123,41 +114,40 @@ def _assert_root_between(x: SignedScaled, root: SignedScaled):
         raise DomainError("root escaped the monotonicity interval")
 
 
-def rational_power(x: SignedScaled, m: int, n: int,
-                   policy: PrecisionPolicy = DEFAULT_POLICY,
-                   backend: str = "construction",
-                   recorder: TraceRecorder | None = None,
-                   strategy: str = "compose",
-                   max_abs_exponent: int | None = None) -> SignedScaled:
-    """x**(m/n) with n >= 1; negative x requires odd n."""
+def check_rational_power(x: SignedScaled, m: int, n: int):
+    """Raise unless x**(m/n) is real for any m: n >= 1, odd for negative x."""
     if n < 1:
         raise DomainError("fractional power denominator must be positive")
     if x.sign < 0 and n % 2 == 0:
         raise EvenRootOfNegative(f"denominator {n} with a negative base")
+
+
+def rational_power(x: SignedScaled, m: int, n: int,
+                   policy: PrecisionPolicy = DEFAULT_POLICY,
+                   recorder: TraceRecorder | None = None,
+                   strategy: str = "compose",
+                   max_abs_exponent: int | None = None) -> SignedScaled:
+    """x**(m/n) with n >= 1; negative x requires odd n."""
+    check_rational_power(x, m, n)
     if m == 0:
         return SignedScaled(1, _TENTH, 1)
-    if backend == "oracle":
-        return oracle_eval("powfrac", (x, m, n), policy)
     cap = {} if max_abs_exponent is None else {"max_abs_exponent": max_abs_exponent}
     if strategy == "compose":
-        y = power(x, m, policy=policy, backend=backend, recorder=recorder,
-                  **cap)
-        return nth_root(RootQuery(y, n), policy=policy, backend=backend,
-                        recorder=recorder)
+        y = power(x, m, policy=policy, recorder=recorder, **cap)
+        return nth_root(RootQuery(y, n), policy=policy, recorder=recorder)
     if strategy == "split":
         # m/n = m1 + m2/n with 0 <= m2 < n, so only a sub-unit root is
         # raised to a power below the index
         m1, m2 = divmod(m, n)
-        root = (nth_root(RootQuery(x, n), policy=policy, backend=backend,
-                         recorder=recorder) if m2 else None)
-        frac = (power(root, m2, policy=policy, backend=backend,
-                      recorder=recorder, **cap) if m2 and m2 != 1 else root)
-        whole = (power(x, m1, policy=policy, backend=backend,
-                       recorder=recorder, **cap) if m1 else None)
+        root = (nth_root(RootQuery(x, n), policy=policy, recorder=recorder)
+                if m2 else None)
+        frac = (power(root, m2, policy=policy, recorder=recorder, **cap)
+                if m2 and m2 != 1 else root)
+        whole = (power(x, m1, policy=policy, recorder=recorder, **cap)
+                 if m1 else None)
         if whole is None:
             return frac
         if frac is None:
             return whole
-        return multiply(whole, frac, policy=policy, backend=backend,
-                        recorder=recorder)
+        return multiply(whole, frac, policy=policy, recorder=recorder)
     raise DomainError(f"unknown strategy {strategy!r}")

@@ -6,7 +6,8 @@ from decimal import Decimal
 import pytest
 
 from geocalc import (Cascade, Construction, DEFAULT_POLICY, DegenerateAngle,
-                     DomainError, ExponentOverflow, SignMismatch,
+                     DomainError, ExponentOverflow, NoConvergence,
+                     PrecisionPolicy, SignMismatch,
                      TraceRecorder, build_cascade, divide, geometric_mean,
                      multiply, normalize, oracle_eval, power, reciprocal,
                      rel_diff)
@@ -158,6 +159,14 @@ def test_geometric_mean_methods_agree():
         assert rel_diff(g1.value(), g2.value(), ORACLE_CTX) <= Decimal("1e-10")
         want = oracle_eval("gmean", (a, b), POL)
         assert close(g1, want, Decimal("1e-10"))
+
+
+def test_rotate_search_cap_is_an_error():
+    # a tolerance below the working precision cannot be met
+    tight = PrecisionPolicy(rel_tol=Decimal("1e-40"))
+    with pytest.raises(NoConvergence):
+        geometric_mean(normalize("0.3"), normalize("0.5"), tight,
+                       method="rotate")
 
 
 def test_geometric_mean_sign_handling():

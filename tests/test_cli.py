@@ -7,11 +7,17 @@ from the high-precision oracle.
 
 import io
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
 
 import jsonschema
 import pytest
 
-from geocalc import cli
+import geocalc
+from geocalc import (MeasurementModel, RESOLUTION_LADDER, approximate_e, cli,
+                     run_op)
 
 A_2_1971_181 = "1896.99842083110790327024929966961121487868624225173871384836"
 
@@ -158,7 +164,7 @@ def test_simulate_script(capsys, tmp_path):
     assert code == 0
     assert out.splitlines() == ["4.3363e-1 +/- 2.38e-5",
                                 "1.2500e-1 +/- 5.08e-11",
-                                "8.1270e1 +/- 9.55e-3"]
+                                "8.1270e1 +/- 9.56e-3"]
     payloads = run_json(capsys, "simulate", str(script))
     assert [p["result"] for p in payloads] == ["4.3363e-1", "1.2500e-1",
                                                "8.1270e1"]
@@ -190,4 +196,57 @@ def test_trace_emission_and_diagram_subcommand(capsys, tmp_path):
 def test_device_cf_solver(capsys):
     code, out, _ = run(capsys, "solve-mn", "--x", "2", "--a", A_2_1971_181,
                        "--resolution", "1e-10")
-    assert (code, out) == (0, "1.0890e1 +/- 1.57e-9\n")
+    assert (code, out) == (0, "1.0890e1 +/- 1.58e-9\n")
+
+
+def test_root_search_cap_is_an_error(capsys):
+    code, out, err = run(capsys, "root", "0.5", "3", "--tol", "1e-40")
+    assert (code, out) == (2, "") and "NoConvergence" in err
+
+
+def test_digits_past_the_default_decimal_context(capsys):
+    code, out, err = run(capsys, "pow", "0.5", "3", "--digits", "29")
+    assert (code, out, err) == (0, "1.2500000000000000000000000000e-1\n", "")
+
+
+@pytest.mark.parametrize("op, operands", [
+    ("pow", ["2", "0"]), ("pow", ["2", "1000001"]),
+    ("pow", ["1e-999999999", "2"]), ("root", ["-16", "4"]),
+    ("root", ["2", "0"]), ("powfrac", ["-8", "1", "2"]),
+    ("powfrac", ["2", "1", "0"]), ("gmean", ["-2", "3"])])
+def test_backends_reject_the_same_operands(capsys, op, operands):
+    construction, oracle = (
+        run(capsys, op, "--backend", backend, "--", *operands)
+        for backend in ("construction", "oracle"))
+    assert construction == oracle
+    code, out, err = oracle
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+DEVICE_CASES = [("pow", ["0.87", "6"]), ("mul", ["0.3", "0.7"]),
+                ("div", ["5.972e24", "7.348e22"]), ("gmean", ["2", "3"]),
+                ("recip", ["8"]), ("root", ["95.51", "4"])]
+
+
+def test_printed_bounds_are_never_below_the_raw_bound(capsys):
+    for n in (7, 1000000, 1357123):
+        _, out, _ = run(capsys, "euler", str(n))
+        printed = Decimal(out.split("(error < ")[1].rstrip(")\n"))
+        assert printed >= approximate_e(n).error_bound, n
+    for res in RESOLUTION_LADDER:
+        model = MeasurementModel(resolution=res)
+        for op, args in DEVICE_CASES:
+            _, out, _ = run(capsys, op, *args, "--resolution", str(res))
+            printed = Decimal(out.split(" +/- ")[1])
+            assert printed >= run_op(op, args, model).half_width, (op, res)
+
+
+def test_cli_import_leaves_out_the_network_stack():
+    probe = ("import sys, geocalc.cli; print(sorted(m for m in ("
+             "'urllib.request', 'http', 'email', 'xml.sax') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(geocalc.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

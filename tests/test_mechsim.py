@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import pytest
 
@@ -187,3 +187,20 @@ def test_half_width_tightens_down_the_ladder():
         m = MeasurementModel(resolution=res)
         widths.append(run_script(script, model=m, policy=POL)[0].half_width)
     assert all(a >= b for a, b in zip(widths, widths[1:]))
+
+
+def test_root_soundness_across_exponents_indices_and_ladder():
+    # radicand exponents that are not multiples of the index telescope
+    # the arm chain through several re-anchors
+    ctx = Context(prec=80)
+    rng = random.Random(2718)
+    for res in RESOLUTION_LADDER:
+        m = MeasurementModel(resolution=res)
+        for n in range(2, 13):
+            for e in range(-8, 9):
+                x = f"0.{rng.randint(1000, 9999)}e{e}"
+                got = run_op("root", [x, str(n)], m, POL)
+                truth = ctx.power(Decimal(x), ctx.divide(ONE, Decimal(n)))
+                err = ctx.subtract(got.value.value(), truth).copy_abs()
+                assert err <= got.half_width, (x, n, res)
+                assert got.half_width < truth / 100, (x, n, res)
