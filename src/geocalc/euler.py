@@ -50,12 +50,17 @@ def approximate_e(n_steps: int,
     """(1 + 1/n)**n via the cascade with cos C = n/(n+1)."""
     if n_steps < 1:
         raise DomainError("n_steps must be at least 1")
+    # Rounding n/(n+1) costs about n * 10**-p relative after the n-th
+    # power, but the bound e/(2n) has only about 11e/(24n**2) of slack,
+    # so the working digits grow like 3*log10(n); below 10**9 the
+    # policy's 30 digits already suffice.
     ctx = policy.ctx()
+    ctx.prec = max(ctx.prec, 3 * (len(str(n_steps)) - 1) + 6)
     n = Decimal(n_steps)
     cos_c = ctx.divide(n, ctx.add(n, _ONE))
     p_n = _mantissa_power(cos_c, n_steps, ctx, None)
     value = ctx.divide(_ONE, p_n)
-    bound = ctx.divide(_E_REF, 2 * n)
+    bound = ctx.divide(_E_REF, Decimal(2 * n_steps))
     return EulerApprox(n_steps=n_steps, value=value, error_bound=bound)
 
 

@@ -15,10 +15,8 @@ lies inside it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
-from fractions import Fraction
 
 from .cascade import _parity_adjust
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
@@ -63,20 +61,24 @@ class MeasurementModel:
     def __post_init__(self):
         if not (0 < self.resolution < self.arm_min < self.arm_max):
             raise DomainError("need 0 < resolution < arm_min < arm_max")
+        object.__setattr__(self, "_ratio", self.resolution.as_integer_ratio())
 
     def quantize(self, length: Decimal) -> Decimal:
         """Snap a nonnegative length to the nearest graduation.
 
-        Exact rational arithmetic: a finite-precision division here
-        can double-round a length sitting just below a midpoint onto
-        the wrong graduation, overshooting the half-step guarantee.
+        Exact integer arithmetic: length / resolution is the ratio of two
+        integers, split by one divmod and rounded half to even.  A
+        finite-precision division here could double-round a length just
+        below a midpoint onto the wrong graduation.
         """
         if length < 0:
             raise DomainError("lengths are nonnegative")
-        steps = Fraction(length) / Fraction(self.resolution)
-        n = math.floor(steps)
-        frac = steps - n
-        if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and n % 2):
+        ln, ld = length.as_integer_ratio()
+        rn, rd = self._ratio
+        den = ld * rn
+        n, rem = divmod(ln * rd, den)
+        twice = 2 * rem
+        if twice > den or (twice == den and n & 1):
             n += 1  # ties to even
         return _UP.multiply(Decimal(n), self.resolution)
 
@@ -685,11 +687,18 @@ def parse_script_line(line: str):
     return op, rest, resolution
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"not an integer: {text!r}") from None
+
+
 def run_op(op: str, args: list[str], model: MeasurementModel,
            policy: PrecisionPolicy = DEFAULT_POLICY,
            n_arms: int = 10) -> MeasuredResult:
     script, kinds = _script(op, len(args))
-    operands = [normalize(a) if kind == "num" else int(a)
+    operands = [normalize(a) if kind == "num" else _integer(a)
                 for a, kind in zip(args, kinds)]
     return script(*operands, model, policy, n_arms)
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import MAX_PREC, Context, Decimal, ROUND_HALF_EVEN
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                     ROUND_HALF_EVEN)
 
 from .errors import DomainError, ParseError, SignMismatch, ZeroNotRepresentable
 
@@ -23,15 +24,17 @@ _EMAX = 10 ** 17
 _ONE = Decimal(1)
 _TENTH = Decimal("0.1")
 
-# Rounds a mantissa to any number of places: the thread's default
-# 28-digit context cannot hold 29 or more.
-_QUANTIZE = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN)
+# Nothing rounds or clamps for lack of precision or exponent range
+# here: shift10 moves only the exponent, and to_text rounds a mantissa
+# to any number of places (the thread's default 28-digit context cannot
+# hold 29 or more).
+_EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN,
+                 Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
 def shift10(d: Decimal, k: int) -> Decimal:
-    """Multiply a Decimal by 10**k exactly, by exponent surgery."""
-    sign, digits, exp = d.as_tuple()
-    return Decimal((sign, digits, exp + k))
+    """Multiply a Decimal by 10**k exactly: only the exponent moves."""
+    return d.scaleb(k, _EXACT)
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ def to_text(v: SignedScaled, digits: int) -> str:
     """Render as d.ddd...e<k>, round-half-even to `digits` significant digits."""
     if digits < 1:
         raise DomainError("digits must be at least 1")
-    q = _QUANTIZE.quantize(v.mantissa, Decimal(1).scaleb(-digits))
+    q = _EXACT.quantize(v.mantissa, Decimal(1).scaleb(-digits))
     exponent = v.exponent
     if q == _ONE:
         # 0.9999... rounded up a decade

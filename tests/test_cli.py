@@ -88,6 +88,13 @@ def test_euler_reports_bound(capsys):
     assert (code, out) == (0, "2.7182805e0 (error < 1.36e-6)\n")
 
 
+def test_euler_beyond_the_working_digits(capsys):
+    code, out, err = run(capsys, "euler", "100000000000000000000000000",
+                         "--digits", "20")
+    assert (code, out, err) == (0, "2.7182818284590452354e0 "
+                                   "(error < 1.36e-26)\n", "")
+
+
 def test_solve_n(capsys):
     code, out, _ = run(capsys, "solve-n", "--x", "1.1", "--a",
                        "2.5937424601")
@@ -175,6 +182,13 @@ def test_simulate_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("pow 0.87 6\n"))
     code, out, _ = run(capsys, "simulate", "-")
     assert (code, out) == (0, "4.3363e-1 +/- 2.38e-5\n")
+
+
+def test_simulate_non_integer_operand_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("pow 2 x\n"))
+    code, out, err = run(capsys, "simulate", "-")
+    assert (code, out) == (2, "")
+    assert "ParseError" in err and "Traceback" not in err
 
 
 def test_trace_emission_and_diagram_subcommand(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """The compound-interest ladder to e, and logarithms riding on it."""
 
-from decimal import Decimal
+import random
+from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
 
 import pytest
 
@@ -32,6 +33,27 @@ def test_error_bound_holds_and_shrinks():
         a = approximate_e(n, POL)
         assert ORACLE_CTX.subtract(E_REF, a.value) <= a.error_bound
         assert a.error_bound == POL.ctx().divide(E_REF, 2 * Decimal(n))
+
+
+def test_error_bound_holds_to_n_1e30():
+    # the bound's slack is about 11e/(24n**2), so the truth needs far
+    # more digits than the value
+    ctx = Context(prec=120)
+    e = ctx.exp(1)
+    rng = random.Random(1030)
+    ns = [10 ** k for k in range(8, 31)] + [2 * 10 ** k for k in range(8, 30)]
+    ns += [rng.randrange(10 ** (k - 1), 10 ** k) for k in range(9, 31)]
+    for n in ns:
+        a = approximate_e(n, POL)
+        assert 0 < ctx.subtract(e, a.value) <= a.error_bound, n
+
+
+def test_approximate_e_ignores_the_callers_context():
+    ns = [1, 7, 10 ** 6, 10 ** 8, 123456789012, 6500829865468900606471209044]
+    want = [approximate_e(n, POL) for n in ns]
+    with localcontext(Context(prec=5, rounding=ROUND_DOWN, traps=[Inexact])):
+        got = [approximate_e(n, POL) for n in ns]
+    assert got == want
 
 
 def test_frozen_rungs():

@@ -1,8 +1,11 @@
 """Simulated telescopic-arm device: quantization, scripts, error bounds."""
 
 import dataclasses
+import math
 import random
-from decimal import Context, Decimal
+from decimal import (Context, Decimal, Inexact, ROUND_CEILING, ROUND_DOWN,
+                     localcontext)
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +37,56 @@ def test_quantize_snaps_to_graduations():
     assert m.quantize(Decimal("0.123456789")) == Decimal("0.12346")
     assert m.quantize(Decimal("0.12344999")) == Decimal("0.12345")
     assert m.quantize(Decimal("0.5")) == Decimal("0.5")
+
+
+def fraction_quantize(length: Decimal, resolution: Decimal) -> Decimal:
+    """Rational reference for graduation snapping, ties to even."""
+    steps = Fraction(length) / Fraction(resolution)
+    n = math.floor(steps)
+    frac = steps - n
+    if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and n % 2):
+        n += 1
+    return Context(prec=60, rounding=ROUND_CEILING).multiply(Decimal(n),
+                                                             resolution)
+
+
+def quantize_cases(res: Decimal, rng: random.Random) -> list[Decimal]:
+    """0, random 60-digit lengths, lengths from 1e-40 to 1e3, and every
+    kind of exact midpoint k*res + res/2 with its two neighbours."""
+    cases = [Decimal(0), Decimal("-0"), Decimal("0E-80")]
+    cases += [Decimal(f"0.{rng.randrange(10 ** 59, 10 ** 60)}e{rng.randint(-2, 1)}")
+              for _ in range(300)]
+    for e in range(-40, 4):
+        cases.append(Decimal(f"1e{e}"))
+        cases += [Decimal(f"{rng.randrange(1, 10 ** 20)}e{e - 20}")
+                  for _ in range(5)]
+    exact = Context(prec=100)
+    half, tiny = res / 2, Decimal("1e-70")
+    for k in (0, 1, 2, 3, 10, 11, 12345, 12346, 10 ** 7, 10 ** 7 + 1,
+              *(rng.randrange(10 ** 12) for _ in range(40))):
+        mid = exact.add(exact.multiply(k, res), half)
+        cases += [mid, exact.subtract(mid, tiny), exact.add(mid, tiny)]
+    return cases
+
+
+def test_quantize_matches_rational_reference_on_every_rung():
+    rng = random.Random(6021)
+    for res in RESOLUTION_LADDER:
+        m = MeasurementModel(resolution=res)
+        for x in quantize_cases(res, rng):
+            assert str(m.quantize(x)) == str(fraction_quantize(x, res)), (res, x)
+
+
+def test_quantize_ignores_the_callers_context():
+    rng = random.Random(6022)
+    for res in RESOLUTION_LADDER:
+        m = MeasurementModel(resolution=res)
+        cases = quantize_cases(res, rng)
+        want = [str(m.quantize(x)) for x in cases]
+        with localcontext(Context(prec=5, rounding=ROUND_DOWN,
+                                  traps=[Inexact])):
+            got = [str(m.quantize(x)) for x in cases]
+        assert got == want
 
 
 def test_unit_length_is_on_grid_at_every_resolution():
@@ -90,6 +143,13 @@ def test_readings_sit_on_the_grid():
     for i in (1, 2, 3, 4):
         r = read_length(st, arm_id(i))
         assert (r / m.resolution) == int(r / m.resolution)
+
+
+def test_non_integer_operand_is_a_parse_error():
+    with pytest.raises(ParseError, match="not an integer"):
+        run_op("pow", ["2", "x"], MeasurementModel())
+    with pytest.raises(ParseError, match="not an integer"):
+        run_script("root 2 1.5")
 
 
 def test_script_line_parsing():

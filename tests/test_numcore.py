@@ -1,7 +1,7 @@
 """Scaled-decimal representation, parsing, and the reference evaluator."""
 
 import random
-from decimal import Decimal
+from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
 
 import pytest
 
@@ -17,6 +17,28 @@ def test_shift10_is_exact_exponent_surgery():
     # no precision loss even at extreme shifts
     big = shift10(Decimal("0.123456789123456789"), 400)
     assert shift10(big, -400) == Decimal("0.123456789123456789")
+
+
+SHIFT_CASES = ["0", "-0", "0.000", "-0E+5", "0.1234", "-0.1234",
+               "1.2300", "5", "-5e3", "1000", "0.1000000000",
+               "0.123456789012345678901234567890123456789012345678901234567890",
+               "9.99999999999999999999999999999e-30"]
+SHIFTS = [0, 1, -1, 7, -7, 29, -29, 400, -400]
+
+
+def test_shift10_keeps_the_coefficient_and_moves_only_the_exponent():
+    for text in SHIFT_CASES:
+        d = Decimal(text)
+        sign, digits, exp = d.as_tuple()
+        for k in SHIFTS:
+            assert shift10(d, k).as_tuple() == (sign, digits, exp + k), (text, k)
+
+
+def test_shift10_ignores_the_callers_context():
+    want = [str(shift10(Decimal(t), k)) for t in SHIFT_CASES for k in SHIFTS]
+    with localcontext(Context(prec=5, rounding=ROUND_DOWN, traps=[Inexact])):
+        got = [str(shift10(Decimal(t), k)) for t in SHIFT_CASES for k in SHIFTS]
+    assert got == want
 
 
 @pytest.mark.parametrize("text,sign,mantissa,exponent", [
