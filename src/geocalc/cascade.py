@@ -16,14 +16,11 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 
 from .errors import (DegenerateAngle, DomainError, ExponentOverflow,
-                     NoConvergence, SignMismatch)
-from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      renormalized, shift10)
+                     SignMismatch)
+from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
+                      SignedScaled, bisect, cosine_bracket, renormalized,
+                      shift10)
 from .trace import TraceRecorder, foot_label
-
-_ONE = Decimal(1)
-_TWO = Decimal(2)
-_TENTH = Decimal("0.1")
 
 # Past this depth a cascade is run as repeated squaring instead of one
 # multiplication per perpendicular.
@@ -31,8 +28,6 @@ VIRTUAL_DEPTH = 10 ** 4
 
 MAX_ABS_EXPONENT = 10 ** 6
 EXPONENT_BOUND = 10 ** 9
-
-_BISECT_CAP = 200
 
 
 def _check_cosine(cos_c: Decimal):
@@ -67,17 +62,18 @@ class Cascade:
         """Check p_{i+1}/p_i == cos C and p_1^2 == AB * p_2 within tolerance."""
         ctx = policy.oracle_ctx()
         c = self.construction
-        tol = policy.rel_tol * 10  # one guard digit over working rounding
+        tol = ctx.multiply(policy.rel_tol, 10)  # one guard digit
+        ratio_tol = ctx.multiply(tol, c.cos_c)
         prev = c.perpendicular
         for p in self.lengths:
             ratio = ctx.divide(p, prev)
-            if ctx.subtract(ratio, c.cos_c).copy_abs() > tol * c.cos_c:
+            if ctx.subtract(ratio, c.cos_c).copy_abs() > ratio_tol:
                 return False
             prev = p
         if len(self.lengths) >= 2:
             lhs = ctx.multiply(self.lengths[0], self.lengths[0])
             rhs = ctx.multiply(c.perpendicular, self.lengths[1])
-            if ctx.subtract(lhs, rhs).copy_abs() > tol * rhs:
+            if ctx.subtract(lhs, rhs).copy_abs() > ctx.multiply(tol, rhs):
                 return False
         return True
 
@@ -259,24 +255,20 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
     perpendicular at small/c**2; the bracket is monotone decreasing in c.
     Both operands here share a decade, so the solution cosine is interior.
     """
-    lo = Decimal("1e-15")
-    hi = _ONE - Decimal("1e-15")
-    target = big
-    for i in range(_BISECT_CAP):
-        c = ctx.divide(ctx.add(lo, hi), _TWO)
-        ab = ctx.divide(small, ctx.multiply(c, c))
+    ctx_div, ctx_mul = ctx.divide, ctx.multiply
+    tol = ctx_mul(rel_tol, big)
+
+    def side(c, i):
+        ab = ctx_div(small, ctx_mul(c, c))
         if recorder is not None and i < 4:
             recorder.rotate("D", c, i)
-        err = ctx.subtract(ab, target)
-        if err.copy_abs() <= rel_tol * target:
-            break
-        if ab > target:
-            lo = c  # hypotenuse cut too long: open the angle
-        else:
-            hi = c
-    else:
-        raise NoConvergence("rotation search exhausted its cap")
-    bd = ctx.divide(small, c)
+        if ctx.subtract(ab, big).copy_abs() <= tol:
+            return 0
+        return -1 if ab > big else 1  # cut too long: open the angle
+
+    lo, hi = cosine_bracket(ctx_div(small, big), _TWO, ctx)
+    c = bisect(side, lo, hi, ctx, "rotation")[0]
+    bd = ctx_div(small, c)
     if recorder is not None:
         recorder.measure("BD", bd)
     return bd

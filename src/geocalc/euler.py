@@ -10,7 +10,7 @@ backwards through a rational power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,16 +18,17 @@ from .cascade import _mantissa_power, multiply, power, reciprocal
 from .errors import DomainError
 from .exponents import (DEFAULT_MAX_DEPTH, evaluate_cf,
                         recover_rational_exponent)
-from .numcore import DEFAULT_POLICY, PrecisionPolicy, SignedScaled
+from .numcore import _ONE, DEFAULT_POLICY, PrecisionPolicy, SignedScaled
 from .roots import rational_power
-
-_ONE = Decimal(1)
-
-# e to 40 digits, for the analytic error bound only
-_E_REF = Decimal("2.718281828459045235360287471352662497757")
 
 INTERNAL_E_STEPS = 10 ** 8
 _CONVERGENT_DEN_CAP = 10 ** 9
+
+
+@lru_cache(maxsize=16)
+def _e_ref(digits: int) -> Decimal:
+    """e with 10 guard digits over `digits`, for the error bound only."""
+    return Context(prec=digits + 10).exp(_ONE)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class EulerApprox:
     def __post_init__(self):
         if self.n_steps < 1:
             raise DomainError("n_steps must be at least 1")
-        if not self.value < _E_REF:
+        if not self.value < _e_ref(len(self.value.as_tuple().digits)):
             raise DomainError("approximation must stay below e")
 
 
@@ -60,7 +61,7 @@ def approximate_e(n_steps: int,
     cos_c = ctx.divide(n, ctx.add(n, _ONE))
     p_n = _mantissa_power(cos_c, n_steps, ctx, None)
     value = ctx.divide(_ONE, p_n)
-    bound = ctx.divide(_E_REF, Decimal(2 * n_steps))
+    bound = ctx.divide(_e_ref(ctx.prec), Decimal(2 * n_steps))
     return EulerApprox(n_steps=n_steps, value=value, error_bound=bound)
 
 

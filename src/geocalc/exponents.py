@@ -14,9 +14,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 from .errors import DomainError, NoIntegerExponent
-from .numcore import DEFAULT_POLICY, PrecisionPolicy, SignedScaled
-
-_ONE = Decimal(1)
+from .numcore import _ONE, DEFAULT_POLICY, PrecisionPolicy, SignedScaled
 
 MAX_TERM = 10 ** 6
 DEFAULT_MATCH_TOL = Decimal("1e-9")
@@ -121,9 +119,10 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
     candidates = []
     if floor_n is not None:
         candidates = [n for n in (floor_n, floor_n + 1) if 1 <= n <= max_n]
+    tol = ctx.multiply(match_tol, v)
     for n in candidates:
         p = ctx.power(u, Decimal(n))
-        if ctx.subtract(p, v).copy_abs() <= match_tol * v:
+        if ctx.subtract(p, v).copy_abs() <= tol:
             if x.sign < 0:
                 want = -1 if n % 2 else 1
                 if a.sign != want:
@@ -211,6 +210,6 @@ def recover_exponent_via_logs(x: SignedScaled, a: SignedScaled,
     if q == 0:
         raise DomainError("log of the base truncated to zero")
     ctx = policy.ctx()
-    ratio = ctx.divide(Decimal(p.numerator) * Decimal(q.denominator),
-                       Decimal(p.denominator) * Decimal(q.numerator))
+    ratio = ctx.divide(Decimal(p.numerator * q.denominator),
+                       Decimal(p.denominator * q.numerator))
     return p_cf, q_cf, SignedScaled.from_decimal(ratio)

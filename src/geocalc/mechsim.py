@@ -20,15 +20,11 @@ from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 
 from .cascade import _parity_adjust
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
-                     DomainError, EvenRootOfNegative, NoConvergence,
-                     NotFastened, ParseError, SignMismatch)
-from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      normalize, renormalized, shift10)
+                     DomainError, EvenRootOfNegative, NotFastened,
+                     ParseError, SignMismatch)
+from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
+                      SignedScaled, bisect, normalize, renormalized, shift10)
 from .trace import foot_label
-
-_ONE = Decimal(1)
-_TWO = Decimal(2)
-_TENTH = Decimal("0.1")
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
 
@@ -38,7 +34,6 @@ DEFAULT_RESOLUTION = Decimal("1e-5")
 RESOLUTION_LADDER = (Decimal("1e-5"), Decimal("5e-7"),
                      Decimal("2e-7"), Decimal("1e-10"))
 
-_SEARCH_CAP = 200
 _LEVEL_STEP_CAP = 10 ** 4
 _CF_TERM_FLOOR = Decimal("1e-12")
 _CF_MAX_DEPTH = 16
@@ -84,7 +79,7 @@ class MeasurementModel:
 
     @property
     def half_step(self) -> Decimal:
-        return _UP.divide(self.resolution, Decimal(2))
+        return _UP.divide(self.resolution, _TWO)
 
 
 @dataclass
@@ -378,7 +373,7 @@ def _script_divide(num: SignedScaled, den: SignedScaled,
     # perpendicular would leave the telescopic range
     exp_adj = 0
     ab_req = num.mantissa
-    if num.mantissa < Decimal("0.12") * den.mantissa:
+    if num.mantissa < ctx.multiply(Decimal("0.12"), den.mantissa):
         ab_req = shift10(num.mantissa, 1)
         exp_adj = -1
     hyp = shift10(den.mantissa, 1)
@@ -391,6 +386,12 @@ def _script_divide(num: SignedScaled, den: SignedScaled,
     iv = ab_iv.mul(cos_iv).widen(h)
     return _package(sign, bd, num.exponent - den.exponent + 1 + exp_adj,
                     iv, log, ctx)
+
+
+def _rotate(side, model: MeasurementModel, ctx: Context):
+    """Bisect the apex cosine in [1e-6, 1 - 1e-6] down to one graduation."""
+    return bisect(side, Decimal("1e-6"), Decimal("0.999999"), ctx, "rotation",
+                  lambda lo, hi: ctx.subtract(hi, lo) < model.resolution)
 
 
 def _script_gmean(a: SignedScaled, b: SignedScaled,
@@ -411,31 +412,20 @@ def _script_gmean(a: SignedScaled, b: SignedScaled,
     target = log.read("AB", big)
     # rotate until the hypotenuse-side arm AB = ED / cos^2 C matches the
     # larger operand; AB is a main arm, ED a set perpendicular
-    lo, hi = Decimal("1e-6"), _ONE - Decimal("1e-6")
-    matched = False
-    c = None
-    for _ in range(_SEARCH_CAP):
-        c = ctx.divide(ctx.add(lo, hi), _TWO)
-        ab_true = ctx.divide(ed, ctx.multiply(c, c))
-        r = model.quantize(ab_true)
+    def side(c, i):
+        r = model.quantize(ctx.divide(ed, ctx.multiply(c, c)))
         if r == target:
-            matched = True
-            break
-        if hi - lo < model.resolution:
-            break
-        if r > target:
-            lo = c
-        else:
-            hi = c
-    else:
-        raise NoConvergence("rotation search exhausted its cap")
+            return 0
+        return -1 if r > target else 1
+
+    c, lo, hi, accepted = _rotate(side, model, ctx)
     ab_final = ctx.divide(ed, ctx.multiply(c, c))
-    if matched:
-        ab_iv = _point(big).widen(2 * h)
+    if accepted or model.quantize(ab_final) == target:
+        ab_iv = _point(big).widen(_UP.multiply(_TWO, h))
     else:
         ends = _Iv(min(ab_final, ctx.divide(ed, ctx.multiply(hi, hi))),
                    max(ab_final, ctx.divide(ed, ctx.multiply(lo, lo))))
-        ab_iv = ends.hull(_point(big)).widen(2 * h)
+        ab_iv = ends.hull(_point(big)).widen(_UP.multiply(_TWO, h))
     bd = log.read("BD", ctx.divide(ed, c))
     ed_iv = _point(small).widen(h)
     iv = ed_iv.mul(ab_iv).sqrt().widen(h)
@@ -475,19 +465,11 @@ def _script_root(x: SignedScaled, n: int, model: MeasurementModel,
                 p, j, d_since = shift10(q, jj), j + jj, 0
         return p, j, rel
 
-    lo, hi = Decimal("1e-6"), _ONE - Decimal("1e-6")
-    c = None
-    for _ in range(_SEARCH_CAP):
-        c = ctx.divide(ctx.add(lo, hi), _TWO)
+    def side(c, i):
         p, j, _rel = chain(c, False)
-        if hi - lo < model.resolution:
-            break
-        if shift10(p, -j) < target:
-            lo = c
-        else:
-            hi = c
-    else:
-        raise NoConvergence("rotation search exhausted its cap")
+        return -1 if shift10(p, -j) < target else 1
+
+    c, lo, hi, _ = _rotate(side, model, ctx)
     p_fin, j_fin, rel_iv = chain(c, True)
     # the ideal cosine sits within: half the bracket, plus the reading
     # envelope and the residual mismatch divided through the slope of c^n
@@ -495,7 +477,7 @@ def _script_root(x: SignedScaled, n: int, model: MeasurementModel,
                           target)
     eps_rel = ctx.add(rel_iv.half_width_about(_ONE), mismatch)
     slack = ctx.divide(ctx.multiply(c, eps_rel), Decimal(n))
-    c_iv = _Iv(lo - slack, hi + slack)
+    c_iv = _Iv(_DOWN.subtract(lo, slack), _UP.add(hi, slack))
     sin_c = ctx.sqrt(ctx.subtract(_ONE, ctx.multiply(c, c)))
     ab_set = model.quantize(_ONE)
     bc = log.read("BC", ctx.divide(ctx.multiply(ab_set, c), sin_c))
@@ -598,7 +580,7 @@ def _script_cf(x: SignedScaled, a: SignedScaled, model: MeasurementModel,
         u, v = v, u
     u_iv = _point(u).widen(h)     # settings put the realized cosine here
     v_iv = _point(v)
-    term_tol = max(_CF_TERM_FLOOR, 20 * model.resolution)
+    term_tol = max(_CF_TERM_FLOOR, ctx.multiply(20, model.resolution))
     terms: list[int] = []
     tail: _Iv | None = None
     for _ in range(max_depth):
@@ -628,7 +610,7 @@ def _script_cf(x: SignedScaled, a: SignedScaled, model: MeasurementModel,
                 else:
                     t_hi = ctx.divide(_ONE,
                                       Decimal(int(ctx.divide(_ONE, r_hi))))
-                tail = _Iv(Decimal(n_steps), Decimal(n_steps) + t_hi)
+                tail = _Iv(Decimal(n_steps), _UP.add(n_steps, t_hi))
             break
         terms.append(n_steps)
         u_iv, v_iv = w_iv.hull(_point(w).widen(h)), u_iv

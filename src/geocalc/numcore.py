@@ -12,8 +12,10 @@ import re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      ROUND_HALF_EVEN)
+from itertools import count
 
-from .errors import DomainError, ParseError, SignMismatch, ZeroNotRepresentable
+from .errors import (DomainError, NoConvergence, ParseError, SignMismatch,
+                     ZeroNotRepresentable)
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 
@@ -22,6 +24,7 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 _EMAX = 10 ** 17
 
 _ONE = Decimal(1)
+_TWO = Decimal(2)
 _TENTH = Decimal("0.1")
 
 # Nothing rounds or clamps for lack of precision or exponent range
@@ -35,6 +38,36 @@ _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN,
 def shift10(d: Decimal, k: int) -> Decimal:
     """Multiply a Decimal by 10**k exactly: only the exponent moves."""
     return d.scaleb(k, _EXACT)
+
+
+def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
+           collapsed=None) -> tuple[Decimal, Decimal, Decimal, bool]:
+    """Halve [lo, hi] under ctx; return (c, lo, hi, accepted).
+
+    Each step takes the midpoint c, stops if collapsed(lo, hi), then asks
+    side(c, i), i = 0, 1, ...: 0 accepts c, > 0 sets hi = c, < 0 lo = c.
+    No step cap: a midpoint that rounds onto an end raises NoConvergence.
+    """
+    add, divide = ctx.add, ctx.divide
+    for i in count():
+        c = divide(add(lo, hi), _TWO)
+        if collapsed is not None and collapsed(lo, hi):
+            return c, lo, hi, False
+        s = side(c, i)
+        if not s:
+            return c, lo, hi, True
+        if c == lo or c == hi:
+            raise NoConvergence(f"{what} search: {ctx.prec} digits cannot "
+                                f"split [{lo}, {hi}]")
+        lo, hi = (lo, c) if s > 0 else (c, hi)
+
+
+def cosine_bracket(target: Decimal, n: Decimal, ctx: Context):
+    """Bracket the cosine c**n == target: above 1 - 1e-15 only if it must."""
+    top = Decimal("0.999999999999999")  # 1 - 1e-15, rounded by no context
+    if target > ctx.power(top, n):
+        return top, _ONE
+    return Decimal("1e-15"), top
 
 
 @dataclass(frozen=True)

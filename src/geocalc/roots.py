@@ -13,16 +13,11 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 
 from .cascade import _mantissa_power, divide, multiply, power
-from .errors import DomainError, EvenRootOfNegative, NoConvergence
-from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      renormalized)
+from .errors import DomainError, EvenRootOfNegative
+from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, PrecisionPolicy,
+                      SignedScaled, bisect, cosine_bracket, renormalized,
+                      shift10)
 from .trace import TraceRecorder
-
-_ONE = Decimal(1)
-_TWO = Decimal(2)
-_TENTH = Decimal("0.1")
-
-_SEARCH_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -51,24 +46,21 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
     """
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
-    lo = Decimal("1e-15")
-    hi = _ONE - Decimal("1e-15")
+    ctx_pow, ctx_sub, ctx_mul = ctx.power, ctx.subtract, ctx.multiply
     nn = Decimal(n)
-    for i in range(_SEARCH_CAP):
-        c = ctx.divide(ctx.add(lo, hi), _TWO)
-        p = ctx.power(c, nn)
+    tol = ctx_mul(rel_tol, target)
+
+    def side(c, i):
+        p = ctx_pow(c, nn)
         if recorder is not None and i < 4:
             recorder.rotate("C", c, i)
-        err = ctx.subtract(p, target)
-        if err.copy_abs() <= rel_tol * target:
-            return c
-        if p > target:
-            hi = c
-        else:
-            lo = c
-        if ctx.subtract(hi, lo) <= rel_tol * lo:
-            return ctx.divide(ctx.add(lo, hi), _TWO)
-    raise NoConvergence("root search exhausted its cap")
+        if ctx_sub(p, target).copy_abs() <= tol:
+            return 0
+        return 1 if p > target else -1
+
+    lo, hi = cosine_bracket(target, nn, ctx)
+    return bisect(side, lo, hi, ctx, "root",
+                  lambda lo, hi: ctx_sub(hi, lo) <= ctx_mul(rel_tol, lo))[0]
 
 
 def nth_root(query: RootQuery,
@@ -95,8 +87,7 @@ def nth_root(query: RootQuery,
         recorder.measure("cosine", c_m)
     if r:
         # 10**(r/n) = 1 / (10**-r)**(1/n)
-        c_r = solve_cos_power(n, Decimal(1).scaleb(-r), ctx,
-                              policy.rel_tol, None)
+        c_r = solve_cos_power(n, shift10(_ONE, -r), ctx, policy.rel_tol, None)
         mant = ctx.divide(c_m, c_r)
     else:
         mant = c_m

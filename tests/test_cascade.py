@@ -161,6 +161,13 @@ def test_geometric_mean_methods_agree():
         assert close(g1, want, Decimal("1e-10"))
 
 
+def test_rotate_to_a_mean_next_to_one():
+    # the mean cosine sqrt(small/big) lies above 1 - 1e-15
+    a, b = normalize("0.5"), normalize("0.50000000000000000001")
+    got = geometric_mean(a, b, POL, method="rotate")
+    assert close(got, oracle_eval("gmean", (a, b), POL), 2 * POL.rel_tol)
+
+
 def test_rotate_search_cap_is_an_error():
     # a tolerance below the working precision cannot be met
     tight = PrecisionPolicy(rel_tol=Decimal("1e-40"))

@@ -218,6 +218,18 @@ def test_root_search_cap_is_an_error(capsys):
     assert (code, out) == (2, "") and "NoConvergence" in err
 
 
+def test_searches_run_past_two_hundred_halvings(capsys):
+    # 70 and 65 working digits need more halvings than the old cap of 200
+    code, out, err = run(capsys, "root", "2", "2", "--digits", "60")
+    assert (code, err) == (0, "")
+    assert out == ("1.41421356237309504880168872420969807856967187537694807"
+                   "317668e0\n")
+    code, out, err = run(capsys, "powfrac", "2", "1", "3", "--digits", "55")
+    assert (code, err) == (0, "")
+    assert out == ("1.2599210498948731647672106072782283505702514647015079"
+                   "80e0\n")
+
+
 def test_digits_past_the_default_decimal_context(capsys):
     code, out, err = run(capsys, "pow", "0.5", "3", "--digits", "29")
     assert (code, out, err) == (0, "1.2500000000000000000000000000e-1\n", "")

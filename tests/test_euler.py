@@ -48,6 +48,16 @@ def test_error_bound_holds_to_n_1e30():
         assert 0 < ctx.subtract(e, a.value) <= a.error_bound, n
 
 
+def test_error_bound_holds_past_the_digits_of_a_fixed_constant():
+    # e - value falls below 1e-40 here: the reference e has to carry
+    # more digits than any fixed literal
+    ctx = Context(prec=250)
+    e = ctx.exp(1)
+    for n in (10 ** 40 + 12345, 10 ** 60):
+        a = approximate_e(n, POL)
+        assert 0 < ctx.subtract(e, a.value) <= a.error_bound, n
+
+
 def test_approximate_e_ignores_the_callers_context():
     ns = [1, 7, 10 ** 6, 10 ** 8, 123456789012, 6500829865468900606471209044]
     want = [approximate_e(n, POL) for n in ns]

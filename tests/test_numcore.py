@@ -5,9 +5,11 @@ from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
 
 import pytest
 
-from geocalc import (DEFAULT_POLICY, ParseError, PrecisionPolicy, SignedScaled,
-                     ZeroNotRepresentable, normalize, oracle_eval, rel_diff,
-                     renormalized, shift10, to_text)
+from geocalc import (DEFAULT_POLICY, NoConvergence, ParseError,
+                     PrecisionPolicy, SignedScaled, ZeroNotRepresentable,
+                     normalize, oracle_eval, rel_diff, renormalized, shift10,
+                     to_text)
+from geocalc.numcore import bisect
 
 
 def test_shift10_is_exact_exponent_surgery():
@@ -179,3 +181,74 @@ def test_rel_diff():
     assert rel_diff(Decimal("1"), Decimal("1"), ctx) == 0
     d = rel_diff(Decimal("1.0001"), Decimal("1"), ctx)
     assert Decimal("0.00009") < d < Decimal("0.00011")
+
+
+CTX = Context(prec=20)
+THIRD = CTX.divide(1, 3)
+
+
+def sign_of(x):
+    """side() for a rising objective f(c) = c: positive once c passes x."""
+    return lambda c, i: CTX.compare(c, x)
+
+
+def test_bisect_accepts_a_midpoint():
+    # 0.5 is too high, 0.25 is the solution
+    c, lo, hi, accepted = bisect(sign_of(Decimal("0.25")), Decimal(0),
+                                 Decimal(1), CTX, "test")
+    assert (c, lo, hi, accepted) == (Decimal("0.25"), 0, Decimal("0.5"), True)
+
+
+def test_bisect_stops_on_collapse_and_returns_that_bracket():
+    width = Decimal("0.01")
+    c, lo, hi, accepted = bisect(
+        sign_of(THIRD), Decimal(0), Decimal(1), CTX, "test",
+        collapsed=lambda lo, hi: CTX.subtract(hi, lo) < width)
+    assert not accepted
+    assert lo < THIRD < hi and hi - lo < width <= 2 * (hi - lo)
+    assert c == CTX.divide(CTX.add(lo, hi), 2)
+
+
+def test_bisect_raises_when_the_precision_cannot_split_the_bracket():
+    steps = []
+
+    def side(c, i):
+        steps.append(i)
+        return CTX.compare(c, THIRD) or 1  # never accepts
+
+    with pytest.raises(NoConvergence, match="20 digits"):
+        bisect(side, Decimal(0), Decimal(1), CTX, "test")
+    # 20 digits hold about 66 halvings of the unit bracket, not 200
+    assert 60 < len(steps) < 80
+
+
+@pytest.mark.parametrize("rising", [True, False])
+def test_bisect_follows_rising_and_falling_objectives(rising):
+    # f(c) = c**2 rising, or f(c) = 1 - c**2 falling, against 0.5
+    target = Decimal("0.5")
+    tol = Decimal("1e-15")
+
+    def side(c, i):
+        f = CTX.multiply(c, c)
+        if not rising:
+            f = CTX.subtract(1, f)
+        err = CTX.subtract(f, target)
+        if err.copy_abs() <= tol:
+            return 0
+        return err if rising else err.copy_negate()
+
+    c, lo, hi, accepted = bisect(side, Decimal(0), Decimal(1), CTX, "test")
+    assert accepted and lo < c < hi
+    assert abs(CTX.multiply(c, c) - target) <= tol
+
+
+def test_bisect_passes_step_indices_in_order():
+    seen = []
+
+    def side(c, i):
+        seen.append(i)
+        return sign_of(THIRD)(c, i)
+
+    bisect(side, Decimal(0), Decimal(1), CTX, "test",
+           collapsed=lambda lo, hi: CTX.subtract(hi, lo) < Decimal("1e-6"))
+    assert seen == list(range(len(seen))) and len(seen) == 20

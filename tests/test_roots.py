@@ -78,6 +78,24 @@ def test_solve_cos_power_matches_oracle():
     assert rel_diff(c, want, ORACLE_CTX) <= Decimal("1e-25")
 
 
+@pytest.mark.parametrize("text", ["0.9999999999999999", "0.99999999999999",
+                                  "0.99999999999999999999"])
+@pytest.mark.parametrize("n", [2, 3, 7, 14])
+def test_root_of_a_radicand_next_to_one(text, n):
+    # the root lies above 1 - 1e-15, the top of the usual cosine bracket
+    x = normalize(text)
+    got = nth_root(RootQuery(x, n), POL)
+    assert rel(got, oracle_eval("root", (x, n), POL)) <= 2 * POL.rel_tol
+
+
+def test_root_with_a_residue_past_the_default_exponent_range():
+    # the residue 10**-r of 1e-5000000 lies below the default context's
+    # exponent range
+    x = normalize("1e-5000000")
+    got = nth_root(RootQuery(x, 10 ** 7), POL)
+    assert rel(got, oracle_eval("root", (x, 10 ** 7), POL)) <= 2 * POL.rel_tol
+
+
 def test_rational_power_strategies_agree():
     cases = [("0.5972e25", 19, 7), ("2", 3, 2), ("81.274", -2, 3),
              ("0.004", 5, 4)]
