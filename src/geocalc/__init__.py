@@ -12,8 +12,8 @@ from .diagram import render_svg, write_svg
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
                      DomainError, EvenRootOfNegative, ExponentOverflow,
                      GeocalcError, InconsistentTrace, NoConvergence,
-                     NoIntegerExponent, NotFastened, ParseError,
-                     SignMismatch, ZeroNotRepresentable)
+                     NoIntegerExponent, ParseError, SignMismatch,
+                     ZeroNotRepresentable)
 from .euler import (EulerApprox, INTERNAL_E_STEPS, antilog, approximate_e,
                     internal_e, natural_log)
 from .exponents import (ContinuedFraction, evaluate_cf,
@@ -21,7 +21,7 @@ from .exponents import (ContinuedFraction, evaluate_cf,
                         recover_rational_exponent, solve_integer_exponent)
 from .mechsim import (DEFAULT_RESOLUTION, DeviceState, MeasuredResult,
                       MeasurementModel, RESOLUTION_LADDER, assemble,
-                      read_length, run_op, run_script)
+                      run_op, run_script)
 from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
                       normalize, oracle_eval, rel_diff, renormalized,
                       shift10, to_text)
@@ -38,13 +38,13 @@ __all__ = [
     "EvenRootOfNegative", "ExponentOverflow", "GeocalcError",
     "INTERNAL_E_STEPS", "InconsistentTrace", "MeasuredResult",
     "MeasurementModel", "NoConvergence", "NoIntegerExponent",
-    "NotFastened", "ParseError", "PrecisionPolicy", "RESOLUTION_LADDER",
+    "ParseError", "PrecisionPolicy", "RESOLUTION_LADDER",
     "RootQuery", "STEP_KINDS", "SignMismatch", "SignedScaled",
     "TraceRecorder", "TraceStep", "VIRTUAL_DEPTH", "ZeroNotRepresentable",
     "antilog", "approximate_e", "assemble", "build_cascade", "divide",
     "evaluate_cf", "foot_label", "geometric_mean", "internal_e",
     "multiply", "natural_log", "normalize", "nth_root", "oracle_eval",
-    "parse_trace", "power", "rational_power", "read_length",
+    "parse_trace", "power", "rational_power",
     "recover_exponent_via_logs", "recover_rational_exponent", "rel_diff",
     "render_svg", "renormalized", "run_op", "run_script", "shift10",
     "solve_cos_power", "solve_integer_exponent", "to_text", "write_svg",

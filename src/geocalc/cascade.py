@@ -254,6 +254,9 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
     With DE fixed at `small`, a trial cosine c puts the enclosing
     perpendicular at small/c**2; the bracket is monotone decreasing in c.
     Both operands here share a decade, so the solution cosine is interior.
+    Like the root search, it also stops once the bracket is narrower than
+    rel_tol relative: the working precision can stall the bracket before
+    small/c**2 comes within the tolerance of `big`.
     """
     ctx_div, ctx_mul = ctx.divide, ctx.multiply
     tol = ctx_mul(rel_tol, big)
@@ -267,7 +270,8 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
         return -1 if ab > big else 1  # cut too long: open the angle
 
     lo, hi = cosine_bracket(ctx_div(small, big), _TWO, ctx)
-    c = bisect(side, lo, hi, ctx, "rotation")[0]
+    c = bisect(side, lo, hi, ctx, "rotation",
+               lambda lo, hi: ctx.subtract(hi, lo) <= ctx_mul(rel_tol, lo))[0]
     bd = ctx_div(small, c)
     if recorder is not None:
         recorder.measure("BD", bd)

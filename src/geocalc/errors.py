@@ -45,12 +45,8 @@ class DepthExceeded(GeocalcError):
     """More perpendiculars requested than the device has arms."""
 
 
-class NotFastened(GeocalcError):
-    """Attempt to read an arm that is not part of the assembled cascade."""
-
-
 class NoConvergence(GeocalcError):
-    """An iterative search exhausted its iteration cap."""
+    """A search whose bracket the working precision can no longer split."""
 
 
 class InconsistentTrace(GeocalcError):

@@ -20,8 +20,8 @@ from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 
 from .cascade import _parity_adjust
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
-                     DomainError, EvenRootOfNegative, NotFastened,
-                     ParseError, SignMismatch)
+                     DomainError, EvenRootOfNegative, ParseError,
+                     SignMismatch)
 from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
                       SignedScaled, bisect, normalize, renormalized, shift10)
 from .trace import foot_label
@@ -34,6 +34,7 @@ DEFAULT_RESOLUTION = Decimal("1e-5")
 RESOLUTION_LADDER = (Decimal("1e-5"), Decimal("5e-7"),
                      Decimal("2e-7"), Decimal("1e-10"))
 
+N_ARMS = 10                   # telescopic perpendiculars on the device
 _LEVEL_STEP_CAP = 10 ** 4
 _CF_TERM_FLOOR = Decimal("1e-12")
 _CF_MAX_DEPTH = 16
@@ -84,26 +85,19 @@ class MeasurementModel:
 
 @dataclass
 class DeviceState:
-    """An assembled triangle with `depth` fastened perpendicular arms."""
+    """An assembled triangle: the set main arms and the true lengths of
+    its first `depth` perpendiculars, BD, DE, ... (unquantized)."""
 
     model: MeasurementModel
     bc_set: Decimal
     ac_set: Decimal
     cos_c: Decimal            # bc_set / ac_set, known exactly once set
     perp_ab: Decimal          # AB as set
-    n_arms: int
     arm_lengths: list[Decimal]
-    fastened: list[bool]
-
-    def arm_index(self, name: str) -> int:
-        for i in range(1, len(self.arm_lengths) + 1):
-            if arm_id(i) == name:
-                return i
-        raise NotFastened(f"no arm named {name!r}")
 
 
 def assemble(cos_c: Decimal, perp: Decimal, depth: int,
-             model: MeasurementModel, n_arms: int = 10,
+             model: MeasurementModel,
              policy: PrecisionPolicy = DEFAULT_POLICY,
              settings: tuple[Decimal, Decimal] | None = None) -> DeviceState:
     """Set the angle and AB on the graduations, fasten `depth` arms.
@@ -112,8 +106,8 @@ def assemble(cos_c: Decimal, perp: Decimal, depth: int,
     default BC = cos_c against a unit AC.  Perpendicular lengths are
     geometric consequences and must stay inside the telescopic range.
     """
-    if depth > n_arms:
-        raise DepthExceeded(f"{depth} perpendiculars on {n_arms} arms")
+    if depth > N_ARMS:
+        raise DepthExceeded(f"{depth} perpendiculars on {N_ARMS} arms")
     if depth < 1:
         raise DomainError("depth must be at least 1")
     ctx = policy.oracle_ctx()
@@ -133,22 +127,7 @@ def assemble(cos_c: Decimal, perp: Decimal, depth: int,
             raise ArmOutOfRange(f"arm {arm_id(i)} would be {p}")
         lengths.append(p)
     return DeviceState(model=model, bc_set=bc, ac_set=ac, cos_c=cos_true,
-                       perp_ab=ab, n_arms=n_arms, arm_lengths=lengths,
-                       fastened=[True] * depth)
-
-
-def read_length(state: DeviceState, arm: str) -> Decimal:
-    """Quantized reading of a fastened arm (or a main arm AB/BC/AC)."""
-    if arm == "AB":
-        return state.model.quantize(state.perp_ab)
-    if arm == "BC":
-        return state.bc_set
-    if arm == "AC":
-        return state.ac_set
-    i = state.arm_index(arm)
-    if not state.fastened[i - 1]:
-        raise NotFastened(f"arm {arm} is folded")
-    return state.model.quantize(state.arm_lengths[i - 1])
+                       perp_ab=ab, arm_lengths=lengths)
 
 
 @dataclass(frozen=True)
@@ -247,7 +226,7 @@ def _renorm_shift(q: Decimal) -> int:
 # --- cascade scripts ----------------------------------------------------
 
 def _staged_power(x_mant: Decimal, n: int, model: MeasurementModel,
-                  policy: PrecisionPolicy, log: _Log, n_arms: int
+                  policy: PrecisionPolicy, log: _Log
                   ) -> tuple[Decimal, int, _Iv]:
     """Run n perpendiculars at the quantized angle cos C = Q(x)/Q(1).
 
@@ -257,7 +236,7 @@ def _staged_power(x_mant: Decimal, n: int, model: MeasurementModel,
     """
     ctx = policy.oracle_ctx()
     h = model.half_step
-    state = assemble(x_mant, _ONE, 1, model, n_arms=n_arms, policy=policy)
+    state = assemble(x_mant, _ONE, 1, model, policy=policy)
     cos_true = state.cos_c
     ac = state.ac_set
     cos_iv = _Iv(_DOWN.divide(_DOWN.subtract(x_mant, h), ac),
@@ -269,7 +248,7 @@ def _staged_power(x_mant: Decimal, n: int, model: MeasurementModel,
     reading = iv = None
     while done < n:
         d, p = 0, ab
-        while d < min(n_arms, n - done):
+        while d < min(N_ARMS, n - done):
             nxt = ctx.multiply(p, cos_true)
             if nxt < model.arm_min:
                 break
@@ -311,14 +290,14 @@ def _device_reciprocal(mantissa: Decimal, exponent: int, band: Decimal,
 
 
 def _script_power(x: SignedScaled, n: int, model: MeasurementModel,
-                  policy: PrecisionPolicy, n_arms: int) -> MeasuredResult:
+                  policy: PrecisionPolicy) -> MeasuredResult:
     if n == 0:
         raise DomainError("exponent must be nonzero")
     ctx = policy.oracle_ctx()
     log = _Log(model)
     sign = -1 if (x.sign < 0 and n % 2) else 1
     if n < 0:
-        inner = _script_power(x.magnitude(), -n, model, policy, n_arms)
+        inner = _script_power(x.magnitude(), -n, model, policy)
         log.readings = list(inner.readings)
         log.trues = list(inner.true_lengths)
         band = shift10(inner.half_width, -inner.value.exponent)
@@ -326,13 +305,12 @@ def _script_power(x: SignedScaled, n: int, model: MeasurementModel,
             inner.value.mantissa, inner.value.exponent, band,
             model, policy, log)
         return _package(sign, bd, exponent, iv, log, ctx)
-    reading, shift_j, iv = _staged_power(x.mantissa, n, model, policy, log,
-                                         n_arms)
+    reading, shift_j, iv = _staged_power(x.mantissa, n, model, policy, log)
     return _package(sign, reading, x.exponent * n - shift_j, iv, log, ctx)
 
 
 def _script_recip(x: SignedScaled, model: MeasurementModel,
-                  policy: PrecisionPolicy, n_arms: int) -> MeasuredResult:
+                  policy: PrecisionPolicy) -> MeasuredResult:
     ctx = policy.oracle_ctx()
     log = _Log(model)
     bd, exponent, iv = _device_reciprocal(x.mantissa, x.exponent, Decimal(0),
@@ -341,14 +319,13 @@ def _script_recip(x: SignedScaled, model: MeasurementModel,
 
 
 def _script_multiply(a: SignedScaled, b: SignedScaled,
-                     model: MeasurementModel, policy: PrecisionPolicy,
-                     n_arms: int) -> MeasuredResult:
+                     model: MeasurementModel,
+                     policy: PrecisionPolicy) -> MeasuredResult:
     """One perpendicular: AB = Q(a), cos C = Q(b)/Q(1), read BD = a*b."""
     ctx = policy.oracle_ctx()
     h = model.half_step
     log = _Log(model)
-    state = assemble(b.mantissa, a.mantissa, 1, model, n_arms=n_arms,
-                     policy=policy)
+    state = assemble(b.mantissa, a.mantissa, 1, model, policy=policy)
     bd = log.read("BD", state.arm_lengths[0])
     ac = state.ac_set
     cos_iv = _Iv(_DOWN.divide(_DOWN.subtract(b.mantissa, h), ac),
@@ -359,8 +336,8 @@ def _script_multiply(a: SignedScaled, b: SignedScaled,
 
 
 def _script_divide(num: SignedScaled, den: SignedScaled,
-                   model: MeasurementModel, policy: PrecisionPolicy,
-                   n_arms: int) -> MeasuredResult:
+                   model: MeasurementModel,
+                   policy: PrecisionPolicy) -> MeasuredResult:
     ctx = policy.oracle_ctx()
     h = model.half_step
     log = _Log(model)
@@ -378,7 +355,7 @@ def _script_divide(num: SignedScaled, den: SignedScaled,
         exp_adj = -1
     hyp = shift10(den.mantissa, 1)
     state = assemble(_ONE, ab_req, 1, model, settings=(_ONE, hyp),
-                     n_arms=n_arms, policy=policy)
+                     policy=policy)
     bd = log.read("BD", state.arm_lengths[0])
     hyp_iv = _point(hyp).widen(h)
     cos_iv = _Iv(_DOWN.divide(_ONE, hyp_iv.hi), _UP.divide(_ONE, hyp_iv.lo))
@@ -395,8 +372,8 @@ def _rotate(side, model: MeasurementModel, ctx: Context):
 
 
 def _script_gmean(a: SignedScaled, b: SignedScaled,
-                  model: MeasurementModel, policy: PrecisionPolicy,
-                  n_arms: int) -> MeasuredResult:
+                  model: MeasurementModel,
+                  policy: PrecisionPolicy) -> MeasuredResult:
     if a.sign != b.sign:
         raise SignMismatch("geometric mean needs matching signs")
     ctx = policy.oracle_ctx()
@@ -433,7 +410,7 @@ def _script_gmean(a: SignedScaled, b: SignedScaled,
 
 
 def _script_root(x: SignedScaled, n: int, model: MeasurementModel,
-                 policy: PrecisionPolicy, n_arms: int) -> MeasuredResult:
+                 policy: PrecisionPolicy) -> MeasuredResult:
     if n < 1:
         raise DomainError("root index must be at least 1")
     if x.sign < 0 and n % 2 == 0:
@@ -456,7 +433,7 @@ def _script_root(x: SignedScaled, n: int, model: MeasurementModel,
             p = ctx.multiply(p, c)
             d_since += 1
             if i + 1 < n and (ctx.multiply(p, c) < model.arm_min
-                              or d_since == n_arms):
+                              or d_since == N_ARMS):
                 q = log.read(arm_id(d_since), p) if with_log \
                     else model.quantize(p)
                 rel = rel.mul(_Iv(_DOWN.divide(q, _UP.add(q, h)),
@@ -508,13 +485,16 @@ def _corner_exponent(u_iv: _Iv, w_iv: _Iv, ctx: Context) -> _Iv:
 
 def _cf_level_steps(u_set: Decimal, u_iv: _Iv, v: Decimal,
                     model: MeasurementModel, policy: PrecisionPolicy,
-                    log: _Log, n_arms: int):
+                    log: _Log):
     """Step arms at cos C = Q(u_set) until a reading drops below v.
 
     Comparisons against the target stick are visual and unlogged; the
-    log keeps re-anchor readings and the crossing pair.  Returns
-    (N, telescoped reading at N, telescoped chain interval at N) or
-    None when the crossing is out of reach of the step budget.
+    log keeps re-anchor readings and the crossing pair.  A stage that
+    ends without crossing re-anchors on its last reading, at the same
+    scale.  Returns (N, reading at N, chain interval at N), or None when
+    the crossing lies past the step budget or past a reading below 0.1:
+    re-anchoring there would need a decade shift, and the caller bands
+    the level by corner exponents instead.
     """
     ctx = policy.oracle_ctx()
     h = model.half_step
@@ -523,45 +503,40 @@ def _cf_level_steps(u_set: Decimal, u_iv: _Iv, v: Decimal,
     cos_true = state.cos_c
     anchor = state.perp_ab
     cur_iv = _point(anchor)
-    j = 0
     n = 0
-    prev = None                   # (n, telescoped read, interval, true len)
-    while n < _LEVEL_STEP_CAP:
+    prev = None                   # (n, reading, interval, true length)
+    while True:
         d, p = 0, anchor
-        q = None
-        while d < n_arms:
+        while d < N_ARMS:
             nxt = ctx.multiply(p, cos_true)
-            if nxt < model.arm_min and d > 0:
-                break
             if nxt < model.arm_min:
+                if d:
+                    break
                 raise ArmOutOfRange("arm collapsed below range at "
                                     f"cos C = {cos_true}")
             d, p = d + 1, nxt
             n += 1
             q = model.quantize(p)
-            tele = shift10(q, -j)
-            iv = cur_iv.mul(u_iv.pow_int(d)).widen(shift10(h, -j))
-            if tele < v:
+            iv = cur_iv.mul(u_iv.pow_int(d)).widen(h)
+            if q < v:
                 if prev is None:
                     return None
                 log.read(arm_id(max(1, d - 1)), prev[3])
                 log.read(arm_id(d), p)
-                return prev[0], prev[1], prev[2]
-            prev = (n, tele, iv, p)
+                return prev[:3]
+            prev = (n, q, iv, p)
             if n >= _LEVEL_STEP_CAP:
                 return None
-        # stage exhausted without crossing: re-anchor on the last read
+        # stage exhausted without crossing: re-anchor on the last read,
+        # unless it sits below 0.1 and would need a decade shift
         log.read(arm_id(d), p)
-        jj = _renorm_shift(q)
-        anchor = shift10(q, jj)
-        cur_iv = prev[2].scale10(jj)
-        j -= jj
-    return None
+        if q < _TENTH:
+            return None
+        anchor, cur_iv = q, iv
 
 
 def _script_cf(x: SignedScaled, a: SignedScaled, model: MeasurementModel,
-               policy: PrecisionPolicy, n_arms: int,
-               max_depth: int = _CF_MAX_DEPTH) -> MeasuredResult:
+               policy: PrecisionPolicy) -> MeasuredResult:
     """Recover t with x**t = a by arm counting, as a banded interval."""
     ctx = policy.oracle_ctx()
     h = model.half_step
@@ -583,8 +558,8 @@ def _script_cf(x: SignedScaled, a: SignedScaled, model: MeasurementModel,
     term_tol = max(_CF_TERM_FLOOR, ctx.multiply(20, model.resolution))
     terms: list[int] = []
     tail: _Iv | None = None
-    for _ in range(max_depth):
-        got = _cf_level_steps(u, u_iv, v, model, policy, log, n_arms)
+    for _ in range(_CF_MAX_DEPTH):
+        got = _cf_level_steps(u, u_iv, v, model, policy, log)
         if got is None:
             break
         n_steps, reading, ch_iv = got
@@ -677,17 +652,16 @@ def _integer(text: str) -> int:
 
 
 def run_op(op: str, args: list[str], model: MeasurementModel,
-           policy: PrecisionPolicy = DEFAULT_POLICY,
-           n_arms: int = 10) -> MeasuredResult:
+           policy: PrecisionPolicy = DEFAULT_POLICY) -> MeasuredResult:
     script, kinds = _script(op, len(args))
     operands = [normalize(a) if kind == "num" else _integer(a)
                 for a, kind in zip(args, kinds)]
-    return script(*operands, model, policy, n_arms)
+    return script(*operands, model, policy)
 
 
 def run_script(script, model: MeasurementModel | None = None,
-               policy: PrecisionPolicy = DEFAULT_POLICY,
-               n_arms: int = 10) -> list[MeasuredResult]:
+               policy: PrecisionPolicy = DEFAULT_POLICY
+               ) -> list[MeasuredResult]:
     """Run a measurement script: one operation per line.
 
     Lines are `op arg... [resolution=R]`; blank lines and # comments
@@ -704,5 +678,5 @@ def run_script(script, model: MeasurementModel | None = None,
         m = base if resolution is None else MeasurementModel(
             resolution=resolution, arm_min=base.arm_min,
             arm_max=base.arm_max)
-        out.append(run_op(op, args, m, policy, n_arms))
+        out.append(run_op(op, args, m, policy))
     return out

@@ -168,6 +168,14 @@ def test_rotate_to_a_mean_next_to_one():
     assert close(got, oracle_eval("gmean", (a, b), POL), 2 * POL.rel_tol)
 
 
+def test_rotate_to_a_small_mean_cosine():
+    # the 30-digit bracket stalls before small/c**2 comes within rel_tol
+    # of big; the search stops once the bracket is narrower than rel_tol
+    a, b = normalize("0.280404117683e8"), normalize("0.785888716493e11")
+    got = geometric_mean(a, b, POL, method="rotate")
+    assert close(got, oracle_eval("gmean", (a, b), POL), POL.rel_tol)
+
+
 def test_rotate_search_cap_is_an_error():
     # a tolerance below the working precision cannot be met
     tight = PrecisionPolicy(rel_tol=Decimal("1e-40"))

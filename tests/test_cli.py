@@ -213,6 +213,15 @@ def test_device_cf_solver(capsys):
     assert (code, out) == (0, "1.0890e1 +/- 1.58e-9\n")
 
 
+def test_device_cf_solver_below_a_tenth(capsys):
+    # cos C = 1/20: the crossing at two arms lies past a reading below 0.1,
+    # so the level is banded by corner exponents instead of an arm count
+    code, out, err = run(capsys, "solve-mn", "--x", "20", "--a",
+                         "8.94427190999915878563669467493e+1",
+                         "--resolution", "1e-5")
+    assert (code, out, err) == (0, "1.5000e0 +/- 5.01e-5\n", "")
+
+
 def test_root_search_cap_is_an_error(capsys):
     code, out, err = run(capsys, "root", "0.5", "3", "--tol", "1e-40")
     assert (code, out) == (2, "") and "NoConvergence" in err

@@ -1,6 +1,5 @@
 """Simulated telescopic-arm device: quantization, scripts, error bounds."""
 
-import dataclasses
 import math
 import random
 from decimal import (Context, Decimal, Inexact, ROUND_CEILING, ROUND_DOWN,
@@ -11,8 +10,8 @@ import pytest
 
 from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
                      DegenerateAngle, DepthExceeded, MeasurementModel,
-                     NotFastened, ParseError, RESOLUTION_LADDER, assemble,
-                     normalize, oracle_eval, read_length, run_op, run_script)
+                     ParseError, RESOLUTION_LADDER, assemble, normalize,
+                     oracle_eval, run_op, run_script)
 from geocalc.mechsim import arm_id, parse_script_line
 
 POL = DEFAULT_POLICY
@@ -108,7 +107,7 @@ def test_assemble_quantizes_settings_and_fastens():
     # realized cosine comes from the set lengths, not the request
     assert st.cos_c == ORACLE_CTX.divide(st.bc_set, st.ac_set)
     assert len(st.arm_lengths) == 3
-    assert read_length(st, "BC") == st.bc_set
+    assert m.quantize(st.bc_set) == st.bc_set
 
 
 def test_assemble_rejects_degenerate_and_deep():
@@ -128,20 +127,11 @@ def test_arm_range_guard():
         assemble(Decimal("0.02"), ONE, 2, m)
 
 
-def test_unfastened_arm_cannot_be_read():
-    m = MeasurementModel()
-    st = assemble(Decimal("0.5"), ONE, 2, m)
-    folded = dataclasses.replace(st, fastened=[True, False])
-    with pytest.raises(NotFastened):
-        read_length(folded, "DE")
-    assert read_length(st, "DE") == Decimal("0.25")
-
-
 def test_readings_sit_on_the_grid():
     m = MeasurementModel()
     st = assemble(Decimal("0.654321"), ONE, 4, m)
     for i in (1, 2, 3, 4):
-        r = read_length(st, arm_id(i))
+        r = m.quantize(st.arm_lengths[i - 1])
         assert (r / m.resolution) == int(r / m.resolution)
 
 
@@ -238,6 +228,42 @@ def test_cf_interval_contains_true_exponent():
     truth = oracle_for("cf", ["2", "1896.998"])
     err = (res.value.value() - truth).copy_abs()
     assert err <= res.half_width
+
+
+def test_cf_soundness_across_bases_targets_and_ladder():
+    # random bases plus some below 0.1 and above 10; only a cosine below
+    # the telescopic minimum may leave the device without a band
+    ctx = Context(prec=80)
+    rng = random.Random(1618)
+    for res in RESOLUTION_LADDER:
+        m = MeasurementModel(resolution=res)
+        bases = [f"{rng.uniform(1.01, 9.9):.4f}" for _ in range(25)]
+        bases += ["2", "3", "5", "20", "50", "1000", "0.01", "0.05", "0.09"]
+        for x in bases:
+            t = Decimal(f"{rng.uniform(1.1, 40):.6f}")
+            a = f"{ctx.power(Decimal(x), t):.30e}"
+            cos_c = min(Decimal(x), ctx.divide(ONE, Decimal(x)))
+            try:
+                got = run_op("cf", [x, a], m, POL)
+            except ArmOutOfRange:
+                assert cos_c < m.arm_min, (x, a, res)
+                continue
+            truth = ctx.divide(ctx.ln(Decimal(a)), ctx.ln(Decimal(x)))
+            err = ctx.subtract(got.value.value(), truth).copy_abs()
+            assert err <= got.half_width, (x, a, res)
+            assert got.half_width < truth / 100, (x, a, res)
+
+
+def test_cf_level_stops_at_a_reading_below_a_tenth():
+    # 0.5**6 is the last reading of the first stage and 2**-t crosses at
+    # 10 arms: the level is banded by corner exponents after one reading
+    x, a = "2", "1896.99842083110790327"
+    truth = oracle_for("cf", [x, a])
+    for res in RESOLUTION_LADDER:
+        got = run_op("cf", [x, a], MeasurementModel(resolution=res), POL)
+        assert len(got.readings) < 20, res
+        err = (got.value.value() - truth).copy_abs()
+        assert err <= got.half_width, res
 
 
 def test_half_width_tightens_down_the_ladder():
