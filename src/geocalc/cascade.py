@@ -22,8 +22,8 @@ from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
                       shift10)
 from .trace import TraceRecorder, foot_label
 
-# Past this depth a cascade is run as repeated squaring instead of one
-# multiplication per perpendicular.
+# A trace draws a power's cascade foot by foot up to this depth; past
+# it, the trace records only the angle and the depth.
 VIRTUAL_DEPTH = 10 ** 4
 
 MAX_ABS_EXPONENT = 10 ** 6
@@ -103,28 +103,20 @@ def build_cascade(construction: Construction,
     return Cascade(construction=c, lengths=tuple(lengths))
 
 
-def _mantissa_power(m: Decimal, n: int, ctx: Context,
+def _mantissa_power(m: Decimal, n: int, policy: PrecisionPolicy,
                     recorder: TraceRecorder | None) -> Decimal:
-    """m**n for 0 < m < 1, literal cascade up to VIRTUAL_DEPTH steps."""
-    if n <= VIRTUAL_DEPTH:
-        if recorder is not None:
-            recorder.angle(m)
-        prev, prev_label, onto_hyp = _ONE, "B", True
-        for i in range(1, n + 1):
-            prev = ctx.multiply(prev, m)
-            if recorder is not None:
-                foot = foot_label(i)
-                recorder.drop(prev_label, "CA" if onto_hyp else "CX", foot, prev)
-                prev_label = foot
-                onto_hyp = not onto_hyp
-        if recorder is not None:
-            recorder.measure(f"{prev_label}-perpendicular", prev)
-        return prev
-    # virtual cascade: repeated squaring, same value to working rounding
+    """m**n for 0 < m < 1 as one ctx.power at the working digits.
+
+    The cascade is only drawn: with a recorder attached, build_cascade
+    drops its feet at their literal lengths, up to VIRTUAL_DEPTH of them.
+    """
     if recorder is not None:
-        recorder.angle(m)
-        recorder.measure("virtual-cascade", Decimal(n))
-    return ctx.power(m, Decimal(n))
+        if n <= VIRTUAL_DEPTH:
+            build_cascade(Construction(m, _ONE, n), policy, recorder)
+        else:
+            recorder.angle(m)
+            recorder.measure("virtual-cascade", Decimal(n))
+    return policy.ctx().power(m, Decimal(n))
 
 
 def check_power(x: SignedScaled, n: int,
@@ -156,8 +148,7 @@ def power(x: SignedScaled, n: int,
         # exact decade: 0.1**n needs no geometry
         result = SignedScaled(sign, _TENTH, (x.exponent - 1) * n + 1)
     else:
-        ctx = policy.ctx()
-        mant = _mantissa_power(x.mantissa, n, ctx, recorder)
+        mant = _mantissa_power(x.mantissa, n, policy, recorder)
         result = renormalized(sign, mant, x.exponent * n)
     if abs(result.exponent) > EXPONENT_BOUND:
         raise ExponentOverflow("result exponent out of range")

@@ -14,7 +14,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .cascade import _mantissa_power, multiply, power, reciprocal
+from .cascade import multiply, power, reciprocal
 from .errors import DomainError
 from .exponents import (DEFAULT_MAX_DEPTH, evaluate_cf,
                         recover_rational_exponent)
@@ -59,7 +59,7 @@ def approximate_e(n_steps: int,
     ctx.prec = max(ctx.prec, 3 * (len(str(n_steps)) - 1) + 6)
     n = Decimal(n_steps)
     cos_c = ctx.divide(n, ctx.add(n, _ONE))
-    p_n = _mantissa_power(cos_c, n_steps, ctx, None)
+    p_n = ctx.power(cos_c, n)
     value = ctx.divide(_ONE, p_n)
     bound = ctx.divide(_e_ref(ctx.prec), Decimal(2 * n_steps))
     return EulerApprox(n_steps=n_steps, value=value, error_bound=bound)

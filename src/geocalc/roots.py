@@ -83,7 +83,7 @@ def nth_root(query: RootQuery,
     c_m = solve_cos_power(n, x.mantissa, ctx, policy.rel_tol, recorder)
     if recorder is not None:
         # verification cascade at the accepted angle
-        _mantissa_power(c_m, n, ctx, recorder)
+        _mantissa_power(c_m, n, policy, recorder)
         recorder.measure("cosine", c_m)
     if r:
         # 10**(r/n) = 1 / (10**-r)**(1/n)
@@ -92,16 +92,20 @@ def nth_root(query: RootQuery,
     else:
         mant = c_m
     result = renormalized(sign, mant, k)
-    _assert_root_between(x, result)
+    _assert_root_between(x, result, policy)
     return result
 
 
-def _assert_root_between(x: SignedScaled, root: SignedScaled):
-    """A root of |x| != 1 lies strictly between |x| and 1."""
+def _assert_root_between(x: SignedScaled, root: SignedScaled,
+                         policy: PrecisionPolicy):
+    """A root of |x| != 1 lies between |x| and 1, up to the factor
+    (1 + rel_tol)/(1 - rel_tol) that its two cosine searches explain."""
+    ctx, t = policy.oracle_ctx(), policy.rel_tol
+    slack = ctx.divide(ctx.add(_ONE, t), ctx.subtract(_ONE, t))
     xm = x.value().copy_abs()
-    rm = root.value().copy_abs()
     lo, hi = (xm, _ONE) if xm < 1 else (_ONE, xm)
-    if not (lo < rm < hi):
+    if not (ctx.divide(lo, slack) < root.value().copy_abs()
+            < ctx.multiply(hi, slack)):
         raise DomainError("root escaped the monotonicity interval")
 
 

@@ -8,9 +8,10 @@ import pytest
 from geocalc import (Cascade, Construction, DEFAULT_POLICY, DegenerateAngle,
                      DomainError, ExponentOverflow, NoConvergence,
                      PrecisionPolicy, SignMismatch,
-                     TraceRecorder, build_cascade, divide, geometric_mean,
-                     multiply, normalize, oracle_eval, power, reciprocal,
-                     rel_diff)
+                     TraceRecorder, VIRTUAL_DEPTH, build_cascade, divide,
+                     geometric_mean, multiply, normalize, oracle_eval, power,
+                     reciprocal, rel_diff)
+from geocalc.trace import foot_label
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()
@@ -86,6 +87,36 @@ def test_power_large_n_uses_virtual_cascade():
     got = power(x, 10 ** 5, POL)
     want = oracle_eval("pow", (x, 10 ** 5), POL)
     assert close(got, want)
+
+
+def test_power_value_is_one_power_not_one_rounding_per_foot():
+    # the value is one ctx.power, not one rounding per perpendicular:
+    # 9 999 literal multiplies left this 13.6 rel_tol from the oracle
+    x = normalize("1.0000001")
+    got = power(x, 9999, POL)
+    want = oracle_eval("pow", (x, 9999), POL)
+    assert close(got, want, POL.rel_tol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9999, 10 ** 4, 10 ** 4 + 1])
+def test_power_value_does_not_depend_on_the_recorder(n):
+    x = normalize("0.737")
+    assert power(x, n, POL, recorder=TraceRecorder()) == power(x, n, POL)
+
+
+def test_traced_power_draws_every_foot_up_to_virtual_depth():
+    for n in (3, VIRTUAL_DEPTH):
+        rec = TraceRecorder()
+        power(normalize("0.999"), n, POL, recorder=rec)
+        drops = [s for s in rec.steps if s.kind == "drop-perpendicular"]
+        assert len(drops) == n
+        # the measure line holds the last drawn foot's literal length
+        assert rec.steps[-1].get("segment") == f"{foot_label(n)}-perpendicular"
+        assert rec.steps[-1].get("value") == drops[-1].get("length")
+    rec = TraceRecorder()
+    power(normalize("0.999"), VIRTUAL_DEPTH + 1, POL, recorder=rec)
+    assert [s.kind for s in rec.steps] == ["construct-angle-from-cosine",
+                                           "measure-length"]
 
 
 def test_power_overflow_guard():

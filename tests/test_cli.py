@@ -227,6 +227,13 @@ def test_root_search_cap_is_an_error(capsys):
     assert (code, out) == (2, "") and "NoConvergence" in err
 
 
+def test_loose_tolerance_root_is_not_a_domain_error(capsys):
+    code, out, err = run(capsys, "root", "1.51916535023", "11", "--tol", "0.3")
+    assert (code, err) == (0, "")
+    true = Decimal("1.0387464430699557")   # 1.51916535023 ** (1/11)
+    assert abs(Decimal(out) - true) <= Decimal("0.3") * true
+
+
 def test_searches_run_past_two_hundred_halvings(capsys):
     # 70 and 65 working digits need more halvings than the old cap of 200
     code, out, err = run(capsys, "root", "2", "2", "--digits", "60")

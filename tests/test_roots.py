@@ -6,9 +6,10 @@ from decimal import Decimal
 import pytest
 
 from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
-                     RootQuery, TraceRecorder, normalize, nth_root,
-                     oracle_eval, power, rational_power, rel_diff,
+                     PrecisionPolicy, RootQuery, TraceRecorder, normalize,
+                     nth_root, oracle_eval, power, rational_power, rel_diff,
                      solve_cos_power)
+from geocalc.roots import _assert_root_between
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()
@@ -94,6 +95,34 @@ def test_root_with_a_residue_past_the_default_exponent_range():
     x = normalize("1e-5000000")
     got = nth_root(RootQuery(x, 10 ** 7), POL)
     assert rel(got, oracle_eval("root", (x, 10 ** 7), POL)) <= 2 * POL.rel_tol
+
+
+@pytest.mark.parametrize("text", ["1.00000000000000000000000000001",
+                                  "0.99999999999999999999999999999"])
+def test_root_rounding_onto_one_is_not_a_domain_error(text):
+    # the 11th root lies within one working unit of 1 and rounds onto it
+    x = normalize(text)
+    got = nth_root(RootQuery(x, 11), POL)
+    assert rel(got, oracle_eval("root", (x, 11), POL)) <= POL.rel_tol
+
+
+def test_loose_tolerance_root_may_leave_the_interval():
+    # at rel_tol 0.3 both cosine searches stop at 0.8125, so the root is
+    # 1, just outside (1, x) but well within the tolerance of 1.0388...
+    x = normalize("1.51916535023")
+    loose = PrecisionPolicy(rel_tol=Decimal("0.3"))
+    got = nth_root(RootQuery(x, 11), loose)
+    assert rel(got, oracle_eval("root", (x, 11), POL)) <= loose.rel_tol
+
+
+def test_root_far_outside_the_interval_is_rejected():
+    x = normalize("1.51916535023")
+    loose = PrecisionPolicy(rel_tol=Decimal("0.3"))
+    for forged, policy in (("0.99", POL), ("1.52", POL), ("0.5", loose),
+                           ("3", loose)):
+        with pytest.raises(DomainError, match="monotonicity interval"):
+            _assert_root_between(x, normalize(forged), policy)
+    _assert_root_between(x, normalize("1.0388"), POL)
 
 
 def test_rational_power_strategies_agree():
