@@ -26,6 +26,7 @@ _EMAX = 10 ** 17
 _ONE = Decimal(1)
 _TWO = Decimal(2)
 _TENTH = Decimal("0.1")
+_NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
 
 # Nothing rounds or clamps for lack of precision or exponent range
 # here: shift10 moves only the exponent, and to_text rounds a mantissa
@@ -41,19 +42,24 @@ def shift10(d: Decimal, k: int) -> Decimal:
 
 
 def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
-           collapsed=None) -> tuple[Decimal, Decimal, Decimal, bool]:
+           collapsed=None,
+           window: tuple[Decimal, Decimal] | None = None
+           ) -> tuple[Decimal, Decimal, Decimal, bool]:
     """Halve [lo, hi] under ctx; return (c, lo, hi, accepted).
 
     Each step takes the midpoint c, stops if collapsed(lo, hi), then asks
     side(c, i), i = 0, 1, ...: 0 accepts c, > 0 sets hi = c, < 0 lo = c.
+    A known-side window (below, above) answers for side: c < below is
+    < 0 and c > above is > 0, so side is called only inside the window.
     No step cap: a midpoint that rounds onto an end raises NoConvergence.
     """
     add, divide = ctx.add, ctx.divide
+    below, above = window or (_NEG_INF, _POS_INF)
     for i in count():
         c = divide(add(lo, hi), _TWO)
         if collapsed is not None and collapsed(lo, hi):
             return c, lo, hi, False
-        s = side(c, i)
+        s = -1 if c < below else 1 if c > above else side(c, i)
         if not s:
             return c, lo, hi, True
         if c == lo or c == hi:

@@ -12,11 +12,12 @@ from decimal import (Context, Decimal, Inexact, ROUND_DOWN, Rounded,
 import pytest
 
 from geocalc import (DEFAULT_POLICY, Construction, MeasurementModel,
-                     RootQuery, antilog, approximate_e, build_cascade,
-                     divide, geometric_mean, multiply, natural_log,
-                     normalize, nth_root, power, rational_power, reciprocal,
-                     recover_exponent_via_logs, recover_rational_exponent,
-                     run_op, solve_integer_exponent)
+                     PrecisionPolicy, RootQuery, antilog, approximate_e,
+                     build_cascade, divide, geometric_mean, multiply,
+                     natural_log, normalize, nth_root, power, rational_power,
+                     reciprocal, recover_exponent_via_logs,
+                     recover_rational_exponent, run_op,
+                     solve_integer_exponent)
 
 N = normalize
 A_2_1971_181 = "1896.99842083110790327"
@@ -47,11 +48,18 @@ OPS = {
     "root": lambda: nth_root(RootQuery(N("0.5972e25"), 6)),
     "root residue": lambda: nth_root(RootQuery(N("3.1e-8"), 4)),
     "root negative": lambda: nth_root(RootQuery(N("-8"), 3)),
+    "root index 999999937": lambda: nth_root(RootQuery(N("0.5972e25"),
+                                                       999999937)),
+    "root 62 digits": lambda: nth_root(RootQuery(N("0.5972e25"), 7),
+                                       PrecisionPolicy(62, 124)),
     "powfrac compose": lambda: rational_power(N("2"), 7, 5),
     "powfrac split": lambda: rational_power(N("2"), 7, 5, strategy="split"),
     "euler": lambda: approximate_e(10 ** 6),
     "ln": lambda: natural_log(N("151")),
     "antilog": lambda: antilog(Decimal("2.5")),
+    # the convergent of .123456789 has denominator 10**9: a root of
+    # that index
+    "antilog 9-digit fraction": lambda: antilog(Decimal("2.123456789")),
     "solve-n": lambda: solve_integer_exponent(N("1.1"), N("2.5937424601"),
                                               20),
     "solve-mn": lambda: recover_rational_exponent(N("2"), N(A_2_1971_181)),

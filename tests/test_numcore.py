@@ -252,3 +252,22 @@ def test_bisect_passes_step_indices_in_order():
     bisect(side, Decimal(0), Decimal(1), CTX, "test",
            collapsed=lambda lo, hi: CTX.subtract(hi, lo) < Decimal("1e-6"))
     assert seen == list(range(len(seen))) and len(seen) == 20
+
+
+def test_bisect_window_answers_for_side_outside_it():
+    # the same midpoints and result, with side asked only inside the window
+    asked = []
+
+    def side(c, i):
+        asked.append(c)
+        return sign_of(THIRD)(c, i)
+
+    def collapsed(lo, hi):
+        return CTX.subtract(hi, lo) < Decimal("1e-12")
+
+    plain = bisect(sign_of(THIRD), Decimal(0), Decimal(1), CTX, "test",
+                   collapsed)
+    below, above = Decimal("0.33333"), Decimal("0.33334")
+    assert bisect(side, Decimal(0), Decimal(1), CTX, "test", collapsed,
+                  (below, above)) == plain
+    assert asked and all(below <= c <= above for c in asked)

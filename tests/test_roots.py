@@ -6,9 +6,10 @@ from decimal import Decimal
 import pytest
 
 from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
-                     PrecisionPolicy, RootQuery, TraceRecorder, normalize,
-                     nth_root, oracle_eval, power, rational_power, rel_diff,
-                     solve_cos_power)
+                     GeocalcError, PrecisionPolicy, RootQuery, TraceRecorder,
+                     normalize, nth_root, oracle_eval, power, rational_power,
+                     rel_diff, solve_cos_power)
+from geocalc.numcore import _ONE, bisect, cosine_bracket, shift10
 from geocalc.roots import _assert_root_between
 
 POL = DEFAULT_POLICY
@@ -77,6 +78,73 @@ def test_solve_cos_power_matches_oracle():
     c = solve_cos_power(5, target, POL.ctx(), POL.rel_tol)
     want = ORACLE_CTX.power(target, ORACLE_CTX.divide(Decimal(1), Decimal(5)))
     assert rel_diff(c, want, ORACLE_CTX) <= Decimal("1e-25")
+
+
+@pytest.mark.parametrize("n, target", [(1, "1e-20"), (1, "1e-400"),
+                                       (2, "1e-700"), (3, "0.99e-45")])
+def test_solve_cos_power_rejects_a_root_below_the_bracket_floor(n, target):
+    # the root lies below 1e-15, the bottom of the cosine bracket, which
+    # the search used to return as if it were the root
+    with pytest.raises(DomainError, match="floor"):
+        solve_cos_power(n, Decimal(target), POL.ctx(), POL.rel_tol)
+
+
+def test_solve_cos_power_reaches_the_bracket_floor():
+    c = solve_cos_power(2, Decimal("1e-30"), POL.ctx(), POL.rel_tol)
+    assert rel_diff(c, Decimal("1e-15"), ORACLE_CTX) <= POL.rel_tol
+
+
+def _reference_solve_cos_power(n, target, ctx, rel_tol):
+    """The root search without the Newton window: a power at every midpoint."""
+    if not (0 < target < 1):
+        raise DomainError("bisection target must be in (0, 1)")
+    nn = Decimal(n)
+    tol = ctx.multiply(rel_tol, target)
+
+    def side(c, i):
+        p = ctx.power(c, nn)
+        if ctx.subtract(p, target).copy_abs() <= tol:
+            return 0
+        return 1 if p > target else -1
+
+    lo, hi = cosine_bracket(target, nn, ctx)
+    return bisect(side, lo, hi, ctx, "root",
+                  lambda lo, hi: ctx.subtract(hi, lo)
+                  <= ctx.multiply(rel_tol, lo))[0]
+
+
+def _search_outcome(search, n, target, ctx, rel_tol):
+    try:
+        return str(search(n, target, ctx, rel_tol))
+    except GeocalcError as exc:
+        return type(exc).__name__
+
+
+def test_newton_window_leaves_every_search_bit_identical():
+    rng = random.Random(1313)
+    cases = 0
+    for digits in (30, 50, 62):
+        ctx = PrecisionPolicy(digits, 2 * digits).ctx()
+        tols = [Decimal(1).scaleb(1 - digits), Decimal("1e-5"),
+                Decimal("1e-12"), Decimal("0.3"), Decimal("0.9"),
+                Decimal(1).scaleb(-digits - 3)]
+        for n in (1, 2, 3, 5, 7, 9, 11, 12, 40, 300, 12345, 99991,
+                  999999937):
+            for rel_tol in tols:
+                targets = [Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
+                           for _ in range(2)]
+                targets += [Decimal("0." + "9" * rng.randint(1, digits + 2))
+                            for _ in range(2)]
+                if n > 1:
+                    targets.append(shift10(_ONE, -rng.randint(1, n - 1)))
+                for target in targets:
+                    want = _search_outcome(_reference_solve_cos_power, n,
+                                           target, ctx, rel_tol)
+                    got = _search_outcome(solve_cos_power, n, target, ctx,
+                                          rel_tol)
+                    assert got == want, (digits, n, str(rel_tol), str(target))
+                    cases += 1
+    assert cases == 3 * 6 * (13 * 5 - 1)
 
 
 @pytest.mark.parametrize("text", ["0.9999999999999999", "0.99999999999999",
