@@ -18,8 +18,8 @@ from decimal import Context, Decimal
 from .errors import (DegenerateAngle, DomainError, ExponentOverflow,
                      SignMismatch)
 from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
-                      SignedScaled, bisect, cosine_bracket, renormalized,
-                      shift10)
+                      SignedScaled, bisect, cosine_bracket, newton_window,
+                      renormalized, shift10)
 from .trace import TraceRecorder, foot_label
 
 # A trace draws a power's cascade foot by foot up to this depth; past
@@ -247,7 +247,10 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
     Both operands here share a decade, so the solution cosine is interior.
     Like the root search, it also stops once the bracket is narrower than
     rel_tol relative: the working precision can stall the bracket before
-    small/c**2 comes within the tolerance of `big`.
+    small/c**2 comes within the tolerance of `big`.  Untraced, midpoints
+    outside a Newton window around sqrt(small/big) are decided without
+    side (numcore.newton_window shows why that keeps every result); a
+    traced search draws its first four rotations, so it keeps no window.
     """
     ctx_div, ctx_mul = ctx.divide, ctx.multiply
     tol = ctx_mul(rel_tol, big)
@@ -260,9 +263,13 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
             return 0
         return -1 if ab > big else 1  # cut too long: open the angle
 
-    lo, hi = cosine_bracket(ctx_div(small, big), _TWO, ctx)
+    square = ctx_div(small, big)
+    lo, hi = cosine_bracket(square, _TWO, ctx)
+    window = (None if recorder is not None
+              else newton_window(2, square, ctx, rel_tol))
     c = bisect(side, lo, hi, ctx, "rotation",
-               lambda lo, hi: ctx.subtract(hi, lo) <= ctx_mul(rel_tol, lo))[0]
+               lambda lo, hi: ctx.subtract(hi, lo) <= ctx_mul(rel_tol, lo),
+               window)[0]
     bd = ctx_div(small, c)
     if recorder is not None:
         recorder.measure("BD", bd)

@@ -8,6 +8,7 @@ mantissa arithmetic rounds, and always under an explicit context.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
@@ -26,6 +27,7 @@ _EMAX = 10 ** 17
 _ONE = Decimal(1)
 _TWO = Decimal(2)
 _TENTH = Decimal("0.1")
+_HALF = Decimal("0.5")
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
 
 # Nothing rounds or clamps for lack of precision or exponent range
@@ -41,6 +43,10 @@ def shift10(d: Decimal, k: int) -> Decimal:
     return d.scaleb(k, _EXACT)
 
 
+# With a window, bisect asks collapsed once per this many halvings.
+_CHUNK = 16
+
+
 def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
            collapsed=None,
            window: tuple[Decimal, Decimal] | None = None
@@ -52,10 +58,49 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     A known-side window (below, above) answers for side: c < below is
     < 0 and c > above is > 0, so side is called only inside the window.
     No step cap: a midpoint that rounds onto an end raises NoConvergence.
+    A midpoint can also round past an end, when lo + hi rounds across a
+    decade; the search then goes on from the bracket that step leaves.
+
+    With a window, the halvings outside it run in a tight loop that asks
+    collapsed only after every _CHUNK of them and before each side call.
+    A chunk that ends collapsed, or a midpoint outside (lo, hi), sends
+    the step loop back to the state saved at the chunk's start, or just
+    after the last side call, to replay it.  This is exact for a
+    collapsed that stays true once true while the brackets nest, as
+    hi - lo <= rel_tol*lo does (rounded subtract and multiply are
+    monotone): a chunk that ends uncollapsed held no collapsed step, and
+    side is called with the same (c, i) in the same order.
     """
     add, divide = ctx.add, ctx.divide
     below, above = window or (_NEG_INF, _POS_INF)
-    for i in count():
+    i = 0
+    if window is not None:
+        saved = lo, hi, i
+        while True:
+            for i in range(i, i + _CHUNK):
+                c = divide(add(lo, hi), _TWO)
+                if not lo < c < hi:
+                    break
+                if c < below:
+                    lo = c
+                elif c > above:
+                    hi = c
+                elif collapsed is not None and collapsed(lo, hi):
+                    break
+                else:
+                    s = side(c, i)
+                    if not s:
+                        return c, lo, hi, True
+                    lo, hi = (lo, c) if s > 0 else (c, hi)
+                    saved = lo, hi, i + 1
+            else:
+                i += 1
+                if collapsed is None or not collapsed(lo, hi):
+                    saved = lo, hi, i
+                    continue
+            break
+        lo, hi, i = saved
+    for i in count(i):
         c = divide(add(lo, hi), _TWO)
         if collapsed is not None and collapsed(lo, hi):
             return c, lo, hi, False
@@ -74,6 +119,60 @@ def cosine_bracket(target: Decimal, n: Decimal, ctx: Context):
     if target > ctx.power(top, n):
         return top, _ONE
     return Decimal("1e-15"), top
+
+
+def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
+    """(below, above) around the root r of r**n == target, or None.
+
+    With t = max(rel_tol, u), u = 10**(1 - prec), the half-width is
+    8*t*r/n.  Newton runs at prec + 12 digits, plus the digits of n so
+    that one unit of r stays far inside the window, from a float seed.
+    From the second step on, a correction that fails to halve the
+    previous one means the seed lies outside Newton's basin (n beyond
+    about 10**16): then there is no window.  Otherwise Newton stops once
+    a correction is below a quarter of the half-width, which leaves r
+    far closer to the root than the half-width.
+
+    Every midpoint c outside the window misses by more than rel_tol, in
+    the window's direction, for both objectives that use one:
+    - the root search's c**n against target: c > r(1 + 8t/n) gives
+      c**n > target(1 + 8t), and c < r(1 - 8t/n) gives c**n <
+      target*e**(-8t);
+    - the rotating mean's small/c**2 against big, with n = 2 and target
+      small/big rounded (which moves r by u/4): c > r(1 + 4t) gives
+      small/c**2 < big/(1 + 8t), and c < r(1 - 4t) gives more than
+      big(1 + 8t).
+    For t <= 1/2 each miss exceeds the tolerance by more than 3t up to
+    t = 0.1 and by more than 0.25 beyond, relative: more than the few
+    units u that the power, or the product c*c and the quotient, round
+    by.  So side would return the window's sign.  A looser rel_tol gets
+    no window: near 1, side accepts midpoints outside it.
+    """
+    if rel_tol > _HALF:
+        return None
+    wctx = ctx.copy()
+    wctx.prec = ctx.prec + 12 + len(str(n))
+    sub, mul, div = wctx.subtract, wctx.multiply, wctx.divide
+    e = target.adjusted()
+    log10 = e + math.log10(float(shift10(target, -e)))
+    r = wctx.create_decimal_from_float(10 ** (log10 / n))
+    nn, n1 = Decimal(n), Decimal(n - 1)
+    unit = shift10(_ONE, 1 - ctx.prec)
+    scale = div(mul(8, max(rel_tol, unit)), nn)  # half-width / r
+    quarter, prev = div(scale, 4), None
+    while True:
+        q = wctx.power(r, n1)
+        step = div(sub(mul(q, r), target), mul(nn, q))
+        r = sub(r, step)
+        size = step.copy_abs()
+        if prev is not None:
+            if wctx.add(size, size) > prev:
+                return None
+            if size < mul(quarter, r):
+                break
+        prev = size
+    half = mul(scale, r)
+    return sub(r, half), wctx.add(r, half)
 
 
 @dataclass(frozen=True)

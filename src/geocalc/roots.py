@@ -9,15 +9,14 @@ itself a root search on 10**-r.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 
 from .cascade import _mantissa_power, divide, multiply, power
 from .errors import DomainError, EvenRootOfNegative
 from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, PrecisionPolicy,
-                      SignedScaled, bisect, cosine_bracket, renormalized,
-                      shift10)
+                      SignedScaled, bisect, cosine_bracket, newton_window,
+                      renormalized, shift10)
 from .trace import TraceRecorder
 
 
@@ -66,48 +65,10 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
 
     lo, hi = cosine_bracket(target, nn, ctx)
     window = (None if recorder is not None
-              else _newton_window(n, target, ctx, rel_tol))
+              else newton_window(n, target, ctx, rel_tol))
     return bisect(side, lo, hi, ctx, "root",
                   lambda lo, hi: ctx_sub(hi, lo) <= ctx_mul(rel_tol, lo),
                   window)[0]
-
-
-def _newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
-    """(below, above) around the root r of r**n == target, or None.
-
-    The half-width 8*max(rel_tol, 10**(1 - prec))*r/n keeps every
-    midpoint outside the window farther than side's tolerance and its
-    power's rounding from target, so its side is the sign of c - r.
-    Newton runs at prec + 12 digits, plus the digits of n so that one
-    unit of r stays far inside the window, from a float seed.  From the
-    second step on, a correction that fails to halve the previous one
-    means the seed lies outside Newton's basin (n beyond about 10**16):
-    then there is no window.  Otherwise Newton stops once a correction
-    is below a quarter of the half-width.
-    """
-    wctx = ctx.copy()
-    wctx.prec = ctx.prec + 12 + len(str(n))
-    sub, mul, div = wctx.subtract, wctx.multiply, wctx.divide
-    e = target.adjusted()
-    log10 = e + math.log10(float(shift10(target, -e)))
-    r = wctx.create_decimal_from_float(10 ** (log10 / n))
-    nn, n1 = Decimal(n), Decimal(n - 1)
-    unit = shift10(_ONE, 1 - ctx.prec)
-    scale = div(mul(8, max(rel_tol, unit)), nn)  # half-width / r
-    quarter, prev = div(scale, 4), None
-    while True:
-        q = wctx.power(r, n1)
-        step = div(sub(mul(q, r), target), mul(nn, q))
-        r = sub(r, step)
-        size = step.copy_abs()
-        if prev is not None:
-            if wctx.add(size, size) > prev:
-                return None
-            if size < mul(quarter, r):
-                break
-        prev = size
-    half = mul(scale, r)
-    return sub(r, half), wctx.add(r, half)
 
 
 def nth_root(query: RootQuery,

@@ -45,6 +45,11 @@ OPS = {
     "gmean bisect": lambda: geometric_mean(N("2"), N("18.5")),
     "gmean rotate": lambda: geometric_mean(N("2"), N("18.5"),
                                            method="rotate"),
+    "gmean rotate 62 digits": lambda: geometric_mean(
+        N("2"), N("18.5"), PrecisionPolicy(62, 124), method="rotate"),
+    # the mean cosine lies above 1 - 1e-15
+    "gmean rotate near one": lambda: geometric_mean(
+        N("2"), N("2.00000000000000000001"), method="rotate"),
     "root": lambda: nth_root(RootQuery(N("0.5972e25"), 6)),
     "root residue": lambda: nth_root(RootQuery(N("3.1e-8"), 4)),
     "root negative": lambda: nth_root(RootQuery(N("-8"), 3)),

@@ -271,3 +271,24 @@ def test_bisect_window_answers_for_side_outside_it():
     assert bisect(side, Decimal(0), Decimal(1), CTX, "test", collapsed,
                   (below, above)) == plain
     assert asked and all(below <= c <= above for c in asked)
+
+
+def test_bisect_midpoint_can_round_past_an_end():
+    # at 30 digits lo + hi rounds down across a decade, so the first
+    # midpoint, 0.5, lies below lo; the windowed search hands it to the
+    # step loop and ends as the search without a window does
+    ctx = Context(prec=30)
+    lo = Decimal("0.500000000000000000000000000001")
+    hi = Decimal("0.500000000000000000000000000003")
+    x = Decimal("0.500000000000000000000000000002")
+    assert ctx.divide(ctx.add(lo, hi), 2) < lo
+
+    def outcome(window):
+        try:
+            return bisect(lambda c, i: ctx.compare(c, x), lo, hi, ctx, "test",
+                          None, window)
+        except NoConvergence as exc:
+            return str(exc)
+
+    assert outcome((x, x)) == outcome(None)
+    assert "split [0.50000000000000000000000000000, " in outcome(None)

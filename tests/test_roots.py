@@ -9,7 +9,8 @@ from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
                      GeocalcError, PrecisionPolicy, RootQuery, TraceRecorder,
                      normalize, nth_root, oracle_eval, power, rational_power,
                      rel_diff, solve_cos_power)
-from geocalc.numcore import _ONE, bisect, cosine_bracket, shift10
+from geocalc.numcore import (_ONE, bisect, cosine_bracket, newton_window,
+                             shift10)
 from geocalc.roots import _assert_root_between
 
 POL = DEFAULT_POLICY
@@ -145,6 +146,19 @@ def test_newton_window_leaves_every_search_bit_identical():
                     assert got == want, (digits, n, str(rel_tol), str(target))
                     cases += 1
     assert cases == 3 * 6 * (13 * 5 - 1)
+
+
+def test_loose_tolerance_search_gets_no_window():
+    # at rel_tol 0.9999 side accepts 0.75**40 ~ 1e-5 for a target of
+    # 0.0814, a midpoint below the window r(1 - 8*rel_tol/40) ~ 0.751
+    ctx = POL.ctx()
+    target = Decimal("0.0814425175230")
+    for rel_tol in (Decimal("0.9999"), Decimal("0.99999")):
+        assert newton_window(40, target, ctx, rel_tol) is None
+        assert (solve_cos_power(40, target, ctx, rel_tol)
+                == _reference_solve_cos_power(40, target, ctx, rel_tol)
+                == Decimal("0.7499999999999995"))
+    assert newton_window(40, target, ctx, Decimal("0.5")) is not None
 
 
 @pytest.mark.parametrize("text", ["0.9999999999999999", "0.99999999999999",
