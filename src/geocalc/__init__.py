@@ -23,8 +23,8 @@ from .mechsim import (DEFAULT_RESOLUTION, DeviceState, MeasuredResult,
                       MeasurementModel, RESOLUTION_LADDER, assemble,
                       run_op, run_script)
 from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      normalize, oracle_eval, rel_diff, renormalized,
-                      shift10, to_text)
+                      normalize, oracle_eval, parse_decimal, rel_diff,
+                      renormalized, shift10, to_text)
 from .roots import RootQuery, nth_root, rational_power, solve_cos_power
 from .trace import (STEP_KINDS, TraceRecorder, TraceStep, foot_label,
                     parse_trace)
@@ -44,7 +44,7 @@ __all__ = [
     "antilog", "approximate_e", "assemble", "build_cascade", "divide",
     "evaluate_cf", "foot_label", "geometric_mean", "internal_e",
     "multiply", "natural_log", "normalize", "nth_root", "oracle_eval",
-    "parse_trace", "power", "rational_power",
+    "parse_decimal", "parse_trace", "power", "rational_power",
     "recover_exponent_via_logs", "recover_rational_exponent", "rel_diff",
     "render_svg", "renormalized", "run_op", "run_script", "shift10",
     "solve_cos_power", "solve_integer_exponent", "to_text", "write_svg",

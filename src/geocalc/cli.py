@@ -15,7 +15,7 @@ from decimal import Decimal, ROUND_CEILING
 
 from .cascade import (check_power, divide, geometric_mean, multiply, power,
                       reciprocal)
-from .diagram import render_svg, write_svg
+from .diagram import write_svg
 from .errors import GeocalcError
 from .euler import antilog, approximate_e, natural_log
 from .exponents import (evaluate_cf, recover_rational_exponent,
@@ -23,9 +23,9 @@ from .exponents import (evaluate_cf, recover_rational_exponent,
 from .mechsim import (SCRIPTS, MeasurementModel, run_op as device_op,
                       run_script)
 from .numcore import (PrecisionPolicy, SignedScaled, normalize, oracle_eval,
-                      renormalized, to_text)
+                      parse_decimal, renormalized, to_text)
 from .roots import RootQuery, check_rational_power, nth_root, rational_power
-from .trace import TraceRecorder, parse_trace
+from .trace import TraceRecorder
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -53,9 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _decimal(text: str) -> Decimal:
     try:
-        return Decimal(text)
-    except ArithmeticError:
-        raise ValueError(f"not a decimal: {text!r}")
+        return parse_decimal(text)
+    except GeocalcError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _policy(args) -> PrecisionPolicy:
@@ -65,9 +65,7 @@ def _policy(args) -> PrecisionPolicy:
 
 
 def _fmt_decimal(d: Decimal, digits: int) -> str:
-    if d == 0:
-        return "0"
-    return to_text(SignedScaled.from_decimal(d), digits)
+    return "0" if d == 0 else to_text(SignedScaled.from_decimal(d), digits)
 
 
 def _fmt_bound(d: Decimal) -> str:
@@ -79,26 +77,28 @@ def _fmt_bound(d: Decimal) -> str:
     return to_text(renormalized(1, up, v.exponent), 3)
 
 
-def _emit(args, payload: dict, plain: str) -> str:
+def _emit(args, op: str, inputs: list[str], result: str,
+          plain: str | None = None, **extra) -> str:
+    """The --json payload (less extras that are None), else plain or result."""
     if args.json:
+        payload = {"op": op, "inputs": inputs, "result": result}
+        payload.update((k, v) for k, v in extra.items() if v is not None)
         return json.dumps(payload, sort_keys=True)
-    return plain
+    return result if plain is None else plain
 
 
-def _finish_trace(args, recorder: TraceRecorder | None, payload: dict):
-    if recorder is None:
-        return
-    if args.emit_trace:
-        recorder.write(args.emit_trace)
-        payload["trace_path"] = args.emit_trace
-    if args.diagram:
-        write_svg(recorder.steps, args.diagram)
+def _emit_measured(args, op: str, inputs: list[str], res) -> str:
+    """A device measurement as `value +/- bound`."""
+    value, bound = to_text(res.value, args.digits), _fmt_bound(res.half_width)
+    return _emit(args, op, inputs, value, f"{value} +/- {bound}",
+                 error_bound=bound)
 
 
 def _recorder_for(args) -> TraceRecorder | None:
     if not (args.emit_trace or args.diagram):
         return None
-    if args.backend != "construction":
+    if (args.backend != "construction"
+            or getattr(args, "resolution", None) is not None):
         raise _UsageError("traces exist only on the construction backend")
     return TraceRecorder()
 
@@ -107,12 +107,8 @@ def _device_result(args, op: str, inputs: list[str]) -> str:
     if getattr(args, "backend", "construction") == "oracle":
         raise _UsageError("device mode implies the construction backend")
     model = MeasurementModel(resolution=args.resolution)
-    res = device_op(op, inputs, model, _policy(args))
-    value = to_text(res.value, args.digits)
-    bound = _fmt_bound(res.half_width)
-    payload = {"op": op, "inputs": inputs, "result": value,
-               "error_bound": bound}
-    return _emit(args, payload, f"{value} +/- {bound}")
+    return _emit_measured(args, op, inputs,
+                          device_op(op, inputs, model, _policy(args)))
 
 
 # --- handlers -----------------------------------------------------------
@@ -139,9 +135,9 @@ def _h_engine(args):
     op = args.command
     func, check, names, _ = _ENGINE[op]
     inputs = [str(getattr(args, name)) for name in names]
+    rec = _recorder_for(args)
     if getattr(args, "resolution", None) is not None:
         return _device_result(args, op, inputs)
-    rec = _recorder_for(args)
     operands = [getattr(args, name) if name in "mn"
                 else normalize(getattr(args, name)) for name in names]
     call = [RootQuery(*operands)] if op == "root" else operands
@@ -152,41 +148,37 @@ def _h_engine(args):
         value = oracle_eval(op, tuple(operands), policy)
     else:
         value = globals()[func](*call, policy=policy, recorder=rec)
-    text = to_text(value, args.digits)
-    payload = {"op": op, "inputs": inputs, "result": text}
-    _finish_trace(args, rec, payload)
-    return _emit(args, payload, text)
+    if args.emit_trace:
+        rec.write(args.emit_trace)
+    if args.diagram:
+        write_svg(rec.steps, args.diagram)
+    return _emit(args, op, inputs, to_text(value, args.digits),
+                 trace_path=args.emit_trace)
 
 
 def _h_ln(args):
     d = natural_log(normalize(args.a), depth=args.cf_depth,
                     policy=_policy(args))
-    text = _fmt_decimal(d, args.digits)
-    payload = {"op": "ln", "inputs": [args.a], "result": text}
-    return _emit(args, payload, text)
+    return _emit(args, "ln", [args.a], _fmt_decimal(d, args.digits))
 
 
 def _h_antilog(args):
-    v = antilog(_decimal(args.t), policy=_policy(args))
-    text = to_text(v, args.digits)
-    payload = {"op": "antilog", "inputs": [args.t], "result": text}
-    return _emit(args, payload, text)
+    v = antilog(parse_decimal(args.t), policy=_policy(args))
+    return _emit(args, "antilog", [args.t], to_text(v, args.digits))
 
 
 def _h_euler(args):
     approx = approximate_e(args.n, policy=_policy(args))
     text = _fmt_decimal(approx.value, args.digits)
     bound = _fmt_bound(approx.error_bound)
-    payload = {"op": "euler", "inputs": [str(args.n)], "result": text,
-               "error_bound": bound}
-    return _emit(args, payload, f"{text} (error < {bound})")
+    return _emit(args, "euler", [str(args.n)], text,
+                 f"{text} (error < {bound})", error_bound=bound)
 
 
 def _h_solve_n(args):
     n = solve_integer_exponent(normalize(args.x), normalize(args.a),
                                args.max_n, policy=_policy(args))
-    payload = {"op": "solve-n", "inputs": [args.x, args.a], "result": str(n)}
-    return _emit(args, payload, str(n))
+    return _emit(args, "solve-n", [args.x, args.a], str(n))
 
 
 def _h_solve_mn(args):
@@ -197,9 +189,8 @@ def _h_solve_mn(args):
                                    cf_tol=args.cf_tol, policy=_policy(args))
     frac = evaluate_cf(cf)
     result = f"{frac.numerator}/{frac.denominator}"
-    payload = {"op": "solve-mn", "inputs": [args.x, args.a],
-               "result": result, "cf": cf.to_text()}
-    return _emit(args, payload, f"{cf.to_text()} = {result}")
+    return _emit(args, "solve-mn", [args.x, args.a], result,
+                 f"{cf.to_text()} = {result}", cf=cf.to_text())
 
 
 def _h_simulate(args):
@@ -209,29 +200,17 @@ def _h_simulate(args):
         with open(args.script, "r", encoding="ascii") as fh:
             text = fh.read()
     model = MeasurementModel(resolution=args.resolution)
-    results = run_script(text, model=model, policy=_policy(args))
-    lines = []
-    for res in results:
-        value = to_text(res.value, args.digits)
-        bound = _fmt_bound(res.half_width)
-        if args.json:
-            lines.append(json.dumps(
-                {"op": "simulate", "inputs": [args.script], "result": value,
-                 "error_bound": bound}, sort_keys=True))
-        else:
-            lines.append(f"{value} +/- {bound}")
-    return "\n".join(lines)
+    return "\n".join(_emit_measured(args, "simulate", [args.script], res)
+                     for res in run_script(text, model=model,
+                                           policy=_policy(args)))
 
 
 def _h_diagram(args):
     with open(args.trace, "r", encoding="ascii") as fh:
-        steps = parse_trace(fh.read())
-    svg = render_svg(steps, title=args.title)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(svg)
-    payload = {"op": "diagram", "inputs": [args.trace], "result": args.out,
-               "trace_path": args.trace}
-    return _emit(args, payload, args.out)
+        text = fh.read()
+    write_svg(text, args.out, title=args.title)
+    return _emit(args, "diagram", [args.trace], args.out,
+                 trace_path=args.trace)
 
 
 # --- parser -------------------------------------------------------------
@@ -331,7 +310,7 @@ def main(argv=None) -> int:
     except GeocalcError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if out:

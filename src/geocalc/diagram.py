@@ -69,6 +69,18 @@ class _Scene:
         return min(xs), min(ys), max(xs), max(ys)
 
 
+def _num(step: TraceStep, key: str) -> float:
+    """A numeric attribute of step: finite, or the trace is inconsistent."""
+    try:
+        v = float(step.get(key))
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise InconsistentTrace(
+            f"{step.kind} needs a finite {key}=, got {step.get(key)!r}")
+    return v
+
+
 def _cos_sin(cos_v: float):
     if not -1.0 < cos_v < 1.0:
         raise InconsistentTrace(f"cosine {cos_v} out of range")
@@ -95,7 +107,7 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
     i = 0
     trial_cosines = []
     while i < len(steps) and steps[i].kind == "rotate-hypotenuse":
-        trial_cosines.append(float(steps[i].get("cos")))
+        trial_cosines.append(_num(steps[i], "cos"))
         i += 1
     if i == len(steps) or steps[i].kind != "construct-angle-from-cosine":
         # a pure rotation fan is legal: trials plus measured lengths
@@ -109,19 +121,19 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
                     f"measure {st.get('segment')} = {st.get('value')}")
             return scene
         raise InconsistentTrace("construction must open with its angle")
-    cos_work = float(steps[i].get("cos"))
+    cos_work = _num(steps[i], "cos")
     i += 1
     bisected_from = None
     if i < len(steps) and steps[i].kind == "bisect-angle":
-        bisected_from = float(steps[i].get("cos-full"))
-        cos_work = float(steps[i].get("cos-half"))
+        bisected_from = _num(steps[i], "cos-full")
+        cos_work = _num(steps[i], "cos-half")
         i += 1
     drops = []
     while i < len(steps):
         st = steps[i]
         if st.kind == "drop-perpendicular":
             drops.append((st.get("from"), st.get("onto"), st.get("foot"),
-                          float(st.get("length"))))
+                          _num(st, "length")))
         elif st.kind == "measure-length":
             scene.captions.append(
                 f"measure {st.get('segment')} = {st.get('value')}")
@@ -288,5 +300,6 @@ def render_svg(trace, title: str | None = None) -> str:
 
 
 def write_svg(trace, path: str, title: str | None = None):
+    svg = render_svg(trace, title=title)   # a bad trace leaves no file
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_svg(trace, title=title))
+        fh.write(svg)

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 
-from .cascade import _parity_adjust
+from .cascade import _parity_adjust, check_power
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
                      DomainError, EvenRootOfNegative, ParseError,
                      SignMismatch)
 from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
-                      SignedScaled, bisect, normalize, renormalized, shift10)
+                      SignedScaled, bisect, normalize, parse_decimal,
+                      renormalized, shift10)
 from .trace import foot_label
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -291,8 +292,7 @@ def _device_reciprocal(mantissa: Decimal, exponent: int, band: Decimal,
 
 def _script_power(x: SignedScaled, n: int, model: MeasurementModel,
                   policy: PrecisionPolicy) -> MeasuredResult:
-    if n == 0:
-        raise DomainError("exponent must be nonzero")
+    check_power(x, n)
     ctx = policy.oracle_ctx()
     log = _Log(model)
     sign = -1 if (x.sign < 0 and n % 2) else 1
@@ -636,10 +636,7 @@ def parse_script_line(line: str):
     op, rest = tokens[0], tokens[1:]
     resolution = None
     if rest and rest[-1].startswith("resolution="):
-        try:
-            resolution = Decimal(rest.pop().split("=", 1)[1])
-        except ArithmeticError:
-            raise ParseError(f"bad resolution in {line!r}")
+        resolution = parse_decimal(rest.pop().split("=", 1)[1])
     _script(op, len(rest))
     return op, rest, resolution
 

@@ -267,15 +267,18 @@ def renormalized(sign: int, mantissa: Decimal, exponent: int) -> SignedScaled:
     return SignedScaled(sign, shift10(mantissa, -shift), exponent + shift)
 
 
-def normalize(text: str) -> SignedScaled:
-    """Parse a plain or scientific decimal literal into scaled form."""
+def parse_decimal(text: str) -> Decimal:
+    """Parse a plain or scientific decimal literal, zero included: the one
+    number grammar, with no NaN, Infinity or digit separators."""
     s = text.strip()
     if not _NUMBER_RE.fullmatch(s):
         raise ParseError(f"not a decimal literal: {text!r}")
-    d = Decimal(s)
-    if d == 0:
-        raise ZeroNotRepresentable("zero cannot be scaled")
-    return SignedScaled.from_decimal(d)
+    return Decimal(s)
+
+
+def normalize(text: str) -> SignedScaled:
+    """Parse a nonzero decimal literal into scaled form."""
+    return SignedScaled.from_decimal(parse_decimal(text))
 
 
 def to_text(v: SignedScaled, digits: int) -> str:
@@ -299,70 +302,51 @@ def _as_decimal(x) -> Decimal:
     return x.value() if isinstance(x, SignedScaled) else Decimal(x)
 
 
+def _root_power(ctx: Context, x: Decimal, m, n, what="") -> Decimal:
+    """x**(m/n), negative only when x < 0 and m is odd; n = 1 raises to
+    Decimal(m) exactly instead of a rounded quotient."""
+    m, n = int(m), int(n)
+    if n < 1:
+        raise DomainError(f"{what} must be positive")
+    if x < 0 and n % 2 == 0:
+        raise DomainError("even root of a negative radicand")
+    if m == 0:
+        return _ONE
+    e = Decimal(m) if n == 1 else ctx.divide(Decimal(m), Decimal(n))
+    r = ctx.power(x.copy_abs(), e)
+    return r.copy_negate() if x < 0 and m % 2 else r
+
+
+def _oracle_pow(ctx: Context, x: Decimal, n) -> Decimal:
+    if x == 0:
+        raise ZeroNotRepresentable("zero base")
+    return _root_power(ctx, x, n, 1)
+
+
+def _oracle_gmean(ctx: Context, a: Decimal, b: Decimal) -> Decimal:
+    if (a < 0) != (b < 0):
+        raise SignMismatch("geometric mean needs matching signs")
+    r = ctx.sqrt(ctx.multiply(a.copy_abs(), b.copy_abs()))
+    return r.copy_negate() if a < 0 else r
+
+
+# op: formula(ctx, *Decimal operands), keyed like cli._ENGINE and SCRIPTS
+_ORACLE = {
+    "pow": _oracle_pow,
+    "root": lambda ctx, x, n: _root_power(ctx, x, 1, n, "root index"),
+    "powfrac": lambda ctx, x, m, n: _root_power(ctx, x, m, n, "denominator"),
+    "recip": lambda ctx, x: ctx.divide(_ONE, x),
+    "mul": Context.multiply,
+    "div": Context.divide,
+    "gmean": _oracle_gmean,
+}
+
+
 def oracle_eval(op: str, args: tuple, policy: PrecisionPolicy = DEFAULT_POLICY) -> SignedScaled:
     """Reference evaluation at oracle precision, bypassing all geometry."""
-    ctx = policy.oracle_ctx()
-    if op == "pow":
-        x, n = args
-        xd = _as_decimal(x)
-        n = int(n)
-        if xd == 0:
-            raise ZeroNotRepresentable("zero base")
-        r = ctx.power(xd.copy_abs(), Decimal(n))
-        if xd < 0 and n % 2:
-            r = r.copy_negate()
-    elif op == "recip":
-        (x,) = args
-        r = ctx.divide(_ONE, _as_decimal(x))
-    elif op == "mul":
-        a, b = args
-        r = ctx.multiply(_as_decimal(a), _as_decimal(b))
-    elif op == "div":
-        a, b = args
-        r = ctx.divide(_as_decimal(a), _as_decimal(b))
-    elif op == "gmean":
-        a, b = args
-        ad, bd = _as_decimal(a), _as_decimal(b)
-        if (ad < 0) != (bd < 0):
-            raise SignMismatch("geometric mean needs matching signs")
-        r = ctx.sqrt(ctx.multiply(ad.copy_abs(), bd.copy_abs()))
-        if ad < 0:
-            r = r.copy_negate()
-    elif op == "root":
-        x, n = args
-        xd = _as_decimal(x)
-        n = int(n)
-        if n < 1:
-            raise DomainError("root index must be positive")
-        if xd < 0 and n % 2 == 0:
-            raise DomainError("even root of a negative radicand")
-        r = ctx.power(xd.copy_abs(), ctx.divide(_ONE, Decimal(n)))
-        if xd < 0:
-            r = r.copy_negate()
-    elif op == "powfrac":
-        x, m, n = args
-        xd = _as_decimal(x)
-        m, n = int(m), int(n)
-        if n < 1:
-            raise DomainError("denominator must be positive")
-        if xd < 0 and n % 2 == 0:
-            raise DomainError("even root of a negative radicand")
-        if m == 0:
-            return SignedScaled(1, _TENTH, 1)
-        r = ctx.power(xd.copy_abs(), ctx.divide(Decimal(m), Decimal(n)))
-        if xd < 0 and m % 2:
-            r = r.copy_negate()
-    elif op == "ln":
-        (a,) = args
-        ad = _as_decimal(a)
-        if ad <= 0:
-            raise DomainError("ln needs a positive argument")
-        r = ctx.ln(ad)
-    elif op == "exp":
-        (t,) = args
-        r = ctx.exp(_as_decimal(t))
-    else:
+    if op not in _ORACLE:
         raise DomainError(f"unknown oracle op: {op!r}")
+    r = _ORACLE[op](policy.oracle_ctx(), *map(_as_decimal, args))
     if r == 0:
         raise ZeroNotRepresentable(f"oracle {op} produced zero")
     return SignedScaled.from_decimal(r)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal
 
-from .cascade import _mantissa_power, divide, multiply, power
+from .cascade import _mantissa_power, multiply, power
 from .errors import DomainError, EvenRootOfNegative
 from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, PrecisionPolicy,
                       SignedScaled, bisect, cosine_bracket, newton_window,
@@ -22,18 +22,15 @@ from .trace import TraceRecorder
 
 @dataclass(frozen=True)
 class RootQuery:
-    """Radicand and index, optionally with the radicand given as l/m."""
+    """Radicand and index of an nth root."""
 
     radicand: SignedScaled
     index: int
-    numerator_form: tuple[SignedScaled, SignedScaled] | None = None
 
     def __post_init__(self):
         if self.index < 1:
             raise DomainError("root index must be at least 1")
-        sign = (self.numerator_form[0].sign * self.numerator_form[1].sign
-                if self.numerator_form else self.radicand.sign)
-        if sign < 0 and self.index % 2 == 0:
+        if self.radicand.sign < 0 and self.index % 2 == 0:
             raise EvenRootOfNegative(
                 f"index {self.index} root of a negative radicand")
 
@@ -76,9 +73,6 @@ def nth_root(query: RootQuery,
              recorder: TraceRecorder | None = None) -> SignedScaled:
     """Principal nth root (negative radicand allowed for odd n)."""
     x = query.radicand
-    if query.numerator_form is not None:
-        l, m = query.numerator_form
-        x = divide(l, m, policy=policy, recorder=recorder)
     n = query.index
     if n == 1:
         return x

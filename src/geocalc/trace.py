@@ -107,6 +107,9 @@ class TraceRecorder:
 
 
 def parse_trace(text: str) -> list[TraceStep]:
+    # labels and values go into SVG unescaped: refuse markup characters
+    if any(ch in text for ch in '<>&"'):
+        raise InconsistentTrace('trace holds one of the characters <>&"')
     steps = []
     for raw in text.splitlines():
         line = raw.strip()

@@ -142,7 +142,11 @@ def test_usage_errors_exit_one(capsys):
                  ["pow", "2", "4", "--backend", "oracle",
                   "--emit-trace", "t.trace"],
                  ["pow", "2", "4", "--backend", "oracle",
-                  "--resolution", "1e-5"]):
+                  "--resolution", "1e-5"],
+                 ["pow", "2", "3", "--resolution", "1e-5",
+                  "--diagram", "out.svg"],
+                 ["pow", "2", "3", "--resolution", "1e-5",
+                  "--emit-trace", "t.trace"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("usage error:")
@@ -182,6 +186,38 @@ def test_simulate_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("pow 0.87 6\n"))
     code, out, _ = run(capsys, "simulate", "-")
     assert (code, out) == (0, "4.3363e-1 +/- 2.38e-5\n")
+
+
+MALFORMED_TRACES = {
+    "bad cos": "construct-angle-from-cosine vertex=C cos=abc\n",
+    "no cos": "construct-angle-from-cosine vertex=C\n",
+    "bad length": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                   "drop-perpendicular from=B onto=CA foot=D length=x\n"),
+    "nan length": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                   "drop-perpendicular from=B onto=CA foot=D length=nan\n"),
+    "markup segment": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                       "measure-length segment=a<b&c value=1\n"),
+    "quote in foot": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                      'drop-perpendicular from=B onto=CA foot=D"x '
+                      "length=0.36\n"),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_TRACES, "non-ascii trace",
+                                  "non-ascii script"])
+def test_malformed_files_exit_two(capsys, tmp_path, case):
+    path, out_svg = tmp_path / "in.txt", tmp_path / "out.svg"
+    if case == "non-ascii script":
+        path.write_text("pow 0.87 6 # \u00e9\n", encoding="utf-8")
+        argv = ["simulate", str(path)]
+    else:
+        path.write_text(MALFORMED_TRACES.get(
+            case, "measure-length segment=\u00e9 value=1\n"), encoding="utf-8")
+        argv = ["diagram", str(path), str(out_svg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert case.startswith("non-ascii") or "InconsistentTrace" in err
+    assert not out_svg.exists()
 
 
 def test_simulate_non_integer_operand_exits_two(capsys, monkeypatch):
@@ -255,14 +291,38 @@ def test_digits_past_the_default_decimal_context(capsys):
     ("pow", ["2", "0"]), ("pow", ["2", "1000001"]),
     ("pow", ["1e-999999999", "2"]), ("root", ["-16", "4"]),
     ("root", ["2", "0"]), ("powfrac", ["-8", "1", "2"]),
-    ("powfrac", ["2", "1", "0"]), ("gmean", ["-2", "3"])])
+    ("powfrac", ["2", "1", "0"]), ("gmean", ["-2", "3"]),
+    ("pow", ["1e900000", "2000"])])
 def test_backends_reject_the_same_operands(capsys, op, operands):
-    construction, oracle = (
-        run(capsys, op, "--backend", backend, "--", *operands)
-        for backend in ("construction", "oracle"))
-    assert construction == oracle
-    code, out, err = oracle
+    modes = [["--backend", "construction"], ["--backend", "oracle"]]
+    if op == "pow":
+        modes.append(["--resolution", "1e-5"])
+    first, *others = (run(capsys, op, *mode, "--", *operands)
+                      for mode in modes)
+    assert all(other == first for other in others)
+    code, out, err = first
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+BAD_LITERALS = ["nan", "inf", "-Infinity", "1_0e-6", "x"]
+
+
+@pytest.mark.parametrize("literal", BAD_LITERALS)
+@pytest.mark.parametrize("where", ["--tol", "--cf-tol", "--resolution",
+                                   "antilog", "resolution="])
+def test_one_literal_grammar(capsys, monkeypatch, where, literal):
+    if where == "antilog":
+        argv, want = ["antilog", "--", literal], (2, "ParseError")
+    elif where == "resolution=":
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO(f"pow 0.87 6 resolution={literal}\n"))
+        argv, want = ["simulate", "-"], (2, "ParseError")
+    else:
+        op = ["ln", "2"] if where == "--cf-tol" else ["pow", "2", "3"]
+        argv, want = op + [f"{where}={literal}"], (1, "usage error:")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want[0], "")
+    assert want[1] in err and "Traceback" not in err
 
 
 DEVICE_CASES = [("pow", ["0.87", "6"]), ("mul", ["0.3", "0.7"]),
