@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
+from functools import partial
 
 from .errors import (DegenerateAngle, DomainError, ExponentOverflow,
                      SignMismatch)
@@ -247,29 +248,25 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
     Both operands here share a decade, so the solution cosine is interior.
     Like the root search, it also stops once the bracket is narrower than
     rel_tol relative: the working precision can stall the bracket before
-    small/c**2 comes within the tolerance of `big`.  Untraced, midpoints
-    outside a Newton window around sqrt(small/big) are decided without
-    side (numcore.newton_window shows why that keeps every result); a
-    traced search draws its first four rotations, so it keeps no window.
+    small/c**2 comes within the tolerance of `big`.  Midpoints outside a
+    Newton window around sqrt(small/big) are decided without side
+    (numcore.newton_window shows why that keeps every result).
     """
     ctx_div, ctx_mul = ctx.divide, ctx.multiply
     tol = ctx_mul(rel_tol, big)
 
     def side(c, i):
         ab = ctx_div(small, ctx_mul(c, c))
-        if recorder is not None and i < 4:
-            recorder.rotate("D", c, i)
         if ctx.subtract(ab, big).copy_abs() <= tol:
             return 0
         return -1 if ab > big else 1  # cut too long: open the angle
 
     square = ctx_div(small, big)
     lo, hi = cosine_bracket(square, _TWO, ctx)
-    window = (None if recorder is not None
-              else newton_window(2, square, ctx, rel_tol))
+    draw = None if recorder is None else partial(recorder.rotate, "D")
     c = bisect(side, lo, hi, ctx, "rotation",
                lambda lo, hi: ctx.subtract(hi, lo) <= ctx_mul(rel_tol, lo),
-               window)[0]
+               newton_window(2, square, ctx, rel_tol), draw)[0]
     bd = ctx_div(small, c)
     if recorder is not None:
         recorder.measure("BD", bd)

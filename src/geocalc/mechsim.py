@@ -15,13 +15,13 @@ lies inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 
 from .cascade import _parity_adjust, check_power
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
-                     DomainError, EvenRootOfNegative, ParseError,
-                     SignMismatch)
+                     DomainError, EvenRootOfNegative, GeocalcError,
+                     ParseError, SignMismatch)
 from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
                       SignedScaled, bisect, normalize, parse_decimal,
                       renormalized, shift10)
@@ -663,17 +663,20 @@ def run_script(script, model: MeasurementModel | None = None,
 
     Lines are `op arg... [resolution=R]`; blank lines and # comments
     are skipped.  A resolution field swaps the graduation for that line.
+    An error keeps its type and is prefixed with its 1-based line number.
     """
     lines = script.splitlines() if isinstance(script, str) else list(script)
     base = model if model is not None else MeasurementModel()
     out = []
-    for raw in lines:
+    for number, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        op, args, resolution = parse_script_line(line)
-        m = base if resolution is None else MeasurementModel(
-            resolution=resolution, arm_min=base.arm_min,
-            arm_max=base.arm_max)
-        out.append(run_op(op, args, m, policy))
+        try:
+            op, args, resolution = parse_script_line(line)
+            m = base if resolution is None else replace(
+                base, resolution=resolution)
+            out.append(run_op(op, args, m, policy))
+        except GeocalcError as e:
+            raise type(e)(f"line {number}: {e}") from e
     return out

@@ -13,12 +13,11 @@ import re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      ROUND_HALF_EVEN)
-from itertools import count
 
 from .errors import (DomainError, NoConvergence, ParseError, SignMismatch,
                      ZeroNotRepresentable)
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
+_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 # Wide exponent window: cascades reach 10**k exponents far past the
 # default context limits without ever denormalizing.
@@ -43,14 +42,15 @@ def shift10(d: Decimal, k: int) -> Decimal:
     return d.scaleb(k, _EXACT)
 
 
-# With a window, bisect asks collapsed once per this many halvings.
-_CHUNK = 16
+# bisect's tight loop asks collapsed once per _CHUNK halvings; a traced
+# search draws its first _DRAWN midpoints as rotations.
+_CHUNK, _DRAWN = 16, 4
 
 
 def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
            collapsed=None,
-           window: tuple[Decimal, Decimal] | None = None
-           ) -> tuple[Decimal, Decimal, Decimal, bool]:
+           window: tuple[Decimal, Decimal] | None = None,
+           draw=None) -> tuple[Decimal, Decimal, Decimal, bool]:
     """Halve [lo, hi] under ctx; return (c, lo, hi, accepted).
 
     Each step takes the midpoint c, stops if collapsed(lo, hi), then asks
@@ -60,9 +60,11 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     No step cap: a midpoint that rounds onto an end raises NoConvergence.
     A midpoint can also round past an end, when lo + hi rounds across a
     decade; the search then goes on from the bracket that step leaves.
+    draw(c, i), if given, sees the first _DRAWN midpoints that pass the
+    collapse check, before they are decided.
 
-    With a window, the halvings outside it run in a tight loop that asks
-    collapsed only after every _CHUNK of them and before each side call.
+    With a window, later halvings outside it run in a tight loop that
+    asks collapsed only after every _CHUNK of them and before side calls.
     A chunk that ends collapsed, or a midpoint outside (lo, hi), sends
     the step loop back to the state saved at the chunk's start, or just
     after the last side call, to replay it.  This is exact for a
@@ -73,37 +75,40 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     """
     add, divide = ctx.add, ctx.divide
     below, above = window or (_NEG_INF, _POS_INF)
+    drawn = 0 if draw is None else _DRAWN
     i = 0
-    if window is not None:
-        saved = lo, hi, i
-        while True:
-            for i in range(i, i + _CHUNK):
-                c = divide(add(lo, hi), _TWO)
-                if not lo < c < hi:
-                    break
-                if c < below:
-                    lo = c
-                elif c > above:
-                    hi = c
-                elif collapsed is not None and collapsed(lo, hi):
-                    break
+    while True:
+        if i == drawn and window is not None:  # once: each step adds 1 to i
+            saved = lo, hi, i
+            while True:
+                for i in range(i, i + _CHUNK):
+                    c = divide(add(lo, hi), _TWO)
+                    if not lo < c < hi:
+                        break
+                    if c < below:
+                        lo = c
+                    elif c > above:
+                        hi = c
+                    elif collapsed is not None and collapsed(lo, hi):
+                        break
+                    else:
+                        s = side(c, i)
+                        if not s:
+                            return c, lo, hi, True
+                        lo, hi = (lo, c) if s > 0 else (c, hi)
+                        saved = lo, hi, i + 1
                 else:
-                    s = side(c, i)
-                    if not s:
-                        return c, lo, hi, True
-                    lo, hi = (lo, c) if s > 0 else (c, hi)
-                    saved = lo, hi, i + 1
-            else:
-                i += 1
-                if collapsed is None or not collapsed(lo, hi):
-                    saved = lo, hi, i
-                    continue
-            break
-        lo, hi, i = saved
-    for i in count(i):
+                    i += 1
+                    if collapsed is None or not collapsed(lo, hi):
+                        saved = lo, hi, i
+                        continue
+                break
+            lo, hi, i = saved
         c = divide(add(lo, hi), _TWO)
         if collapsed is not None and collapsed(lo, hi):
             return c, lo, hi, False
+        if i < drawn:
+            draw(c, i)
         s = -1 if c < below else 1 if c > above else side(c, i)
         if not s:
             return c, lo, hi, True
@@ -111,6 +116,7 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
             raise NoConvergence(f"{what} search: {ctx.prec} digits cannot "
                                 f"split [{lo}, {hi}]")
         lo, hi = (lo, c) if s > 0 else (c, hi)
+        i += 1
 
 
 def cosine_bracket(target: Decimal, n: Decimal, ctx: Context):

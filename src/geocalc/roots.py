@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal
+from functools import partial
 
 from .cascade import _mantissa_power, multiply, power
 from .errors import DomainError, EvenRootOfNegative
@@ -39,9 +40,8 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
                     recorder: TraceRecorder | None = None) -> Decimal:
     """Cosine c with c**n == target, 0 < target < 1, by bisection.
 
-    The bracket always satisfies f(hi) >= target >= f(lo).  Untraced,
-    midpoints outside a window around the Newton root are decided
-    without a power; the midpoints and the accepted cosine stay the same.
+    The bracket always satisfies f(hi) >= target >= f(lo).  Midpoints
+    outside a window around the Newton root are decided without a power.
     """
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
@@ -54,34 +54,26 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
 
     def side(c, i):
         p = ctx_pow(c, nn)
-        if recorder is not None and i < 4:
-            recorder.rotate("C", c, i)
         if ctx_sub(p, target).copy_abs() <= tol:
             return 0
         return 1 if p > target else -1
 
     lo, hi = cosine_bracket(target, nn, ctx)
-    window = (None if recorder is not None
-              else newton_window(n, target, ctx, rel_tol))
+    draw = None if recorder is None else partial(recorder.rotate, "C")
     return bisect(side, lo, hi, ctx, "root",
                   lambda lo, hi: ctx_sub(hi, lo) <= ctx_mul(rel_tol, lo),
-                  window)[0]
+                  newton_window(n, target, ctx, rel_tol), draw)[0]
 
 
 def nth_root(query: RootQuery,
              policy: PrecisionPolicy = DEFAULT_POLICY,
              recorder: TraceRecorder | None = None) -> SignedScaled:
     """Principal nth root (negative radicand allowed for odd n)."""
-    x = query.radicand
-    n = query.index
-    if n == 1:
-        return x
-    sign = x.sign
-    if x.magnitude().is_unit:
-        return x  # |x| == 1: the root is x itself for any valid index
+    x, n = query.radicand, query.index
+    if n == 1 or x.is_unit:
+        return x  # n == 1 or |x| == 1: the root is x itself
     ctx = policy.ctx()
-    r = x.exponent % n
-    k = (x.exponent - r) // n
+    k, r = divmod(x.exponent, n)
     c_m = solve_cos_power(n, x.mantissa, ctx, policy.rel_tol, recorder)
     if recorder is not None:
         # verification cascade at the accepted angle
@@ -93,7 +85,7 @@ def nth_root(query: RootQuery,
         mant = ctx.divide(c_m, c_r)
     else:
         mant = c_m
-    result = renormalized(sign, mant, k)
+    result = renormalized(x.sign, mant, k)
     _assert_root_between(x, result, policy)
     return result
 

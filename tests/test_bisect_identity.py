@@ -4,15 +4,20 @@
 collapse check, window test and possible side call per halving.  The
 sweeps below run the root search and the rotating geometric mean on
 both and require the same result or exception type, and the same
-side(c, i) calls in the same order.  The seed is fixed.
+side(c, i) calls in the same order.  The traced sweep holds a traced
+search to the one a traced search ran before bisect drew: no window,
+every midpoint asks side, and the first four draw a rotation.  The
+seed is fixed.
 """
 
 import random
 from decimal import Context, Decimal
+from functools import partial
 from itertools import count
 
 from geocalc import (GeocalcError, NoConvergence, PrecisionPolicy,
-                     geometric_mean, normalize, solve_cos_power)
+                     TraceRecorder, geometric_mean, normalize,
+                     solve_cos_power)
 from geocalc import cascade, roots
 from geocalc.numcore import _ONE, _TWO, bisect, shift10
 
@@ -21,8 +26,8 @@ _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
 
 def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
                  collapsed=None,
-                 window: tuple[Decimal, Decimal] | None = None
-                 ) -> tuple[Decimal, Decimal, Decimal, bool]:
+                 window: tuple[Decimal, Decimal] | None = None,
+                 draw=None) -> tuple[Decimal, Decimal, Decimal, bool]:
     """Halve [lo, hi] under ctx; return (c, lo, hi, accepted).
 
     Each step takes the midpoint c, stops if collapsed(lo, hi), then asks
@@ -30,6 +35,9 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     A known-side window (below, above) answers for side: c < below is
     < 0 and c > above is > 0, so side is called only inside the window.
     No step cap: a midpoint that rounds onto an end raises NoConvergence.
+    draw(c, i), if given, sees the midpoints i < 4 before they are
+    decided.  Without a window that is what a traced side did before
+    bisect drew: it drew its first four calls.
     """
     add, divide = ctx.add, ctx.divide
     below, above = window or (_NEG_INF, _POS_INF)
@@ -37,6 +45,8 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
         c = divide(add(lo, hi), _TWO)
         if collapsed is not None and collapsed(lo, hi):
             return c, lo, hi, False
+        if draw is not None and i < 4:
+            draw(c, i)
         s = -1 if c < below else 1 if c > above else side(c, i)
         if not s:
             return c, lo, hi, True
@@ -48,12 +58,13 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
 
 def _recording(impl, calls, keep_window=True):
     """impl with every side(c, i) call appended to calls."""
-    def run(side, lo, hi, ctx, what, collapsed=None, window=None):
+    def run(side, lo, hi, ctx, what, collapsed=None, window=None,
+            draw=None):
         def logged(c, i):
             calls.append((str(c), i))
             return side(c, i)
         return impl(logged, lo, hi, ctx, what, collapsed,
-                    window if keep_window else None)
+                    window if keep_window else None, draw)
     return run
 
 
@@ -85,11 +96,10 @@ DIGITS = (30, 50, 62)
 INDICES = (1, 2, 3, 5, 7, 9, 11, 12, 40, 300, 12345, 99991, 999999937)
 
 
-def test_root_searches_match_the_step_loop(monkeypatch):
-    rng = random.Random(1414)
-    cases = 0
+def _root_cases(rng):
+    """(digits, rel_tol, n, target) over DIGITS x _tolerances x INDICES:
+    random, long-9s and power-of-ten targets."""
     for digits in DIGITS:
-        ctx = PrecisionPolicy(digits, 2 * digits).ctx()
         for rel_tol in _tolerances(digits):
             for n in INDICES:
                 targets = [Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
@@ -99,13 +109,24 @@ def test_root_searches_match_the_step_loop(monkeypatch):
                 if n > 1:
                     targets.append(shift10(_ONE, -rng.randint(1, n - 1)))
                 for target in targets:
-                    def search():
-                        return solve_cos_power(n, target, ctx, rel_tol)
-                    want = _run(monkeypatch, roots, _step_bisect, search)
-                    got = _run(monkeypatch, roots, bisect, search)
-                    assert got == want, (digits, n, str(rel_tol), target)
-                    cases += 1
-    assert cases == len(DIGITS) * 7 * (len(INDICES) * 5 - 1)
+                    yield digits, rel_tol, n, target
+
+
+ROOT_CASES = len(DIGITS) * 7 * (len(INDICES) * 5 - 1)
+
+
+def test_root_searches_match_the_step_loop(monkeypatch):
+    cases = 0
+    for digits, rel_tol, n, target in _root_cases(random.Random(1414)):
+        ctx = PrecisionPolicy(digits, 2 * digits).ctx()
+
+        def search():
+            return solve_cos_power(n, target, ctx, rel_tol)
+        want = _run(monkeypatch, roots, _step_bisect, search)
+        got = _run(monkeypatch, roots, bisect, search)
+        assert got == want, (digits, n, str(rel_tol), target)
+        cases += 1
+    assert cases == ROOT_CASES
 
 
 def _operand_pairs(rng, digits):
@@ -154,6 +175,47 @@ def test_rotate_means_match_the_step_loop(monkeypatch):
     assert cases == len(DIGITS) * 7 * 7
 
 
+def _rotating_mean(a, b, policy, recorder=None):
+    return geometric_mean(normalize(a), normalize(b), policy,
+                          recorder=recorder, method="rotate")
+
+
+def _traced(monkeypatch, module, impl, search, keep_window=True):
+    """_run on search(recorder), plus the trace the recorder holds."""
+    recorder = TraceRecorder()
+    outcome, calls = _run(monkeypatch, module, impl,
+                          lambda: search(recorder), keep_window)
+    return outcome, calls, recorder.dumps()
+
+
+def test_traced_searches_match_the_old_traced_path(monkeypatch):
+    """A traced search keeps the window and still draws as before.
+
+    Against the step loop without a window that draws i < 4, the result
+    and the trace are the same; against the same search untraced, the
+    side calls are the same.
+    """
+    searches = []
+    for digits, rel_tol, n, target in _root_cases(random.Random(1414)):
+        ctx = PrecisionPolicy(digits, 2 * digits).ctx()
+        searches.append((roots, partial(solve_cos_power, n, target, ctx,
+                                        rel_tol)))
+    rng = random.Random(1415)
+    for digits in DIGITS:
+        for rel_tol in _tolerances(digits):
+            policy = PrecisionPolicy(digits, 2 * digits, rel_tol)
+            searches += [(cascade, partial(_rotating_mean, a, b, policy))
+                         for a, b in _operand_pairs(rng, digits)]
+    assert len(searches) == ROOT_CASES + len(DIGITS) * 7 * 7
+    for module, search in searches:
+        want = _traced(monkeypatch, module, _step_bisect, search,
+                       keep_window=False)
+        got = _traced(monkeypatch, module, bisect, search)
+        untraced = _run(monkeypatch, module, bisect, search)
+        assert (got[0], got[2]) == (want[0], want[2]), search
+        assert got[1] == untraced[1], search
+
+
 def test_collapse_mid_chunk_on_a_boundary_and_at_a_side_call():
     """Collapse at every step index, with and without an earlier side call.
 
@@ -161,7 +223,8 @@ def test_collapse_mid_chunk_on_a_boundary_and_at_a_side_call():
     bracket [1 - 2**-i, 1] collapses first at step k: on a chunk
     boundary for k = 16 and 32, mid-chunk otherwise.  With a window
     around 0.75 the second midpoint asks side, which moves the saved
-    state off the chunk grid.
+    state off the chunk grid.  A search that draws sees the step loop's
+    first min(4, k) midpoints and makes the same side calls.
     """
     ctx = Context(prec=60)
     windows = {"above": (Decimal(2), Decimal(3)),
@@ -174,20 +237,27 @@ def test_collapse_mid_chunk_on_a_boundary_and_at_a_side_call():
             def collapsed(lo, hi):
                 return ctx.subtract(hi, lo) <= width
 
-            def search(impl, calls):
+            def search(impl, calls, draws=None):
                 def side(c, i):
                     calls.append((c, i))
                     return ctx.compare(c, x)
+                draw = None if draws is None else (
+                    lambda c, i: draws.append((c, i)))
                 return impl(side, Decimal(0), _ONE, ctx, "test", collapsed,
-                            window)
+                            window, draw)
 
-            old_calls, new_calls = [], []
-            want = search(_step_bisect, old_calls)
+            old_calls, new_calls, drawn_calls = [], [], []
+            old_draws, draws = [], []
+            want = search(_step_bisect, old_calls, old_draws)
             assert search(bisect, new_calls) == want, (name, k)
-            assert new_calls == old_calls, (name, k)
+            assert search(bisect, drawn_calls, draws) == want, (name, k)
+            assert new_calls == drawn_calls == old_calls, (name, k)
+            assert draws == old_draws and len(draws) == min(4, k), (name, k)
             if name == "above":
                 assert want[1] == ctx.subtract(_ONE, width) and not want[3]
                 assert not new_calls
+                assert draws == [(ctx.subtract(_ONE, ctx.power(_TWO, -1 - i)),
+                                  i) for i in range(min(4, k))]
             else:
                 assert (Decimal("0.75"), 1) in new_calls or k < 2
 

@@ -227,6 +227,17 @@ def test_simulate_non_integer_operand_exits_two(capsys, monkeypatch):
     assert "ParseError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad, want", [
+    ("root 8 x", "error: ParseError: line 4: not an integer: 'x'"),
+    ("root -8 2", "error: EvenRootOfNegative: line 4: "),
+], ids=["parse", "operand"])
+def test_script_errors_name_their_line(capsys, monkeypatch, bad, want):
+    script = f"pow 0.87 6\n\n# comment\n{bad}\nrecip 8\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    code, out, err = run(capsys, "simulate", "-")
+    assert (code, out) == (2, "") and err.startswith(want)
+
+
 def test_trace_emission_and_diagram_subcommand(capsys, tmp_path):
     trace = tmp_path / "pow.trace"
     svg_a = tmp_path / "a.svg"
@@ -304,7 +315,9 @@ def test_backends_reject_the_same_operands(capsys, op, operands):
     assert (code, out) == (2, "") and err.startswith("error: ")
 
 
-BAD_LITERALS = ["nan", "inf", "-Infinity", "1_0e-6", "x"]
+# the last two are 1e-5 with an Arabic-Indic and a full-width digit one
+BAD_LITERALS = ["nan", "inf", "-Infinity", "1_0e-6", "x", "\u0661e-5",
+                "\uff11e-5"]
 
 
 @pytest.mark.parametrize("literal", BAD_LITERALS)
