@@ -23,7 +23,7 @@ from .exponents import (evaluate_cf, recover_rational_exponent,
 from .mechsim import (SCRIPTS, MeasurementModel, run_op as device_op,
                       run_script)
 from .numcore import (PrecisionPolicy, SignedScaled, normalize, oracle_eval,
-                      parse_decimal, renormalized, to_text)
+                      parse_decimal, parse_integer, renormalized, to_text)
 from .roots import RootQuery, check_rational_power, nth_root, rational_power
 from .trace import TraceRecorder
 
@@ -51,11 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _decimal(text: str) -> Decimal:
-    try:
-        return parse_decimal(text)
-    except GeocalcError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _literal(parse):
+    """An argparse type: a literal that `parse` refuses is a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except GeocalcError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
+_decimal, _integer = _literal(parse_decimal), _literal(parse_integer)
 
 
 def _policy(args) -> PrecisionPolicy:
@@ -217,7 +223,7 @@ def _h_diagram(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--digits", type=int, default=5,
+    common.add_argument("--digits", type=_integer, default=5,
                         help="significant digits to display (default 5)")
     common.add_argument("--tol", type=_decimal, default=None,
                         help="relative tolerance for searches")
@@ -239,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="graduation size in metres; enables device mode")
 
     cf = _Parser(add_help=False)
-    cf.add_argument("--cf-depth", type=int, default=16)
+    cf.add_argument("--cf-depth", type=_integer, default=16)
     cf.add_argument("--cf-tol", type=_decimal, default=Decimal("1e-12"))
 
     parser = _Parser(prog="geocalc",
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(op, help=text, parents=[common, backend, trace]
                            + ([res] if op in SCRIPTS else []))
         for name in names:
-            p.add_argument(name, type=int if name in "mn" else None)
+            p.add_argument(name, type=_integer if name in "mn" else None)
         p.set_defaults(func=_h_engine)
 
     p = sub.add_parser("ln", parents=[common, cf],
@@ -266,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler", parents=[common],
                        help="(1 + 1/n)**n with its error bound")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(func=_h_euler)
 
     p = sub.add_parser("solve-n", parents=[common],
                        help="integer exponent with x**n == a")
     p.add_argument("--x", required=True)
     p.add_argument("--a", required=True)
-    p.add_argument("--max-n", type=int, default=1000)
+    p.add_argument("--max-n", type=_integer, default=1000)
     p.set_defaults(func=_h_solve_n)
 
     p = sub.add_parser("solve-mn", parents=[common, cf, res],

@@ -134,6 +134,23 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
         f"no exponent in [1, {max_n}] matches within {match_tol}")
 
 
+def below_one(x: SignedScaled, a: SignedScaled,
+              ctx: Context) -> tuple[Decimal, Decimal]:
+    """The (u, v) in (0, 1) with u**t == v whenever x**t == a: x and a,
+    both inverted when above 1.  Raises unless both are positive, neither
+    is 1, and they sit on the same side of 1."""
+    xd, ad = x.value(), a.value()
+    if xd <= 0 or ad <= 0:
+        raise DomainError("exponent recovery needs positive values")
+    if xd == 1 or ad == 1:
+        raise DomainError("exponent recovery is degenerate at 1")
+    if (xd > 1) != (ad > 1):
+        raise DomainError("base and target must sit on the same side of 1")
+    if xd > 1:
+        return ctx.divide(_ONE, xd), ctx.divide(_ONE, ad)
+    return xd, ad
+
+
 def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
                               max_depth: int = DEFAULT_MAX_DEPTH,
                               cf_tol: Decimal = DEFAULT_CF_TOL,
@@ -148,17 +165,7 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
     ctx = policy.oracle_ctx()
-    xd, ad = x.value(), a.value()
-    if xd <= 0 or ad <= 0:
-        raise DomainError("exponent recovery needs positive values")
-    if xd == 1 or ad == 1:
-        raise DomainError("exponent recovery is degenerate at 1")
-    if (xd > 1) != (ad > 1):
-        raise DomainError("base and target must sit on the same side of 1")
-    if xd > 1:
-        u, v = ctx.divide(_ONE, xd), ctx.divide(_ONE, ad)
-    else:
-        u, v = xd, ad
+    u, v = below_one(x, a, ctx)
     fuzz = Decimal(1).scaleb(20 - policy.oracle_digits)
     terms: list[int] = []
     if v > u:

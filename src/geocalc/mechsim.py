@@ -20,11 +20,12 @@ from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 
 from .cascade import _parity_adjust, check_power
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
-                     DomainError, EvenRootOfNegative, GeocalcError,
-                     ParseError, SignMismatch)
+                     DomainError, GeocalcError, ParseError, SignMismatch)
+from .exponents import below_one
 from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
                       SignedScaled, bisect, normalize, parse_decimal,
-                      renormalized, shift10)
+                      parse_integer, renormalized, shift10)
+from .roots import RootQuery
 from .trace import foot_label
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -193,13 +194,15 @@ def _point(x: Decimal) -> _Iv:
     return _Iv(x, x)
 
 
-class _Log:
-    """Reading log shared by the script bodies."""
+class _Run:
+    """One device run: model, policy, oracle context, half step, and the
+    readings its script takes."""
 
-    def __init__(self, model: MeasurementModel):
-        self.model = model
-        self.readings: list[tuple[str, Decimal]] = []
-        self.trues: list[Decimal] = []
+    def __init__(self, model: MeasurementModel, policy: PrecisionPolicy):
+        self.model, self.policy = model, policy
+        self.ctx = policy.oracle_ctx()
+        self.h = model.half_step
+        self.readings, self.trues = [], []       # (name, q), true lengths
 
     def read(self, name: str, true_length: Decimal) -> Decimal:
         q = self.model.quantize(true_length)
@@ -207,16 +210,18 @@ class _Log:
         self.trues.append(true_length)
         return q
 
+    def result(self, value: SignedScaled,
+               half_width: Decimal) -> MeasuredResult:
+        return MeasuredResult(value=value, half_width=half_width,
+                              readings=tuple(self.readings),
+                              true_lengths=tuple(self.trues))
 
-def _package(sign: int, mantissa: Decimal, exponent: int, iv: _Iv,
-             log: _Log, ctx: Context) -> MeasuredResult:
-    """Result from a raw mantissa + interval at 10**exponent scale."""
-    value = renormalized(sign, mantissa, exponent)
-    half = iv.half_width_about(mantissa)
-    half_width = shift10(ctx.plus(half), exponent).copy_abs()
-    return MeasuredResult(value=value, half_width=half_width,
-                          readings=tuple(log.readings),
-                          true_lengths=tuple(log.trues))
+    def package(self, sign: int, mantissa: Decimal, exponent: int,
+                iv: _Iv) -> MeasuredResult:
+        """Result from a raw mantissa + interval at 10**exponent scale."""
+        half = iv.half_width_about(mantissa)
+        return self.result(renormalized(sign, mantissa, exponent),
+                           shift10(self.ctx.plus(half), exponent).copy_abs())
 
 
 def _renorm_shift(q: Decimal) -> int:
@@ -226,8 +231,7 @@ def _renorm_shift(q: Decimal) -> int:
 
 # --- cascade scripts ----------------------------------------------------
 
-def _staged_power(x_mant: Decimal, n: int, model: MeasurementModel,
-                  policy: PrecisionPolicy, log: _Log
+def _staged_power(run: _Run, x_mant: Decimal, n: int
                   ) -> tuple[Decimal, int, _Iv]:
     """Run n perpendiculars at the quantized angle cos C = Q(x)/Q(1).
 
@@ -235,17 +239,13 @@ def _staged_power(x_mant: Decimal, n: int, model: MeasurementModel,
     renormalization, telescoped interval containing both the chain and
     the ideal x**n).  Telescoped value of the result: reading * 10**-J.
     """
-    ctx = policy.oracle_ctx()
-    h = model.half_step
-    state = assemble(x_mant, _ONE, 1, model, policy=policy)
+    ctx, h, model = run.ctx, run.h, run.model
+    state = assemble(x_mant, _ONE, 1, model, policy=run.policy)
     cos_true = state.cos_c
-    ac = state.ac_set
-    cos_iv = _Iv(_DOWN.divide(_DOWN.subtract(x_mant, h), ac),
-                 _UP.divide(_UP.add(x_mant, h), ac))
+    cos_iv = _point(x_mant).widen(h).div(_point(state.ac_set))
     ab = state.perp_ab            # set exactly on a graduation
     ab_iv = _point(ab)
-    shift_j = 0
-    done = 0
+    shift_j = done = 0
     reading = iv = None
     while done < n:
         d, p = 0, ab
@@ -257,7 +257,7 @@ def _staged_power(x_mant: Decimal, n: int, model: MeasurementModel,
         if d == 0:
             raise ArmOutOfRange(
                 f"cos {cos_true} collapses below arm_min from {ab}")
-        reading = log.read(arm_id(d), p)
+        reading = run.read(arm_id(d), p)
         iv = ab_iv.mul(cos_iv.pow_int(d)).widen(shift10(h, -shift_j))
         done += d
         if done < n:
@@ -268,201 +268,170 @@ def _staged_power(x_mant: Decimal, n: int, model: MeasurementModel,
     return reading, shift_j, iv
 
 
-def _device_reciprocal(mantissa: Decimal, exponent: int, band: Decimal,
-                       model: MeasurementModel, policy: PrecisionPolicy,
-                       log: _Log) -> tuple[Decimal, int, _Iv]:
-    """Reciprocal of mantissa * 10**exponent: BC = 1, AC = Q(10m), read BD.
+def _quotient(run: _Run, ab: Decimal, ab_iv: _Iv, hyp: Decimal,
+              hyp_iv: _Iv) -> tuple[Decimal, _Iv]:
+    """AB over AC: BC = 1 against AC = Q(hyp), read BD = AB / AC.
+
+    Returns the reading and its interval, for AB in `ab_iv` and the
+    hypotenuse in `hyp_iv`.
+    """
+    state = assemble(_ONE, ab, 1, run.model, settings=(_ONE, hyp),
+                     policy=run.policy)
+    bd = run.read("BD", state.arm_lengths[0])
+    return bd, ab_iv.mul(_point(_ONE).div(hyp_iv)).widen(run.h)
+
+
+def _device_reciprocal(run: _Run, mantissa: Decimal, exponent: int,
+                       band: Decimal) -> tuple[Decimal, int, _Iv]:
+    """Reciprocal of mantissa * 10**exponent: AB = 1 over AC = Q(10m).
 
     `band` widens the hypotenuse for an uncertain input mantissa.
     Returns (BD reading, result exponent, interval at that scale).
     """
-    ctx = policy.oracle_ctx()
-    h = model.half_step
     if band == 0 and mantissa == _TENTH:
         return _TENTH, 2 - exponent, _point(_TENTH)
-    hyp = shift10(mantissa, 1)
-    hyp_iv = _Iv(_DOWN.subtract(shift10(_DOWN.subtract(mantissa, band), 1), h),
-                 _UP.add(shift10(_UP.add(mantissa, band), 1), h))
-    state = assemble(_ONE, _ONE, 1, model, settings=(_ONE, hyp),
-                     policy=policy)
-    bd = log.read("BD", state.arm_lengths[0])
-    cos_iv = _Iv(_DOWN.divide(_ONE, hyp_iv.hi), _UP.divide(_ONE, hyp_iv.lo))
-    return bd, 1 - exponent, cos_iv.widen(h)
+    hyp_iv = _point(mantissa).widen(band).scale10(1).widen(run.h)
+    bd, iv = _quotient(run, _ONE, _point(_ONE), shift10(mantissa, 1), hyp_iv)
+    return bd, 1 - exponent, iv
 
 
-def _script_power(x: SignedScaled, n: int, model: MeasurementModel,
-                  policy: PrecisionPolicy) -> MeasuredResult:
+def _script_power(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
     check_power(x, n)
-    ctx = policy.oracle_ctx()
-    log = _Log(model)
     sign = -1 if (x.sign < 0 and n % 2) else 1
-    if n < 0:
-        inner = _script_power(x.magnitude(), -n, model, policy)
-        log.readings = list(inner.readings)
-        log.trues = list(inner.true_lengths)
-        band = shift10(inner.half_width, -inner.value.exponent)
-        bd, exponent, iv = _device_reciprocal(
-            inner.value.mantissa, inner.value.exponent, band,
-            model, policy, log)
-        return _package(sign, bd, exponent, iv, log, ctx)
-    reading, shift_j, iv = _staged_power(x.mantissa, n, model, policy, log)
-    return _package(sign, reading, x.exponent * n - shift_j, iv, log, ctx)
+    reading, shift_j, iv = _staged_power(run, x.mantissa, abs(n))
+    res = run.package(sign, reading, x.exponent * abs(n) - shift_j, iv)
+    if n > 0:
+        return res
+    # x**n = 1 / x**|n|: the measured power's band widens the hypotenuse
+    m, e = res.value.mantissa, res.value.exponent
+    return run.package(sign, *_device_reciprocal(
+        run, m, e, shift10(res.half_width, -e)))
 
 
-def _script_recip(x: SignedScaled, model: MeasurementModel,
-                  policy: PrecisionPolicy) -> MeasuredResult:
-    ctx = policy.oracle_ctx()
-    log = _Log(model)
-    bd, exponent, iv = _device_reciprocal(x.mantissa, x.exponent, Decimal(0),
-                                          model, policy, log)
-    return _package(x.sign, bd, exponent, iv, log, ctx)
+def _script_recip(run: _Run, x: SignedScaled) -> MeasuredResult:
+    return run.package(x.sign, *_device_reciprocal(
+        run, x.mantissa, x.exponent, Decimal(0)))
 
 
-def _script_multiply(a: SignedScaled, b: SignedScaled,
-                     model: MeasurementModel,
-                     policy: PrecisionPolicy) -> MeasuredResult:
+def _script_multiply(run: _Run, a: SignedScaled,
+                     b: SignedScaled) -> MeasuredResult:
     """One perpendicular: AB = Q(a), cos C = Q(b)/Q(1), read BD = a*b."""
-    ctx = policy.oracle_ctx()
-    h = model.half_step
-    log = _Log(model)
-    state = assemble(b.mantissa, a.mantissa, 1, model, policy=policy)
-    bd = log.read("BD", state.arm_lengths[0])
-    ac = state.ac_set
-    cos_iv = _Iv(_DOWN.divide(_DOWN.subtract(b.mantissa, h), ac),
-                 _UP.divide(_UP.add(b.mantissa, h), ac))
-    ab_iv = _point(a.mantissa).widen(h)
-    iv = ab_iv.mul(cos_iv).widen(h)
-    return _package(a.sign * b.sign, bd, a.exponent + b.exponent, iv, log, ctx)
+    h = run.h
+    state = assemble(b.mantissa, a.mantissa, 1, run.model, policy=run.policy)
+    bd = run.read("BD", state.arm_lengths[0])
+    cos_iv = _point(b.mantissa).widen(h).div(_point(state.ac_set))
+    iv = _point(a.mantissa).widen(h).mul(cos_iv).widen(h)
+    return run.package(a.sign * b.sign, bd, a.exponent + b.exponent, iv)
 
 
-def _script_divide(num: SignedScaled, den: SignedScaled,
-                   model: MeasurementModel,
-                   policy: PrecisionPolicy) -> MeasuredResult:
-    ctx = policy.oracle_ctx()
-    h = model.half_step
-    log = _Log(model)
+def _script_divide(run: _Run, num: SignedScaled,
+                   den: SignedScaled) -> MeasuredResult:
+    h = run.h
     sign = num.sign * den.sign
+    exponent = num.exponent - den.exponent + 1
     if den.is_power_of_ten:
-        r = log.read("AB", num.mantissa)
-        iv = _point(num.mantissa).widen(h)
-        return _package(sign, r, num.exponent - den.exponent + 1, iv, log, ctx)
+        r = run.read("AB", num.mantissa)
+        return run.package(sign, r, exponent, _point(num.mantissa).widen(h))
     # BC = 1 against AC = 10 * den mantissa; lift AB a decade when the
     # perpendicular would leave the telescopic range
-    exp_adj = 0
-    ab_req = num.mantissa
-    if num.mantissa < ctx.multiply(Decimal("0.12"), den.mantissa):
-        ab_req = shift10(num.mantissa, 1)
-        exp_adj = -1
+    ab = num.mantissa
+    if num.mantissa < run.ctx.multiply(Decimal("0.12"), den.mantissa):
+        ab = shift10(num.mantissa, 1)
+        exponent -= 1
     hyp = shift10(den.mantissa, 1)
-    state = assemble(_ONE, ab_req, 1, model, settings=(_ONE, hyp),
-                     policy=policy)
-    bd = log.read("BD", state.arm_lengths[0])
-    hyp_iv = _point(hyp).widen(h)
-    cos_iv = _Iv(_DOWN.divide(_ONE, hyp_iv.hi), _UP.divide(_ONE, hyp_iv.lo))
-    ab_iv = _point(ab_req).widen(h)
-    iv = ab_iv.mul(cos_iv).widen(h)
-    return _package(sign, bd, num.exponent - den.exponent + 1 + exp_adj,
-                    iv, log, ctx)
+    bd, iv = _quotient(run, ab, _point(ab).widen(h), hyp, _point(hyp).widen(h))
+    return run.package(sign, bd, exponent, iv)
 
 
-def _rotate(side, model: MeasurementModel, ctx: Context):
+def _rotate(run: _Run, side):
     """Bisect the apex cosine in [1e-6, 1 - 1e-6] down to one graduation."""
+    ctx, resolution = run.ctx, run.model.resolution
     return bisect(side, Decimal("1e-6"), Decimal("0.999999"), ctx, "rotation",
-                  lambda lo, hi: ctx.subtract(hi, lo) < model.resolution)
+                  lambda lo, hi: ctx.subtract(hi, lo) < resolution)
 
 
-def _script_gmean(a: SignedScaled, b: SignedScaled,
-                  model: MeasurementModel,
-                  policy: PrecisionPolicy) -> MeasuredResult:
+def _script_gmean(run: _Run, a: SignedScaled,
+                  b: SignedScaled) -> MeasuredResult:
     if a.sign != b.sign:
         raise SignMismatch("geometric mean needs matching signs")
-    ctx = policy.oracle_ctx()
-    h = model.half_step
-    log = _Log(model)
-    sign = a.sign
+    ctx, h, quantize = run.ctx, run.h, run.model.quantize
     m1, m2, half_exp = _parity_adjust(a, b)
     if m1 == m2:
-        r = log.read("ED", m1)
-        return _package(sign, r, half_exp, _point(m1).widen(h), log, ctx)
+        r = run.read("ED", m1)
+        return run.package(a.sign, r, half_exp, _point(m1).widen(h))
     big, small = (m1, m2) if m1 > m2 else (m2, m1)
-    ed = log.read("ED", small)
-    target = log.read("AB", big)
+    ed = run.read("ED", small)
+    target = run.read("AB", big)
     # rotate until the hypotenuse-side arm AB = ED / cos^2 C matches the
     # larger operand; AB is a main arm, ED a set perpendicular
     def side(c, i):
-        r = model.quantize(ctx.divide(ed, ctx.multiply(c, c)))
+        r = quantize(ctx.divide(ed, ctx.multiply(c, c)))
         if r == target:
             return 0
         return -1 if r > target else 1
 
-    c, lo, hi, accepted = _rotate(side, model, ctx)
+    c, lo, hi, accepted = _rotate(run, side)
     ab_final = ctx.divide(ed, ctx.multiply(c, c))
-    if accepted or model.quantize(ab_final) == target:
+    if accepted or quantize(ab_final) == target:
         ab_iv = _point(big).widen(_UP.multiply(_TWO, h))
     else:
         ends = _Iv(min(ab_final, ctx.divide(ed, ctx.multiply(hi, hi))),
                    max(ab_final, ctx.divide(ed, ctx.multiply(lo, lo))))
         ab_iv = ends.hull(_point(big)).widen(_UP.multiply(_TWO, h))
-    bd = log.read("BD", ctx.divide(ed, c))
-    ed_iv = _point(small).widen(h)
-    iv = ed_iv.mul(ab_iv).sqrt().widen(h)
-    return _package(sign, bd, half_exp, iv, log, ctx)
+    bd = run.read("BD", ctx.divide(ed, c))
+    iv = _point(small).widen(h).mul(ab_iv).sqrt().widen(h)
+    return run.package(a.sign, bd, half_exp, iv)
 
 
-def _script_root(x: SignedScaled, n: int, model: MeasurementModel,
-                 policy: PrecisionPolicy) -> MeasuredResult:
-    if n < 1:
-        raise DomainError("root index must be at least 1")
-    if x.sign < 0 and n % 2 == 0:
-        raise EvenRootOfNegative(f"index {n} root of a negative radicand")
-    ctx = policy.oracle_ctx()
-    h = model.half_step
-    log = _Log(model)
+def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
+    RootQuery(x, n)               # the engine's index and sign checks
+    ctx, h, model = run.ctx, run.h, run.model
     if n == 1:
-        r = log.read("AB", x.mantissa)
-        return _package(x.sign, r, x.exponent, _point(x.mantissa).widen(h),
-                        log, ctx)
+        r = run.read("AB", x.mantissa)
+        return run.package(x.sign, r, x.exponent, _point(x.mantissa).widen(h))
     k = -((-x.exponent) // n)           # ceil(exponent / n)
     target = shift10(x.mantissa, x.exponent - n * k)   # telescoped, < 1
+    arm_min, quantize = model.arm_min, model.quantize
 
     def chain(c: Decimal, with_log: bool):
         # continuous rotation; only re-anchor readings quantize
-        p, j, d_since = _ONE, 0, 0
-        rel = _point(_ONE)
+        p, j, d_since, anchors = _ONE, 0, 0, []
         for i in range(n):
             p = ctx.multiply(p, c)
             d_since += 1
-            if i + 1 < n and (ctx.multiply(p, c) < model.arm_min
+            if i + 1 < n and (ctx.multiply(p, c) < arm_min
                               or d_since == N_ARMS):
-                q = log.read(arm_id(d_since), p) if with_log \
-                    else model.quantize(p)
-                rel = rel.mul(_Iv(_DOWN.divide(q, _UP.add(q, h)),
-                                  _UP.divide(q, _DOWN.subtract(q, h))))
+                q = run.read(arm_id(d_since), p) if with_log else quantize(p)
+                anchors.append(q)
                 jj = _renorm_shift(q)
                 p, j, d_since = shift10(q, jj), j + jj, 0
-        return p, j, rel
+        return p, j, anchors
 
     def side(c, i):
-        p, j, _rel = chain(c, False)
+        p, j, _ = chain(c, False)
         return -1 if shift10(p, -j) < target else 1
 
-    c, lo, hi, _ = _rotate(side, model, ctx)
-    p_fin, j_fin, rel_iv = chain(c, True)
+    c, lo, hi, _ = _rotate(run, side)
+    p_fin, j_fin, anchors = chain(c, True)
+    # a re-anchor reading q stands for a length in q -+ h, so the chain's
+    # relative envelope is the product of q / (q -+ h)
+    rel_iv = _point(_ONE)
+    for q in anchors:
+        rel_iv = rel_iv.mul(_point(q).div(_point(q).widen(h)))
     # the ideal cosine sits within: half the bracket, plus the reading
     # envelope and the residual mismatch divided through the slope of c^n
     mismatch = ctx.divide(ctx.subtract(shift10(p_fin, -j_fin), target).copy_abs(),
                           target)
     eps_rel = ctx.add(rel_iv.half_width_about(_ONE), mismatch)
     slack = ctx.divide(ctx.multiply(c, eps_rel), Decimal(n))
-    c_iv = _Iv(_DOWN.subtract(lo, slack), _UP.add(hi, slack))
+    c_iv = _Iv(lo, hi).widen(slack)
     sin_c = ctx.sqrt(ctx.subtract(_ONE, ctx.multiply(c, c)))
     ab_set = model.quantize(_ONE)
-    bc = log.read("BC", ctx.divide(ctx.multiply(ab_set, c), sin_c))
-    ac = log.read("AC", ctx.divide(ab_set, sin_c))
+    bc = run.read("BC", ctx.divide(ctx.multiply(ab_set, c), sin_c))
+    ac = run.read("AC", ctx.divide(ab_set, sin_c))
     ratio = ctx.divide(bc, ac)
     noise = ctx.multiply(ratio, ctx.add(ctx.divide(h, bc), ctx.divide(h, ac)))
-    iv = c_iv.widen(noise)
-    return _package(x.sign, ratio, k, iv, log, ctx)
+    return run.package(x.sign, ratio, k, c_iv.widen(noise))
 
 
 # --- exponent recovery on the device ------------------------------------
@@ -483,9 +452,7 @@ def _corner_exponent(u_iv: _Iv, w_iv: _Iv, ctx: Context) -> _Iv:
     return _Iv(min(vals), max(vals))
 
 
-def _cf_level_steps(u_set: Decimal, u_iv: _Iv, v: Decimal,
-                    model: MeasurementModel, policy: PrecisionPolicy,
-                    log: _Log):
+def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: _Iv, v: Decimal):
     """Step arms at cos C = Q(u_set) until a reading drops below v.
 
     Comparisons against the target stick are visual and unlogged; the
@@ -496,10 +463,9 @@ def _cf_level_steps(u_set: Decimal, u_iv: _Iv, v: Decimal,
     re-anchoring there would need a decade shift, and the caller bands
     the level by corner exponents instead.
     """
-    ctx = policy.oracle_ctx()
-    h = model.half_step
+    ctx, h, model = run.ctx, run.h, run.model
     state = assemble(u_set, _ONE, 1, model, settings=(u_set, _ONE),
-                     policy=policy)
+                     policy=run.policy)
     cos_true = state.cos_c
     anchor = state.perp_ab
     cur_iv = _point(anchor)
@@ -521,45 +487,34 @@ def _cf_level_steps(u_set: Decimal, u_iv: _Iv, v: Decimal,
             if q < v:
                 if prev is None:
                     return None
-                log.read(arm_id(max(1, d - 1)), prev[3])
-                log.read(arm_id(d), p)
+                run.read(arm_id(max(1, d - 1)), prev[3])
+                run.read(arm_id(d), p)
                 return prev[:3]
             prev = (n, q, iv, p)
             if n >= _LEVEL_STEP_CAP:
                 return None
         # stage exhausted without crossing: re-anchor on the last read,
         # unless it sits below 0.1 and would need a decade shift
-        log.read(arm_id(d), p)
+        run.read(arm_id(d), p)
         if q < _TENTH:
             return None
         anchor, cur_iv = q, iv
 
 
-def _script_cf(x: SignedScaled, a: SignedScaled, model: MeasurementModel,
-               policy: PrecisionPolicy) -> MeasuredResult:
+def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
     """Recover t with x**t = a by arm counting, as a banded interval."""
-    ctx = policy.oracle_ctx()
-    h = model.half_step
-    log = _Log(model)
-    if x.sign < 0 or a.sign < 0:
-        raise DomainError("exponent recovery needs positive values")
-    xd, ad = x.value(), a.value()
-    if xd == 1 or ad == 1:
-        raise DomainError("exponent recovery is degenerate at 1")
-    if (xd > 1) != (ad > 1):
-        raise DomainError("base and target must sit on the same side of 1")
-    u = ctx.divide(_ONE, xd) if xd > 1 else xd
-    v = ctx.divide(_ONE, ad) if ad > 1 else ad
+    ctx, h = run.ctx, run.h
+    u, v = below_one(x, a, ctx)
     swapped = v > u
     if swapped:
         u, v = v, u
     u_iv = _point(u).widen(h)     # settings put the realized cosine here
     v_iv = _point(v)
-    term_tol = max(_CF_TERM_FLOOR, ctx.multiply(20, model.resolution))
+    term_tol = max(_CF_TERM_FLOOR, ctx.multiply(20, run.model.resolution))
     terms: list[int] = []
     tail: _Iv | None = None
     for _ in range(_CF_MAX_DEPTH):
-        got = _cf_level_steps(u, u_iv, v, model, policy, log)
+        got = _cf_level_steps(run, u, u_iv, v)
         if got is None:
             break
         n_steps, reading, ch_iv = got
@@ -602,10 +557,7 @@ def _script_cf(x: SignedScaled, a: SignedScaled, model: MeasurementModel,
         level = _Iv(ctx.divide(_ONE, level.hi), ctx.divide(_ONE, level.lo))
     mid = ctx.divide(ctx.add(level.lo, level.hi), _TWO)
     half = ctx.divide(ctx.subtract(level.hi, level.lo), _TWO)
-    return MeasuredResult(value=SignedScaled.from_decimal(mid),
-                          half_width=ctx.plus(half),
-                          readings=tuple(log.readings),
-                          true_lengths=tuple(log.trues))
+    return run.result(SignedScaled.from_decimal(mid), ctx.plus(half))
 
 
 # --- script driver ------------------------------------------------------
@@ -641,19 +593,12 @@ def parse_script_line(line: str):
     return op, rest, resolution
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"not an integer: {text!r}") from None
-
-
 def run_op(op: str, args: list[str], model: MeasurementModel,
            policy: PrecisionPolicy = DEFAULT_POLICY) -> MeasuredResult:
     script, kinds = _script(op, len(args))
-    operands = [normalize(a) if kind == "num" else _integer(a)
+    operands = [normalize(a) if kind == "num" else parse_integer(a)
                 for a, kind in zip(args, kinds)]
-    return script(*operands, model, policy)
+    return script(_Run(model, policy), *operands)
 
 
 def run_script(script, model: MeasurementModel | None = None,

@@ -18,6 +18,7 @@ from .errors import (DomainError, NoConvergence, ParseError, SignMismatch,
                      ZeroNotRepresentable)
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_INTEGER_RE = re.compile(r"[+-]?\d+", re.ASCII)
 
 # Wide exponent window: cascades reach 10**k exponents far past the
 # default context limits without ever denormalizing.
@@ -280,6 +281,17 @@ def parse_decimal(text: str) -> Decimal:
     if not _NUMBER_RE.fullmatch(s):
         raise ParseError(f"not a decimal literal: {text!r}")
     return Decimal(s)
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer literal: ASCII digits after an optional sign."""
+    s = text.strip()
+    try:
+        if _INTEGER_RE.fullmatch(s):
+            return int(s)       # ValueError past int()'s digit limit
+    except ValueError:
+        pass
+    raise ParseError(f"not an integer: {text!r}")
 
 
 def normalize(text: str) -> SignedScaled:

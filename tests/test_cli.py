@@ -338,6 +338,37 @@ def test_one_literal_grammar(capsys, monkeypatch, where, literal):
     assert want[1] in err and "Traceback" not in err
 
 
+# Arabic-Indic two, a digit separator, full-width two: int() takes all
+# three; and an integer past int()'s digit limit
+BAD_INTEGERS = ["\u0662", "1_0", "\uff12",
+                pytest.param("9" * 5000, id="5000-digits")]
+INTEGER_FIELDS = {
+    "pow n": ["pow", "3", "{}"], "root n": ["root", "4", "{}"],
+    "powfrac m": ["powfrac", "2", "{}", "3"],
+    "powfrac n": ["powfrac", "2", "3", "{}"],
+    "--digits": ["pow", "3", "2", "--digits", "{}"],
+    "--max-n": ["solve-n", "--x", "2", "--a", "8", "--max-n", "{}"],
+    "--cf-depth": ["ln", "2", "--cf-depth", "{}"],
+    "euler n": ["euler", "{}"],
+    "device pow n": ["pow", "3", "{}", "--resolution", "1e-5"],
+}
+
+
+@pytest.mark.parametrize("literal", BAD_INTEGERS)
+@pytest.mark.parametrize("where", list(INTEGER_FIELDS) + ["script"])
+def test_one_integer_grammar(capsys, monkeypatch, where, literal):
+    if where == "script":
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"pow 3 {literal}\n"))
+        argv, want = ["simulate", "-"], (2, "ParseError: line 1: not an "
+                                         "integer")
+    else:
+        argv = [a.format(literal) for a in INTEGER_FIELDS[where]]
+        want = (1, "usage error:")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want[0], "")
+    assert want[1] in err and "Traceback" not in err
+
+
 DEVICE_CASES = [("pow", ["0.87", "6"]), ("mul", ["0.3", "0.7"]),
                 ("div", ["5.972e24", "7.348e22"]), ("gmean", ["2", "3"]),
                 ("recip", ["8"]), ("root", ["95.51", "4"])]

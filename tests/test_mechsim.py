@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
-                     DegenerateAngle, DepthExceeded, MeasurementModel,
-                     ParseError, RESOLUTION_LADDER, assemble, normalize,
-                     oracle_eval, run_op, run_script)
+                     DegenerateAngle, DepthExceeded, GeocalcError,
+                     MeasurementModel, ParseError, RESOLUTION_LADDER,
+                     RootQuery, assemble, normalize, nth_root, oracle_eval,
+                     power, recover_rational_exponent, run_op, run_script)
 from geocalc.mechsim import arm_id, parse_script_line
 
 POL = DEFAULT_POLICY
@@ -140,6 +141,29 @@ def test_non_integer_operand_is_a_parse_error():
         run_op("pow", ["2", "x"], MeasurementModel())
     with pytest.raises(ParseError, match="not an integer"):
         run_script("root 2 1.5")
+
+
+# Engine calls that make the same domain checks as a device op
+ENGINE_CHECKS = {
+    "cf": lambda x, a: recover_rational_exponent(normalize(x), normalize(a)),
+    "root": lambda x, n: nth_root(RootQuery(normalize(x), int(n))),
+    "pow": lambda x, n: power(normalize(x), int(n)),
+}
+
+
+@pytest.mark.parametrize("op, args", [
+    ("cf", ["-2", "0.5"]), ("cf", ["0.5", "-0.2"]), ("cf", ["1", "2"]),
+    ("cf", ["2", "1"]), ("cf", ["2", "0.5"]), ("cf", ["0.5", "2"]),
+    ("root", ["2", "0"]), ("root", ["-8", "2"]), ("pow", ["2", "0"]),
+    ("pow", ["2", "1000001"]), ("pow", ["2", "-1000001"]),
+])
+def test_device_and_engine_refuse_alike(op, args):
+    with pytest.raises(GeocalcError) as engine:
+        ENGINE_CHECKS[op](*args)
+    with pytest.raises(GeocalcError) as device:
+        run_op(op, args, MeasurementModel())
+    assert type(device.value) is type(engine.value)
+    assert str(device.value) == str(engine.value)
 
 
 def test_script_line_parsing():
