@@ -11,24 +11,20 @@ bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from functools import partial
 
-from .errors import (DegenerateAngle, DomainError, ExponentOverflow,
-                     SignMismatch)
-from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
-                      SignedScaled, bisect, cosine_bracket, newton_window,
+from .errors import DegenerateAngle, DomainError
+from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, MAX_ABS_EXPONENT,
+                      PrecisionPolicy, SignedScaled, bisect, check_power,
+                      check_same_sign, cosine_bracket, newton_window,
                       renormalized, shift10)
 from .trace import TraceRecorder, foot_label
 
 # A trace draws a power's cascade foot by foot up to this depth; past
 # it, the trace records only the angle and the depth.
 VIRTUAL_DEPTH = 10 ** 4
-
-MAX_ABS_EXPONENT = 10 ** 6
-EXPONENT_BOUND = 10 ** 9
 
 
 def _check_cosine(cos_c: Decimal):
@@ -120,20 +116,6 @@ def _mantissa_power(m: Decimal, n: int, policy: PrecisionPolicy,
     return policy.ctx().power(m, Decimal(n))
 
 
-def check_power(x: SignedScaled, n: int,
-                max_abs_exponent: int = MAX_ABS_EXPONENT):
-    """Raise unless n is nonzero and within the cap, and x**n in range."""
-    if n == 0:
-        raise DomainError("exponent must be nonzero")
-    if abs(n) > max_abs_exponent:
-        raise DomainError(f"|exponent| above cap {max_abs_exponent}")
-    # cheap estimate first, so a hopeless request fails before any
-    # cascade work; the exact exponent is re-checked on the result
-    est = abs(n) * abs(x.exponent - 1 + math.log10(float(shift10(x.mantissa, 1))))
-    if est > EXPONENT_BOUND * 1.01:
-        raise ExponentOverflow("result exponent out of range")
-
-
 def power(x: SignedScaled, n: int,
           policy: PrecisionPolicy = DEFAULT_POLICY,
           recorder: TraceRecorder | None = None,
@@ -147,13 +129,9 @@ def power(x: SignedScaled, n: int,
     sign = -1 if (x.sign < 0 and n % 2) else 1
     if x.is_power_of_ten:
         # exact decade: 0.1**n needs no geometry
-        result = SignedScaled(sign, _TENTH, (x.exponent - 1) * n + 1)
-    else:
-        mant = _mantissa_power(x.mantissa, n, policy, recorder)
-        result = renormalized(sign, mant, x.exponent * n)
-    if abs(result.exponent) > EXPONENT_BOUND:
-        raise ExponentOverflow("result exponent out of range")
-    return result
+        return SignedScaled(sign, _TENTH, (x.exponent - 1) * n + 1)
+    mant = _mantissa_power(x.mantissa, n, policy, recorder)
+    return renormalized(sign, mant, x.exponent * n)
 
 
 def reciprocal(x: SignedScaled,
@@ -210,8 +188,7 @@ def geometric_mean(a: SignedScaled, b: SignedScaled,
                    recorder: TraceRecorder | None = None,
                    method: str = "bisect") -> SignedScaled:
     """sqrt(a*b); both operands negative gives the negative mean."""
-    if a.sign != b.sign:
-        raise SignMismatch("geometric mean needs matching signs")
+    check_same_sign(a, b)
     sign = a.sign
     m1, m2, half = _parity_adjust(a, b)
     if m1 == m2:
@@ -226,7 +203,7 @@ def geometric_mean(a: SignedScaled, b: SignedScaled,
         _check_cosine(cos_half)
         bd = ctx.multiply(big, cos_half)
         if recorder is not None:
-            recorder.angle(cos_full, vertex="C")
+            recorder.angle(cos_full)
             recorder.bisect("C", cos_full, cos_half)
             recorder.drop("B", "CY", "D", bd)
             recorder.drop("D", "CX", "E", small)

@@ -13,8 +13,7 @@ import json
 import sys
 from decimal import Decimal, ROUND_CEILING
 
-from .cascade import (check_power, divide, geometric_mean, multiply, power,
-                      reciprocal)
+from .cascade import divide, geometric_mean, multiply, power, reciprocal
 from .diagram import write_svg
 from .errors import GeocalcError
 from .euler import antilog, approximate_e, natural_log
@@ -24,7 +23,7 @@ from .mechsim import (SCRIPTS, MeasurementModel, run_op as device_op,
                       run_script)
 from .numcore import (PrecisionPolicy, SignedScaled, normalize, oracle_eval,
                       parse_decimal, parse_integer, renormalized, to_text)
-from .roots import RootQuery, check_rational_power, nth_root, rational_power
+from .roots import RootQuery, nth_root, rational_power
 from .trace import TraceRecorder
 
 RESULT_SCHEMA = {
@@ -119,40 +118,35 @@ def _device_result(args, op: str, inputs: list[str]) -> str:
 
 # --- handlers -----------------------------------------------------------
 
-# One row per engine operation: library function, the domain check the
-# oracle backend runs first (the library function runs its own, and a
-# root's query checks its index and sign), operands (m and n are ints,
-# the others decimal literals), help text.  Functions are looked up by
-# name when called, so that a wrapper bound over the module global, such
-# as a profiler's, sees every call.
+# One row per engine operation: library function, operands (m and n are
+# ints, the others decimal literals), help text.  Functions are looked
+# up by name when called, so that a wrapper bound over the module
+# global, such as a profiler's, sees every call.
 _ENGINE = {
-    "pow": ("power", "check_power", "xn", "integer power x**n"),
-    "root": ("nth_root", None, "xn", "principal n-th root"),
-    "powfrac": ("rational_power", "check_rational_power", "xmn",
-                "rational power x**(m/n)"),
-    "recip": ("reciprocal", None, "x", "reciprocal 1/x"),
-    "mul": ("multiply", None, "ab", "product a*b"),
-    "div": ("divide", None, "ab", "quotient a/b"),
-    "gmean": ("geometric_mean", None, "ab", "geometric mean of a and b"),
+    "pow": ("power", "xn", "integer power x**n"),
+    "root": ("nth_root", "xn", "principal n-th root"),
+    "powfrac": ("rational_power", "xmn", "rational power x**(m/n)"),
+    "recip": ("reciprocal", "x", "reciprocal 1/x"),
+    "mul": ("multiply", "ab", "product a*b"),
+    "div": ("divide", "ab", "quotient a/b"),
+    "gmean": ("geometric_mean", "ab", "geometric mean of a and b"),
 }
 
 
 def _h_engine(args):
     op = args.command
-    func, check, names, _ = _ENGINE[op]
+    func, names, _ = _ENGINE[op]
     inputs = [str(getattr(args, name)) for name in names]
     rec = _recorder_for(args)
     if getattr(args, "resolution", None) is not None:
         return _device_result(args, op, inputs)
     operands = [getattr(args, name) if name in "mn"
                 else normalize(getattr(args, name)) for name in names]
-    call = [RootQuery(*operands)] if op == "root" else operands
     policy = _policy(args)
     if args.backend == "oracle":
-        if check is not None:
-            globals()[check](*operands)
         value = oracle_eval(op, tuple(operands), policy)
     else:
+        call = [RootQuery(*operands)] if op == "root" else operands
         value = globals()[func](*call, policy=policy, recorder=rec)
     if args.emit_trace:
         rec.write(args.emit_trace)
@@ -253,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    for op, (_func, _check, names, text) in _ENGINE.items():
+    for op, (_func, names, text) in _ENGINE.items():
         p = sub.add_parser(op, help=text, parents=[common, backend, trace]
                            + ([res] if op in SCRIPTS else []))
         for name in names:

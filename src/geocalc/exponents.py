@@ -97,9 +97,9 @@ def _floor_exponent(u: Decimal, v: Decimal, ctx: Context, fuzz: Decimal,
 
 
 def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
-                           policy: PrecisionPolicy = DEFAULT_POLICY,
-                           match_tol: Decimal = DEFAULT_MATCH_TOL) -> int:
-    """Integer n in [1, max_n] with x**n == a to `match_tol`, else error."""
+                           policy: PrecisionPolicy = DEFAULT_POLICY) -> int:
+    """Integer n in [1, max_n] with x**n == a to DEFAULT_MATCH_TOL, else
+    error."""
     if max_n < 1:
         raise DomainError("max_n must be at least 1")
     ctx = policy.oracle_ctx()
@@ -119,7 +119,7 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
     candidates = []
     if floor_n is not None:
         candidates = [n for n in (floor_n, floor_n + 1) if 1 <= n <= max_n]
-    tol = ctx.multiply(match_tol, v)
+    tol = ctx.multiply(DEFAULT_MATCH_TOL, v)
     for n in candidates:
         p = ctx.power(u, Decimal(n))
         if ctx.subtract(p, v).copy_abs() <= tol:
@@ -131,7 +131,7 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
                 continue
             return n
     raise NoIntegerExponent(
-        f"no exponent in [1, {max_n}] matches within {match_tol}")
+        f"no exponent in [1, {max_n}] matches within {DEFAULT_MATCH_TOL}")
 
 
 def below_one(x: SignedScaled, a: SignedScaled,

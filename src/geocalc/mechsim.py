@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 
-from .cascade import _parity_adjust, check_power
+from .cascade import _parity_adjust
 from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
-                     DomainError, GeocalcError, ParseError, SignMismatch)
+                     DomainError, GeocalcError, ParseError)
 from .exponents import below_one
 from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
-                      SignedScaled, bisect, normalize, parse_decimal,
+                      SignedScaled, bisect, check_power, check_root,
+                      check_same_sign, normalize, parse_decimal,
                       parse_integer, renormalized, shift10)
-from .roots import RootQuery
 from .trace import foot_label
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -171,6 +171,9 @@ class _Iv:
         return _Iv(_DOWN.multiply(self.lo, other.lo),
                    _UP.multiply(self.hi, other.hi))
 
+    def add(self, other: "_Iv") -> "_Iv":
+        return _Iv(_DOWN.add(self.lo, other.lo), _UP.add(self.hi, other.hi))
+
     def div(self, other: "_Iv") -> "_Iv":
         return _Iv(_DOWN.divide(self.lo, other.hi),
                    _UP.divide(self.hi, other.lo))
@@ -221,7 +224,7 @@ class _Run:
         """Result from a raw mantissa + interval at 10**exponent scale."""
         half = iv.half_width_about(mantissa)
         return self.result(renormalized(sign, mantissa, exponent),
-                           shift10(self.ctx.plus(half), exponent).copy_abs())
+                           shift10(half, exponent).copy_abs())
 
 
 def _renorm_shift(q: Decimal) -> int:
@@ -352,8 +355,7 @@ def _rotate(run: _Run, side):
 
 def _script_gmean(run: _Run, a: SignedScaled,
                   b: SignedScaled) -> MeasuredResult:
-    if a.sign != b.sign:
-        raise SignMismatch("geometric mean needs matching signs")
+    check_same_sign(a, b)
     ctx, h, quantize = run.ctx, run.h, run.model.quantize
     m1, m2, half_exp = _parity_adjust(a, b)
     if m1 == m2:
@@ -384,7 +386,7 @@ def _script_gmean(run: _Run, a: SignedScaled,
 
 
 def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
-    RootQuery(x, n)               # the engine's index and sign checks
+    check_root(x, n)
     ctx, h, model = run.ctx, run.h, run.model
     if n == 1:
         r = run.read("AB", x.mantissa)
@@ -551,13 +553,11 @@ def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
         tail = _Iv(max(_ONE, lvl.lo), lvl.hi)
     level = tail
     for t in reversed(terms):
-        level = _Iv(ctx.add(Decimal(t), ctx.divide(_ONE, level.hi)),
-                    ctx.add(Decimal(t), ctx.divide(_ONE, level.lo)))
+        level = _point(Decimal(t)).add(_point(_ONE).div(level))
     if swapped:
-        level = _Iv(ctx.divide(_ONE, level.hi), ctx.divide(_ONE, level.lo))
-    mid = ctx.divide(ctx.add(level.lo, level.hi), _TWO)
-    half = ctx.divide(ctx.subtract(level.hi, level.lo), _TWO)
-    return run.result(SignedScaled.from_decimal(mid), ctx.plus(half))
+        level = _point(_ONE).div(level)
+    return run.package(1, ctx.divide(ctx.add(level.lo, level.hi), _TWO), 0,
+                       level)
 
 
 # --- script driver ------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      ROUND_HALF_EVEN)
 
-from .errors import (DomainError, NoConvergence, ParseError, SignMismatch,
+from .errors import (DomainError, EvenRootOfNegative, ExponentOverflow,
+                     NoConvergence, ParseError, SignMismatch,
                      ZeroNotRepresentable)
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
@@ -23,6 +24,11 @@ _INTEGER_RE = re.compile(r"[+-]?\d+", re.ASCII)
 # Wide exponent window: cascades reach 10**k exponents far past the
 # default context limits without ever denormalizing.
 _EMAX = 10 ** 17
+
+# The largest |n| of an integer power, and of every number's scaled
+# exponent: operands, results and what lies between.
+MAX_ABS_EXPONENT = 10 ** 6
+EXPONENT_BOUND = 10 ** 9
 
 _ONE = Decimal(1)
 _TWO = Decimal(2)
@@ -220,7 +226,8 @@ DEFAULT_POLICY = PrecisionPolicy()
 
 @dataclass(frozen=True)
 class SignedScaled:
-    """A nonzero decimal number sign * mantissa * 10**exponent."""
+    """A nonzero decimal number sign * mantissa * 10**exponent, with
+    |exponent| at most EXPONENT_BOUND."""
 
     sign: int
     mantissa: Decimal
@@ -233,6 +240,8 @@ class SignedScaled:
             raise DomainError("mantissa must be a Decimal")
         if not (_TENTH <= self.mantissa < _ONE):
             raise DomainError("mantissa must lie in [0.1, 1)")
+        if abs(self.exponent) > EXPONENT_BOUND:
+            raise ExponentOverflow("result exponent out of range")
 
     def value(self) -> Decimal:
         """Exact Decimal value (no rounding: pure exponent shift)."""
@@ -272,6 +281,44 @@ def renormalized(sign: int, mantissa: Decimal, exponent: int) -> SignedScaled:
         raise DomainError("mantissa must be positive")
     shift = mantissa.adjusted() + 1
     return SignedScaled(sign, shift10(mantissa, -shift), exponent + shift)
+
+
+# --- domain rules: the engine, the oracle and the device run these ----
+
+def check_power(x: SignedScaled, n: int,
+                max_abs_exponent: int = MAX_ABS_EXPONENT):
+    """Raise unless n is nonzero and within the cap, and x**n in range."""
+    if n == 0:
+        raise DomainError("exponent must be nonzero")
+    if abs(n) > max_abs_exponent:
+        raise DomainError(f"|exponent| above cap {max_abs_exponent}")
+    # cheap estimate first, so a hopeless request fails before any
+    # cascade work; SignedScaled checks the exact exponent of the result
+    est = abs(n) * abs(x.exponent - 1 + math.log10(float(shift10(x.mantissa, 1))))
+    if est > EXPONENT_BOUND * 1.01:
+        raise ExponentOverflow("result exponent out of range")
+
+
+def check_root(x: SignedScaled, n: int):
+    """Raise unless x has a real nth root: n >= 1, and odd when x < 0."""
+    if n < 1:
+        raise DomainError("root index must be at least 1")
+    if x.sign < 0 and n % 2 == 0:
+        raise EvenRootOfNegative(f"index {n} root of a negative radicand")
+
+
+def check_rational_power(x: SignedScaled, m: int, n: int,
+                         max_abs_exponent: int = MAX_ABS_EXPONENT):
+    """Raise unless x**(m/n) is an nth root of a power x**m in range."""
+    check_root(x, n)
+    if m:
+        check_power(x, m, max_abs_exponent)
+
+
+def check_same_sign(a: SignedScaled, b: SignedScaled):
+    """Raise unless a and b share a sign, as their geometric mean needs."""
+    if a.sign != b.sign:
+        raise SignMismatch("geometric mean needs matching signs")
 
 
 def parse_decimal(text: str) -> Decimal:
@@ -316,18 +363,9 @@ def to_text(v: SignedScaled, digits: int) -> str:
     return f"{sign}{body}e{exponent - 1}"
 
 
-def _as_decimal(x) -> Decimal:
-    return x.value() if isinstance(x, SignedScaled) else Decimal(x)
-
-
-def _root_power(ctx: Context, x: Decimal, m, n, what="") -> Decimal:
+def _root_power(ctx: Context, x: Decimal, m: int, n: int) -> Decimal:
     """x**(m/n), negative only when x < 0 and m is odd; n = 1 raises to
     Decimal(m) exactly instead of a rounded quotient."""
-    m, n = int(m), int(n)
-    if n < 1:
-        raise DomainError(f"{what} must be positive")
-    if x < 0 and n % 2 == 0:
-        raise DomainError("even root of a negative radicand")
     if m == 0:
         return _ONE
     e = Decimal(m) if n == 1 else ctx.divide(Decimal(m), Decimal(n))
@@ -335,39 +373,35 @@ def _root_power(ctx: Context, x: Decimal, m, n, what="") -> Decimal:
     return r.copy_negate() if x < 0 and m % 2 else r
 
 
-def _oracle_pow(ctx: Context, x: Decimal, n) -> Decimal:
-    if x == 0:
-        raise ZeroNotRepresentable("zero base")
-    return _root_power(ctx, x, n, 1)
-
-
 def _oracle_gmean(ctx: Context, a: Decimal, b: Decimal) -> Decimal:
-    if (a < 0) != (b < 0):
-        raise SignMismatch("geometric mean needs matching signs")
     r = ctx.sqrt(ctx.multiply(a.copy_abs(), b.copy_abs()))
     return r.copy_negate() if a < 0 else r
 
 
-# op: formula(ctx, *Decimal operands), keyed like cli._ENGINE and SCRIPTS
+# op: (domain rule or None, formula(ctx, *operands)), keyed like
+# cli._ENGINE and SCRIPTS.  The rule sees the SignedScaled operands, the
+# formula their Decimal values; m and n stay ints for both.
 _ORACLE = {
-    "pow": _oracle_pow,
-    "root": lambda ctx, x, n: _root_power(ctx, x, 1, n, "root index"),
-    "powfrac": lambda ctx, x, m, n: _root_power(ctx, x, m, n, "denominator"),
-    "recip": lambda ctx, x: ctx.divide(_ONE, x),
-    "mul": Context.multiply,
-    "div": Context.divide,
-    "gmean": _oracle_gmean,
+    "pow": (check_power, lambda ctx, x, n: _root_power(ctx, x, n, 1)),
+    "root": (check_root, lambda ctx, x, n: _root_power(ctx, x, 1, n)),
+    "powfrac": (check_rational_power, _root_power),
+    "recip": (None, lambda ctx, x: ctx.divide(_ONE, x)),
+    "mul": (None, Context.multiply),
+    "div": (None, Context.divide),
+    "gmean": (check_same_sign, _oracle_gmean),
 }
 
 
 def oracle_eval(op: str, args: tuple, policy: PrecisionPolicy = DEFAULT_POLICY) -> SignedScaled:
-    """Reference evaluation at oracle precision, bypassing all geometry."""
+    """Reference evaluation at oracle precision, bypassing all geometry,
+    behind the op's domain rule.  Numeric operands are SignedScaled."""
     if op not in _ORACLE:
         raise DomainError(f"unknown oracle op: {op!r}")
-    r = _ORACLE[op](policy.oracle_ctx(), *map(_as_decimal, args))
-    if r == 0:
-        raise ZeroNotRepresentable(f"oracle {op} produced zero")
-    return SignedScaled.from_decimal(r)
+    check, formula = _ORACLE[op]
+    if check is not None:
+        check(*args)
+    values = (a.value() if isinstance(a, SignedScaled) else a for a in args)
+    return SignedScaled.from_decimal(formula(policy.oracle_ctx(), *values))
 
 
 def rel_diff(a: Decimal, b: Decimal, ctx: Context | None = None) -> Decimal:

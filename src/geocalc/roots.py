@@ -14,10 +14,11 @@ from decimal import Context, Decimal
 from functools import partial
 
 from .cascade import _mantissa_power, multiply, power
-from .errors import DomainError, EvenRootOfNegative
-from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, PrecisionPolicy,
-                      SignedScaled, bisect, cosine_bracket, newton_window,
-                      renormalized, shift10)
+from .errors import DomainError
+from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, MAX_ABS_EXPONENT,
+                      PrecisionPolicy, SignedScaled, bisect,
+                      check_rational_power, check_root, cosine_bracket,
+                      newton_window, renormalized, shift10)
 from .trace import TraceRecorder
 
 
@@ -29,11 +30,7 @@ class RootQuery:
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise DomainError("root index must be at least 1")
-        if self.radicand.sign < 0 and self.index % 2 == 0:
-            raise EvenRootOfNegative(
-                f"index {self.index} root of a negative radicand")
+        check_root(self.radicand, self.index)
 
 
 def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
@@ -103,24 +100,17 @@ def _assert_root_between(x: SignedScaled, root: SignedScaled,
         raise DomainError("root escaped the monotonicity interval")
 
 
-def check_rational_power(x: SignedScaled, m: int, n: int):
-    """Raise unless x**(m/n) is real for any m: n >= 1, odd for negative x."""
-    if n < 1:
-        raise DomainError("fractional power denominator must be positive")
-    if x.sign < 0 and n % 2 == 0:
-        raise EvenRootOfNegative(f"denominator {n} with a negative base")
-
-
 def rational_power(x: SignedScaled, m: int, n: int,
                    policy: PrecisionPolicy = DEFAULT_POLICY,
                    recorder: TraceRecorder | None = None,
                    strategy: str = "compose",
-                   max_abs_exponent: int | None = None) -> SignedScaled:
-    """x**(m/n) with n >= 1; negative x requires odd n."""
-    check_rational_power(x, m, n)
+                   max_abs_exponent: int = MAX_ABS_EXPONENT) -> SignedScaled:
+    """x**(m/n) with n >= 1; negative x requires odd n, and x**m must
+    pass check_power whatever the strategy."""
+    check_rational_power(x, m, n, max_abs_exponent)
     if m == 0:
         return SignedScaled(1, _TENTH, 1)
-    cap = {} if max_abs_exponent is None else {"max_abs_exponent": max_abs_exponent}
+    cap = {"max_abs_exponent": max_abs_exponent}
     if strategy == "compose":
         y = power(x, m, policy=policy, recorder=recorder, **cap)
         return nth_root(RootQuery(y, n), policy=policy, recorder=recorder)

@@ -76,9 +76,9 @@ class TraceRecorder:
     def _add(self, kind: str, *attrs: tuple[str, str]):
         self.steps.append(TraceStep(kind, tuple(attrs)))
 
-    def angle(self, cos_c: Decimal, vertex: str = "C"):
+    def angle(self, cos_c: Decimal):
         self._add("construct-angle-from-cosine",
-                  ("vertex", vertex), ("cos", str(cos_c)))
+                  ("vertex", "C"), ("cos", str(cos_c)))
 
     def drop(self, frm: str, onto: str, foot: str, length: Decimal):
         self._add("drop-perpendicular",

@@ -18,6 +18,7 @@ import pytest
 import geocalc
 from geocalc import (MeasurementModel, RESOLUTION_LADDER, approximate_e, cli,
                      run_op)
+from geocalc.mechsim import SCRIPTS
 
 A_2_1971_181 = "1896.99842083110790327024929966961121487868624225173871384836"
 
@@ -303,10 +304,14 @@ def test_digits_past_the_default_decimal_context(capsys):
     ("pow", ["1e-999999999", "2"]), ("root", ["-16", "4"]),
     ("root", ["2", "0"]), ("powfrac", ["-8", "1", "2"]),
     ("powfrac", ["2", "1", "0"]), ("gmean", ["-2", "3"]),
-    ("pow", ["1e900000", "2000"])])
+    ("pow", ["1e900000", "2000"]), ("pow", ["2", "2000000"]),
+    ("powfrac", ["2", "2000000", "3"]), ("powfrac", ["1e900000", "2000", "3"]),
+    ("mul", ["1e900000000", "1e900000000"]),
+    ("div", ["1e900000000", "1e-900000000"]),
+    ("recip", ["1e-1000000000"])])
 def test_backends_reject_the_same_operands(capsys, op, operands):
     modes = [["--backend", "construction"], ["--backend", "oracle"]]
-    if op == "pow":
+    if op in SCRIPTS:
         modes.append(["--resolution", "1e-5"])
     first, *others = (run(capsys, op, *mode, "--", *operands)
                       for mode in modes)

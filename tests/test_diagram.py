@@ -5,9 +5,9 @@ from decimal import Decimal
 import pytest
 
 from geocalc import (DEFAULT_POLICY, InconsistentTrace, RootQuery,
-                     STEP_KINDS, TraceRecorder, TraceStep, foot_label,
+                     STEP_KINDS, TraceRecorder, TraceStep, divide, foot_label,
                      geometric_mean, multiply, normalize, nth_root,
-                     parse_trace, power, render_svg)
+                     parse_trace, power, reciprocal, render_svg)
 
 POL = DEFAULT_POLICY
 
@@ -124,3 +124,37 @@ def test_title_is_escaped_and_optional():
     svg = render_svg(rec.steps, title="cascade <demo> & co")
     assert "cascade &lt;demo&gt; &amp; co" in svg
     assert "<demo>" not in svg
+
+
+def traced(build):
+    """Record `build`, check the trace round-trips and renders the same
+    twice; return the recorder and the SVG."""
+    rec = TraceRecorder()
+    build(rec)
+    assert parse_trace(rec.dumps()) == rec.steps
+    svg = render_svg(rec.steps)
+    assert render_svg(rec.steps) == svg
+    return rec, svg
+
+
+def test_rotating_mean_renders_a_pure_fan():
+    rec, svg = traced(lambda r: geometric_mean(
+        normalize("2"), normalize("18.5"), POL, recorder=r, method="rotate"))
+    assert [s.kind for s in rec.steps] == (["rotate-hypotenuse"] * 4
+                                           + ["measure-length"])
+    # the last drawn rotation is the main ray; a fan has no right angle
+    assert svg.count('class="trial"') == 3
+    assert '<polyline class="mark"' not in svg
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: reciprocal(normalize("3.7"), POL, recorder=r,
+                         method="unit-perpendicular"),
+    lambda r: divide(normalize("5.972e24"), normalize("7.348e22"), POL,
+                     recorder=r, method="similar-triangles"),
+], ids=["recip-unit-perpendicular", "div-similar-triangles"])
+def test_alternative_methods_draw_their_triangles(right_angle_checker, build):
+    rec, svg = traced(build)
+    drops = sum(s.kind == "drop-perpendicular" for s in rec.steps)
+    assert svg.count('<polyline class="mark"') == drops + 1
+    assert right_angle_checker(svg) <= 1e-6

@@ -10,10 +10,13 @@ import pytest
 
 from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
                      DegenerateAngle, DepthExceeded, GeocalcError,
-                     MeasurementModel, ParseError, RESOLUTION_LADDER,
-                     RootQuery, assemble, normalize, nth_root, oracle_eval,
-                     power, recover_rational_exponent, run_op, run_script)
-from geocalc.mechsim import arm_id, parse_script_line
+                     MeasurementModel, ParseError, PrecisionPolicy,
+                     RESOLUTION_LADDER, RootQuery, assemble, divide,
+                     geometric_mean, multiply, normalize, nth_root,
+                     oracle_eval, power, rational_power,
+                     recover_rational_exponent, run_op, run_script, shift10)
+from geocalc import mechsim
+from geocalc.mechsim import SCRIPTS, arm_id, parse_script_line
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()
@@ -143,11 +146,15 @@ def test_non_integer_operand_is_a_parse_error():
         run_script("root 2 1.5")
 
 
-# Engine calls that make the same domain checks as a device op
-ENGINE_CHECKS = {
-    "cf": lambda x, a: recover_rational_exponent(normalize(x), normalize(a)),
-    "root": lambda x, n: nth_root(RootQuery(normalize(x), int(n))),
-    "pow": lambda x, n: power(normalize(x), int(n)),
+# The engine functions of each op.  The oracle and the device, where
+# they have the op, must refuse the same operands with the same error.
+ENGINE_CALLS = {
+    "cf": [recover_rational_exponent],
+    "root": [lambda x, n: nth_root(RootQuery(x, n))],
+    "pow": [power],
+    "powfrac": [rational_power, lambda x, m, n: rational_power(
+        x, m, n, strategy="split")],
+    "gmean": [geometric_mean], "mul": [multiply], "div": [divide],
 }
 
 
@@ -156,14 +163,27 @@ ENGINE_CHECKS = {
     ("cf", ["2", "1"]), ("cf", ["2", "0.5"]), ("cf", ["0.5", "2"]),
     ("root", ["2", "0"]), ("root", ["-8", "2"]), ("pow", ["2", "0"]),
     ("pow", ["2", "1000001"]), ("pow", ["2", "-1000001"]),
+    ("pow", ["2", "2000000"]), ("pow", ["1e900000", "2000"]),
+    ("root", ["-16", "4"]), ("powfrac", ["-8", "1", "2"]),
+    ("powfrac", ["2", "1", "0"]), ("powfrac", ["2", "2000000", "3"]),
+    ("powfrac", ["1e900000", "2000", "3"]), ("gmean", ["-2", "3"]),
+    ("mul", ["1e900000000", "1e900000000"]),
+    ("div", ["1e900000000", "1e-900000000"]),
 ])
 def test_device_and_engine_refuse_alike(op, args):
-    with pytest.raises(GeocalcError) as engine:
-        ENGINE_CHECKS[op](*args)
-    with pytest.raises(GeocalcError) as device:
-        run_op(op, args, MeasurementModel())
-    assert type(device.value) is type(engine.value)
-    assert str(device.value) == str(engine.value)
+    operands = [int(a) if i and op in ("pow", "root", "powfrac")
+                else normalize(a) for i, a in enumerate(args)]
+    refusals = [lambda f=f: f(*operands) for f in ENGINE_CALLS[op]]
+    if op != "cf":
+        refusals.append(lambda: oracle_eval(op, tuple(operands)))
+    if op in SCRIPTS:
+        refusals.append(lambda: run_op(op, args, MeasurementModel()))
+    errors = set()
+    for refuse in refusals:
+        with pytest.raises(GeocalcError) as e:
+            refuse()
+        errors.add((type(e.value), str(e.value)))
+    assert len(errors) == 1, errors
 
 
 def test_script_line_parsing():
@@ -314,3 +334,79 @@ def test_root_soundness_across_exponents_indices_and_ladder():
                 err = ctx.subtract(got.value.value(), truth).copy_abs()
                 assert err <= got.half_width, (x, n, res)
                 assert got.half_width < truth / 100, (x, n, res)
+
+
+def test_half_width_covers_the_interval_at_few_oracle_digits(monkeypatch):
+    # at 30 oracle digits, fewer than the interval's 60, the reported
+    # half-width still covers the outward interval
+    seen = []
+    package = mechsim._Run.package
+
+    def spy(run, sign, mantissa, exponent, iv):
+        res = package(run, sign, mantissa, exponent, iv)
+        bound = shift10(iv.half_width_about(mantissa), exponent).copy_abs()
+        seen.append((res.half_width, bound))
+        return res
+
+    monkeypatch.setattr(mechsim._Run, "package", spy)
+    rng = random.Random(709)
+    m, pol = MeasurementModel(), PrecisionPolicy(15, 30)
+    for _ in range(20):
+        a, b = (f"0.{rng.randrange(10 ** 11, 10 ** 12)}e{rng.randint(-9, 9)}"
+                for _ in range(2))
+        for op, args in (("mul", [a, b]), ("div", [a, b]), ("gmean", [a, b]),
+                         ("root", [a, "3"]), ("pow", [a, "4"]),
+                         ("recip", [a])):
+            run_op(op, args, m, pol)
+    assert len(seen) >= 120
+    assert all(half >= bound for half, bound in seen)
+
+
+def _exponent_of(x: str, t: Decimal) -> str:
+    return f"{Context(prec=80).power(Decimal(x), t):.30e}"
+
+
+def _truth80(op: str, args: list) -> Decimal:
+    ctx, x = Context(prec=80), Decimal(args[0])
+    if op == "pow":
+        return ctx.power(x, Decimal(args[1]))
+    if op == "root":
+        return ctx.power(x, ctx.divide(ONE, Decimal(args[1])))
+    return ctx.divide(ctx.ln(Decimal(args[1])), ctx.ln(x))
+
+
+@pytest.mark.parametrize("op, args", [
+    ("pow", ["0.87", "-6"]), ("pow", ["-3.7e2", "-3"]),
+    ("pow", ["0.5", "-10"]), ("pow", ["7.31e-4", "-2"]),
+    ("root", ["2.5", "1"]), ("root", ["-0.3e-4", "1"]),
+    ("root", ["0.12345e9", "1"]),
+    # exponent below 1: the level is recovered for 1/t and swapped back
+    ("cf", ["2", _exponent_of("2", Decimal(2) / 3)]),
+    ("cf", ["0.3", _exponent_of("0.3", Decimal("0.45"))]),
+    ("cf", ["7.5", _exponent_of("7.5", Decimal("0.8125"))]),
+])
+def test_device_branches_are_sound_at_every_rung(op, args):
+    # negative powers, first roots and swapped continued fractions
+    truth = _truth80(op, args)
+    for res in RESOLUTION_LADDER:
+        got = run_op(op, args, MeasurementModel(resolution=res), POL)
+        err = (got.value.value() - truth).copy_abs()
+        assert err <= got.half_width, (op, args, res)
+
+
+# t = 3 + d with d just above the half step at each rung: the residual
+# after three arms is within the term tolerance of 1
+CF_TAIL = dict(zip(RESOLUTION_LADDER, ("1e-4", "1e-5", "3e-6", "1e-9")))
+
+
+@pytest.mark.parametrize("x", ["2", "0.5", "1.5"])
+def test_device_cf_tail_bound_is_sound_at_every_rung(monkeypatch, x):
+    def corner(*_):
+        raise AssertionError("the level was banded by corner exponents")
+
+    monkeypatch.setattr(mechsim, "_corner_exponent", corner)
+    for res, d in CF_TAIL.items():
+        args = [x, _exponent_of(x, 3 + Decimal(d))]
+        got = run_op("cf", args, MeasurementModel(resolution=res), POL)
+        err = (got.value.value() - _truth80("cf", args)).copy_abs()
+        assert err <= got.half_width, (args, res)

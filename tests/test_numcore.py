@@ -5,8 +5,9 @@ from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
 
 import pytest
 
-from geocalc import (DEFAULT_POLICY, NoConvergence, ParseError,
-                     PrecisionPolicy, SignedScaled, ZeroNotRepresentable,
+from geocalc import (DEFAULT_POLICY, ExponentOverflow, NoConvergence,
+                     ParseError, PrecisionPolicy, SignedScaled,
+                     ZeroNotRepresentable,
                      normalize, oracle_eval, rel_diff, renormalized, shift10,
                      to_text)
 from geocalc.numcore import bisect
@@ -77,6 +78,18 @@ def test_normalize_rejects_bad_literals(text):
 def test_zero_has_no_representation(text):
     with pytest.raises(ZeroNotRepresentable):
         normalize(text)
+
+
+def test_scaled_exponent_stays_within_the_bound():
+    # |exponent| <= 10**9 in the mantissa-in-[0.1, 1) form, for operands
+    # as for results
+    assert normalize("9.9e999999999").exponent == 10 ** 9
+    assert normalize("1e-1000000001").exponent == -(10 ** 9)
+    for text in ("1e1000000000", "-1e-1000000002"):
+        with pytest.raises(ExponentOverflow, match="exponent out of range"):
+            normalize(text)
+    with pytest.raises(ExponentOverflow):
+        renormalized(1, Decimal(5), 10 ** 9)
 
 
 def test_value_round_trip_is_exact():
