@@ -9,19 +9,17 @@ so the geometry only ever handles lengths in unit range.
 from .cascade import (Cascade, Construction, VIRTUAL_DEPTH, build_cascade,
                       divide, geometric_mean, multiply, power, reciprocal)
 from .diagram import render_svg, write_svg
-from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
-                     DomainError, EvenRootOfNegative, ExponentOverflow,
-                     GeocalcError, InconsistentTrace, NoConvergence,
-                     NoIntegerExponent, ParseError, SignMismatch,
-                     ZeroNotRepresentable)
+from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
+                     EvenRootOfNegative, ExponentOverflow, GeocalcError,
+                     InconsistentTrace, NoConvergence, NoIntegerExponent,
+                     ParseError, SignMismatch, ZeroNotRepresentable)
 from .euler import (EulerApprox, INTERNAL_E_STEPS, antilog, approximate_e,
                     internal_e, natural_log)
 from .exponents import (ContinuedFraction, evaluate_cf,
                         recover_exponent_via_logs,
                         recover_rational_exponent, solve_integer_exponent)
-from .mechsim import (DEFAULT_RESOLUTION, DeviceState, MeasuredResult,
-                      MeasurementModel, RESOLUTION_LADDER, assemble,
-                      run_op, run_script)
+from .mechsim import (DEFAULT_RESOLUTION, MeasuredResult, MeasurementModel,
+                      RESOLUTION_LADDER, assemble, run_op, run_script)
 from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
                       normalize, oracle_eval, parse_decimal, rel_diff,
                       renormalized, shift10, to_text)
@@ -34,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmOutOfRange", "Cascade", "Construction", "ContinuedFraction",
     "DEFAULT_POLICY", "DEFAULT_RESOLUTION", "DegenerateAngle",
-    "DepthExceeded", "DeviceState", "DomainError", "EulerApprox",
+    "DomainError", "EulerApprox",
     "EvenRootOfNegative", "ExponentOverflow", "GeocalcError",
     "INTERNAL_E_STEPS", "InconsistentTrace", "MeasuredResult",
     "MeasurementModel", "NoConvergence", "NoIntegerExponent",

@@ -204,7 +204,7 @@ def geometric_mean(a: SignedScaled, b: SignedScaled,
         bd = ctx.multiply(big, cos_half)
         if recorder is not None:
             recorder.angle(cos_full)
-            recorder.bisect("C", cos_full, cos_half)
+            recorder.bisect(cos_full, cos_half)
             recorder.drop("B", "CY", "D", bd)
             recorder.drop("D", "CX", "E", small)
             recorder.measure("BD", bd)

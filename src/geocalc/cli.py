@@ -64,8 +64,7 @@ _decimal, _integer = _literal(parse_decimal), _literal(parse_integer)
 
 
 def _policy(args) -> PrecisionPolicy:
-    working = max(30, args.digits + 10)
-    return PrecisionPolicy(working_digits=working, oracle_digits=2 * working,
+    return PrecisionPolicy(working_digits=max(30, args.digits + 10),
                            rel_tol=args.tol)
 
 

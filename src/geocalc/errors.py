@@ -41,10 +41,6 @@ class ArmOutOfRange(GeocalcError):
     """A cascade arm would have to extend or compress beyond its range."""
 
 
-class DepthExceeded(GeocalcError):
-    """More perpendiculars requested than the device has arms."""
-
-
 class NoConvergence(GeocalcError):
     """A search whose bracket the working precision can no longer split."""
 

@@ -47,15 +47,6 @@ class ContinuedFraction:
             return f"[{head}]"
         return f"[{head}; " + ", ".join(str(t) for t in self.terms[1:]) + "]"
 
-    @classmethod
-    def from_text(cls, text: str, terminated: bool = True) -> "ContinuedFraction":
-        s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise DomainError(f"not a continued fraction literal: {text!r}")
-        body = s[1:-1].replace(";", ",")
-        terms = tuple(int(t) for t in body.split(","))
-        return cls(terms, terminated)
-
 
 def evaluate_cf(cf: ContinuedFraction) -> Fraction:
     """Exact value by back-substitution from the last term."""
@@ -114,7 +105,7 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
     if not (0 < v <= 1):
         raise NoIntegerExponent(
             "target is on the wrong side of 1 for this base")
-    fuzz = Decimal(1).scaleb(20 - policy.oracle_digits)
+    fuzz = Decimal(1).scaleb(20 - ctx.prec)
     floor_n = _floor_exponent(u, v, ctx, fuzz, max(max_n * 2, 8))
     candidates = []
     if floor_n is not None:
@@ -166,7 +157,7 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
         raise DomainError("max_depth must be at least 1")
     ctx = policy.oracle_ctx()
     u, v = below_one(x, a, ctx)
-    fuzz = Decimal(1).scaleb(20 - policy.oracle_digits)
+    fuzz = Decimal(1).scaleb(20 - ctx.prec)
     terms: list[int] = []
     if v > u:
         # exponent below 1: recover its reciprocal after a leading zero
@@ -198,7 +189,6 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
 
 
 def recover_exponent_via_logs(x: SignedScaled, a: SignedScaled,
-                              depth: int = DEFAULT_MAX_DEPTH,
                               policy: PrecisionPolicy = DEFAULT_POLICY
                               ) -> tuple[ContinuedFraction, ContinuedFraction,
                                          SignedScaled]:
@@ -210,8 +200,8 @@ def recover_exponent_via_logs(x: SignedScaled, a: SignedScaled,
     from .euler import internal_e  # local import: euler builds on cascades
 
     e = internal_e(policy)
-    p_cf = recover_rational_exponent(e, a, max_depth=depth, policy=policy)
-    q_cf = recover_rational_exponent(e, x, max_depth=depth, policy=policy)
+    p_cf = recover_rational_exponent(e, a, policy=policy)
+    q_cf = recover_rational_exponent(e, x, policy=policy)
     p = evaluate_cf(p_cf)
     q = evaluate_cf(q_cf)
     if q == 0:

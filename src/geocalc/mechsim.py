@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 
 from .cascade import _parity_adjust
-from .errors import (ArmOutOfRange, DegenerateAngle, DepthExceeded,
-                     DomainError, GeocalcError, ParseError)
+from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
+                     GeocalcError, ParseError)
 from .exponents import below_one
-from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, PrecisionPolicy,
-                      SignedScaled, bisect, check_power, check_root,
-                      check_same_sign, normalize, parse_decimal,
+from .numcore import (_ONE, _POS_INF, _TENTH, _TWO, DEFAULT_POLICY,
+                      PrecisionPolicy, SignedScaled, bisect, check_power,
+                      check_root, check_same_sign, normalize, parse_decimal,
                       parse_integer, renormalized, shift10)
 from .trace import foot_label
 
@@ -37,6 +37,7 @@ RESOLUTION_LADDER = (Decimal("1e-5"), Decimal("5e-7"),
                      Decimal("2e-7"), Decimal("1e-10"))
 
 N_ARMS = 10                   # telescopic perpendiculars on the device
+ARM_MIN, ARM_MAX = Decimal("0.01"), Decimal("2.0")   # their range, metres
 _LEVEL_STEP_CAP = 10 ** 4
 _CF_TERM_FLOOR = Decimal("1e-12")
 _CF_MAX_DEPTH = 16
@@ -50,15 +51,14 @@ def arm_id(i: int) -> str:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Graduation size and telescopic range of the perpendicular arms."""
+    """Graduation size of every length the operator sets or reads."""
 
     resolution: Decimal = DEFAULT_RESOLUTION
-    arm_min: Decimal = Decimal("0.01")
-    arm_max: Decimal = Decimal("2.0")
 
     def __post_init__(self):
-        if not (0 < self.resolution < self.arm_min < self.arm_max):
-            raise DomainError("need 0 < resolution < arm_min < arm_max")
+        if not (0 < self.resolution < ARM_MIN):
+            raise DomainError(f"need 0 < resolution < {ARM_MIN}, the "
+                              "shortest arm")
         object.__setattr__(self, "_ratio", self.resolution.as_integer_ratio())
 
     def quantize(self, length: Decimal) -> Decimal:
@@ -87,49 +87,37 @@ class MeasurementModel:
 
 @dataclass
 class DeviceState:
-    """An assembled triangle: the set main arms and the true lengths of
-    its first `depth` perpendiculars, BD, DE, ... (unquantized)."""
+    """An assembled triangle: the set main arms and the true length of
+    its arm BD (unquantized)."""
 
-    model: MeasurementModel
     bc_set: Decimal
     ac_set: Decimal
     cos_c: Decimal            # bc_set / ac_set, known exactly once set
     perp_ab: Decimal          # AB as set
-    arm_lengths: list[Decimal]
+    bd: Decimal
 
 
-def assemble(cos_c: Decimal, perp: Decimal, depth: int,
+def assemble(bc: Decimal, ac: Decimal, perp: Decimal,
              model: MeasurementModel,
-             policy: PrecisionPolicy = DEFAULT_POLICY,
-             settings: tuple[Decimal, Decimal] | None = None) -> DeviceState:
-    """Set the angle and AB on the graduations, fasten `depth` arms.
+             policy: PrecisionPolicy = DEFAULT_POLICY) -> DeviceState:
+    """Set BC, AC and AB on the graduations and fasten the arm BD.
 
-    `settings` names the (BC, AC) pair the operator dials in; by
-    default BC = cos_c against a unit AC.  Perpendicular lengths are
-    geometric consequences and must stay inside the telescopic range.
+    BD is a geometric consequence and must stay inside the telescopic
+    range [ARM_MIN, ARM_MAX].
     """
-    if depth > N_ARMS:
-        raise DepthExceeded(f"{depth} perpendiculars on {N_ARMS} arms")
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
     ctx = policy.oracle_ctx()
-    bc_req, ac_req = settings if settings is not None else (cos_c, _ONE)
-    bc = model.quantize(bc_req)
-    ac = model.quantize(ac_req)
+    bc, ac = model.quantize(bc), model.quantize(ac)
     if bc <= 0 or ac <= 0 or bc >= ac:
         raise DegenerateAngle(f"settings BC={bc} AC={ac} leave no triangle")
     cos_true = ctx.divide(bc, ac)
     ab = model.quantize(perp)
     if ab <= 0:
         raise DegenerateAngle("AB quantized to zero")
-    lengths, p = [], ab
-    for i in range(1, depth + 1):
-        p = ctx.multiply(p, cos_true)
-        if not (model.arm_min <= p <= model.arm_max):
-            raise ArmOutOfRange(f"arm {arm_id(i)} would be {p}")
-        lengths.append(p)
-    return DeviceState(model=model, bc_set=bc, ac_set=ac, cos_c=cos_true,
-                       perp_ab=ab, arm_lengths=lengths)
+    bd = ctx.multiply(ab, cos_true)
+    if not (ARM_MIN <= bd <= ARM_MAX):
+        raise ArmOutOfRange(f"arm BD would be {bd}")
+    return DeviceState(bc_set=bc, ac_set=ac, cos_c=cos_true, perp_ab=ab,
+                       bd=bd)
 
 
 @dataclass(frozen=True)
@@ -243,7 +231,7 @@ def _staged_power(run: _Run, x_mant: Decimal, n: int
     the ideal x**n).  Telescoped value of the result: reading * 10**-J.
     """
     ctx, h, model = run.ctx, run.h, run.model
-    state = assemble(x_mant, _ONE, 1, model, policy=run.policy)
+    state = assemble(x_mant, _ONE, _ONE, model, run.policy)
     cos_true = state.cos_c
     cos_iv = _point(x_mant).widen(h).div(_point(state.ac_set))
     ab = state.perp_ab            # set exactly on a graduation
@@ -254,12 +242,12 @@ def _staged_power(run: _Run, x_mant: Decimal, n: int
         d, p = 0, ab
         while d < min(N_ARMS, n - done):
             nxt = ctx.multiply(p, cos_true)
-            if nxt < model.arm_min:
+            if nxt < ARM_MIN:
                 break
             d, p = d + 1, nxt
         if d == 0:
             raise ArmOutOfRange(
-                f"cos {cos_true} collapses below arm_min from {ab}")
+                f"cos {cos_true} collapses below {ARM_MIN} from {ab}")
         reading = run.read(arm_id(d), p)
         iv = ab_iv.mul(cos_iv.pow_int(d)).widen(shift10(h, -shift_j))
         done += d
@@ -278,9 +266,7 @@ def _quotient(run: _Run, ab: Decimal, ab_iv: _Iv, hyp: Decimal,
     Returns the reading and its interval, for AB in `ab_iv` and the
     hypotenuse in `hyp_iv`.
     """
-    state = assemble(_ONE, ab, 1, run.model, settings=(_ONE, hyp),
-                     policy=run.policy)
-    bd = run.read("BD", state.arm_lengths[0])
+    bd = run.read("BD", assemble(_ONE, hyp, ab, run.model, run.policy).bd)
     return bd, ab_iv.mul(_point(_ONE).div(hyp_iv)).widen(run.h)
 
 
@@ -320,8 +306,8 @@ def _script_multiply(run: _Run, a: SignedScaled,
                      b: SignedScaled) -> MeasuredResult:
     """One perpendicular: AB = Q(a), cos C = Q(b)/Q(1), read BD = a*b."""
     h = run.h
-    state = assemble(b.mantissa, a.mantissa, 1, run.model, policy=run.policy)
-    bd = run.read("BD", state.arm_lengths[0])
+    state = assemble(b.mantissa, _ONE, a.mantissa, run.model, run.policy)
+    bd = run.read("BD", state.bd)
     cos_iv = _point(b.mantissa).widen(h).div(_point(state.ac_set))
     iv = _point(a.mantissa).widen(h).mul(cos_iv).widen(h)
     return run.package(a.sign * b.sign, bd, a.exponent + b.exponent, iv)
@@ -393,7 +379,7 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
         return run.package(x.sign, r, x.exponent, _point(x.mantissa).widen(h))
     k = -((-x.exponent) // n)           # ceil(exponent / n)
     target = shift10(x.mantissa, x.exponent - n * k)   # telescoped, < 1
-    arm_min, quantize = model.arm_min, model.quantize
+    quantize = model.quantize
 
     def chain(c: Decimal, with_log: bool):
         # continuous rotation; only re-anchor readings quantize
@@ -401,7 +387,7 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
         for i in range(n):
             p = ctx.multiply(p, c)
             d_since += 1
-            if i + 1 < n and (ctx.multiply(p, c) < arm_min
+            if i + 1 < n and (ctx.multiply(p, c) < ARM_MIN
                               or d_since == N_ARMS):
                 q = run.read(arm_id(d_since), p) if with_log else quantize(p)
                 anchors.append(q)
@@ -439,19 +425,14 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
 # --- exponent recovery on the device ------------------------------------
 
 def _corner_exponent(u_iv: _Iv, w_iv: _Iv, ctx: Context) -> _Iv:
-    """Interval of ln w / ln u over interval corners, u and w in (0, 1)."""
-    vals = []
-    for u in (u_iv.lo, u_iv.hi):
-        if not 0 < u < 1:
-            continue
-        lu = ctx.ln(u)
-        for w in (w_iv.lo, w_iv.hi):
-            if not 0 < w < 1:
-                continue
-            vals.append(ctx.divide(ctx.ln(w), lu))
-    if not vals:
-        raise DomainError("interval collapsed out of (0, 1)")
-    return _Iv(min(vals), max(vals))
+    """Interval of ln w / ln u for u in u_iv and w in w_iv, with u.lo and
+    w.lo in (0, 1).  It starts at 0 when w reaches 1 and is unbounded
+    above when u reaches 1."""
+    lo = (Decimal(0) if w_iv.hi >= 1
+          else ctx.divide(ctx.ln(w_iv.hi), ctx.ln(u_iv.lo)))
+    hi = (_POS_INF if u_iv.hi >= 1
+          else ctx.divide(ctx.ln(w_iv.lo), ctx.ln(u_iv.hi)))
+    return _Iv(lo, hi)
 
 
 def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: _Iv, v: Decimal):
@@ -466,8 +447,7 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: _Iv, v: Decimal):
     the level by corner exponents instead.
     """
     ctx, h, model = run.ctx, run.h, run.model
-    state = assemble(u_set, _ONE, 1, model, settings=(u_set, _ONE),
-                     policy=run.policy)
+    state = assemble(u_set, _ONE, _ONE, model, run.policy)
     cos_true = state.cos_c
     anchor = state.perp_ab
     cur_iv = _point(anchor)
@@ -477,7 +457,7 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: _Iv, v: Decimal):
         d, p = 0, anchor
         while d < N_ARMS:
             nxt = ctx.multiply(p, cos_true)
-            if nxt < model.arm_min:
+            if nxt < ARM_MIN:
                 if d:
                     break
                 raise ArmOutOfRange("arm collapsed below range at "
@@ -556,6 +536,9 @@ def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
         level = _point(Decimal(t)).add(_point(_ONE).div(level))
     if swapped:
         level = _point(_ONE).div(level)
+    if level.hi == _POS_INF:
+        raise DegenerateAngle("the cosine band reaches 1, so the exponent "
+                              "has no upper bound")
     return run.package(1, ctx.divide(ctx.add(level.lo, level.hi), _TWO), 0,
                        level)
 

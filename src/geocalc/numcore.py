@@ -55,8 +55,7 @@ _CHUNK, _DRAWN = 16, 4
 
 
 def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
-           collapsed=None,
-           window: tuple[Decimal, Decimal] | None = None,
+           collapsed, window: tuple[Decimal, Decimal] | None = None,
            draw=None) -> tuple[Decimal, Decimal, Decimal, bool]:
     """Halve [lo, hi] under ctx; return (c, lo, hi, accepted).
 
@@ -96,7 +95,7 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
                         lo = c
                     elif c > above:
                         hi = c
-                    elif collapsed is not None and collapsed(lo, hi):
+                    elif collapsed(lo, hi):
                         break
                     else:
                         s = side(c, i)
@@ -106,13 +105,13 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
                         saved = lo, hi, i + 1
                 else:
                     i += 1
-                    if collapsed is None or not collapsed(lo, hi):
+                    if not collapsed(lo, hi):
                         saved = lo, hi, i
                         continue
                 break
             lo, hi, i = saved
         c = divide(add(lo, hi), _TWO)
-        if collapsed is not None and collapsed(lo, hi):
+        if collapsed(lo, hi):
             return c, lo, hi, False
         if i < drawn:
             draw(c, i)
@@ -190,21 +189,19 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Working and reference precisions plus the default tolerance.
+    """Working precision plus the default tolerance; the reference
+    (oracle) context runs at twice the working digits.
 
     rel_tol defaults to 10**(1 - working_digits): one unit in the last
     working mantissa place, relative.
     """
 
     working_digits: int = 30
-    oracle_digits: int = 60
     rel_tol: Decimal | None = None
 
     def __post_init__(self):
         if self.working_digits < 15:
             raise DomainError("working_digits must be at least 15")
-        if self.oracle_digits < 2 * self.working_digits:
-            raise DomainError("oracle_digits must be at least twice working_digits")
         if self.rel_tol is None:
             object.__setattr__(
                 self, "rel_tol", Decimal(1).scaleb(1 - self.working_digits)
@@ -217,7 +214,7 @@ class PrecisionPolicy:
                        Emin=-_EMAX, Emax=_EMAX)
 
     def oracle_ctx(self) -> Context:
-        return Context(prec=self.oracle_digits, rounding=ROUND_HALF_EVEN,
+        return Context(prec=2 * self.working_digits, rounding=ROUND_HALF_EVEN,
                        Emin=-_EMAX, Emax=_EMAX)
 
 
@@ -343,7 +340,10 @@ def parse_integer(text: str) -> int:
 
 def normalize(text: str) -> SignedScaled:
     """Parse a nonzero decimal literal into scaled form."""
-    return SignedScaled.from_decimal(parse_decimal(text))
+    try:
+        return SignedScaled.from_decimal(parse_decimal(text))
+    except ExponentOverflow:
+        raise ExponentOverflow("operand exponent out of range") from None
 
 
 def to_text(v: SignedScaled, digits: int) -> str:

@@ -85,9 +85,9 @@ class TraceRecorder:
                   ("from", frm), ("onto", onto), ("foot", foot),
                   ("length", str(length)))
 
-    def bisect(self, vertex: str, cos_full: Decimal, cos_half: Decimal):
+    def bisect(self, cos_full: Decimal, cos_half: Decimal):
         self._add("bisect-angle",
-                  ("vertex", vertex), ("cos-full", str(cos_full)),
+                  ("vertex", "C"), ("cos-full", str(cos_full)),
                   ("cos-half", str(cos_half)))
 
     def rotate(self, pivot: str, cos_c: Decimal, iteration: int):

@@ -118,7 +118,7 @@ ROOT_CASES = len(DIGITS) * 7 * (len(INDICES) * 5 - 1)
 def test_root_searches_match_the_step_loop(monkeypatch):
     cases = 0
     for digits, rel_tol, n, target in _root_cases(random.Random(1414)):
-        ctx = PrecisionPolicy(digits, 2 * digits).ctx()
+        ctx = PrecisionPolicy(digits).ctx()
 
         def search():
             return solve_cos_power(n, target, ctx, rel_tol)
@@ -159,7 +159,7 @@ def test_rotate_means_match_the_step_loop(monkeypatch):
     cases = 0
     for digits in DIGITS:
         for rel_tol in _tolerances(digits):
-            policy = PrecisionPolicy(digits, 2 * digits, rel_tol)
+            policy = PrecisionPolicy(digits, rel_tol)
             for a, b in _operand_pairs(rng, digits):
                 def search():
                     return geometric_mean(normalize(a), normalize(b), policy,
@@ -197,13 +197,13 @@ def test_traced_searches_match_the_old_traced_path(monkeypatch):
     """
     searches = []
     for digits, rel_tol, n, target in _root_cases(random.Random(1414)):
-        ctx = PrecisionPolicy(digits, 2 * digits).ctx()
+        ctx = PrecisionPolicy(digits).ctx()
         searches.append((roots, partial(solve_cos_power, n, target, ctx,
                                         rel_tol)))
     rng = random.Random(1415)
     for digits in DIGITS:
         for rel_tol in _tolerances(digits):
-            policy = PrecisionPolicy(digits, 2 * digits, rel_tol)
+            policy = PrecisionPolicy(digits, rel_tol)
             searches += [(cascade, partial(_rotating_mean, a, b, policy))
                          for a, b in _operand_pairs(rng, digits)]
     assert len(searches) == ROOT_CASES + len(DIGITS) * 7 * 7

@@ -160,6 +160,17 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2 and "EvenRootOfNegative" in err
 
 
+@pytest.mark.parametrize("argv, whose", [
+    (("pow", "1e1000000000", "1"), "operand"),
+    (("ln", "1e1000000000"), "operand"),
+    (("mul", "1e900000000", "1e900000000"), "result"),
+])
+def test_exponent_overflow_names_operand_or_result(capsys, argv, whose):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: ExponentOverflow: {whose} exponent out of range\n"
+
+
 def test_missing_script_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", str(tmp_path / "absent.txt"))
     assert code == 2 and "absent.txt" in err

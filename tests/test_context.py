@@ -46,7 +46,7 @@ OPS = {
     "gmean rotate": lambda: geometric_mean(N("2"), N("18.5"),
                                            method="rotate"),
     "gmean rotate 62 digits": lambda: geometric_mean(
-        N("2"), N("18.5"), PrecisionPolicy(62, 124), method="rotate"),
+        N("2"), N("18.5"), PrecisionPolicy(62), method="rotate"),
     # the mean cosine lies above 1 - 1e-15
     "gmean rotate near one": lambda: geometric_mean(
         N("2"), N("2.00000000000000000001"), method="rotate"),
@@ -56,7 +56,7 @@ OPS = {
     "root index 999999937": lambda: nth_root(RootQuery(N("0.5972e25"),
                                                        999999937)),
     "root 62 digits": lambda: nth_root(RootQuery(N("0.5972e25"), 7),
-                                       PrecisionPolicy(62, 124)),
+                                       PrecisionPolicy(62)),
     "powfrac compose": lambda: rational_power(N("2"), 7, 5),
     "powfrac split": lambda: rational_power(N("2"), 7, 5, strategy="split"),
     "euler": lambda: approximate_e(10 ** 6),

@@ -93,8 +93,7 @@ def units(label: str, args: tuple) -> int:
 @pytest.mark.parametrize("tol", TOLS, ids=("default", "1e-5", "0.3"))
 @pytest.mark.parametrize("digits", DIGITS)
 def test_engine_agrees_with_the_oracle_over_the_domain(digits, tol):
-    policy = PrecisionPolicy(working_digits=digits, oracle_digits=2 * digits,
-                             rel_tol=tol)
+    policy = PrecisionPolicy(working_digits=digits, rel_tol=tol)
     ctx = policy.oracle_ctx()
     rng = random.Random(f"{SEED}:{digits}:{tol}")
     bad = []

@@ -121,6 +121,13 @@ def test_antilog_worked_value():
     assert rel_diff(got.value(), want, ORACLE_CTX) <= Decimal("1e-6")
 
 
+def test_antilog_of_an_integer_is_a_power_of_the_internal_base():
+    # an integer t takes no rational power: e**2 within the base's bias
+    got = antilog(Decimal(2), policy=POL)
+    want = ORACLE_CTX.exp(Decimal(2))
+    assert rel_diff(got.value(), want, ORACLE_CTX) <= Decimal("2e-8")
+
+
 def test_round_trip_antilog_of_log():
     for text in ("151", "2.5", "0.37", "98", "1896.998"):
         x = normalize(text)

@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
-                     DegenerateAngle, DepthExceeded, GeocalcError,
+                     DegenerateAngle, GeocalcError,
                      MeasurementModel, ParseError, PrecisionPolicy,
                      RESOLUTION_LADDER, RootQuery, assemble, divide,
                      geometric_mean, multiply, normalize, nth_root,
                      oracle_eval, power, rational_power,
                      recover_rational_exponent, run_op, run_script, shift10)
 from geocalc import mechsim
-from geocalc.mechsim import SCRIPTS, arm_id, parse_script_line
+from geocalc.mechsim import ARM_MIN, SCRIPTS, arm_id, parse_script_line
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()
@@ -105,38 +105,35 @@ def test_arm_ids_walk_the_foot_labels():
 
 def test_assemble_quantizes_settings_and_fastens():
     m = MeasurementModel()
-    st = assemble(Decimal("0.654321987"), ONE, 3, m)
+    st = assemble(Decimal("0.654321987"), ONE, ONE, m)
     assert st.bc_set == Decimal("0.65432")
     assert st.ac_set == ONE
     # realized cosine comes from the set lengths, not the request
     assert st.cos_c == ORACLE_CTX.divide(st.bc_set, st.ac_set)
-    assert len(st.arm_lengths) == 3
+    assert st.bd == ORACLE_CTX.multiply(st.perp_ab, st.cos_c)
     assert m.quantize(st.bc_set) == st.bc_set
 
 
-def test_assemble_rejects_degenerate_and_deep():
+def test_assemble_rejects_degenerate_settings():
     m = MeasurementModel()
     with pytest.raises(DegenerateAngle):
-        assemble(ONE, ONE, 1, m)
+        assemble(ONE, ONE, ONE, m)
     with pytest.raises(DegenerateAngle):
-        assemble(Decimal("0.000001"), ONE, 1, m)
-    with pytest.raises(DepthExceeded):
-        assemble(Decimal("0.5"), ONE, 11, m)
+        assemble(Decimal("0.000001"), ONE, ONE, m)
 
 
 def test_arm_range_guard():
     m = MeasurementModel()
-    # 0.02**2 = 0.0004 falls below the 0.01 telescopic minimum
+    # BD = 0.02 * 0.2 = 0.004 falls below the 0.01 telescopic minimum
     with pytest.raises(ArmOutOfRange):
-        assemble(Decimal("0.02"), ONE, 2, m)
+        assemble(Decimal("0.02"), ONE, Decimal("0.2"), m)
 
 
 def test_readings_sit_on_the_grid():
     m = MeasurementModel()
-    st = assemble(Decimal("0.654321"), ONE, 4, m)
-    for i in (1, 2, 3, 4):
-        r = m.quantize(st.arm_lengths[i - 1])
-        assert (r / m.resolution) == int(r / m.resolution)
+    st = assemble(Decimal("0.654321"), ONE, ONE, m)
+    r = m.quantize(st.bd)
+    assert (r / m.resolution) == int(r / m.resolution)
 
 
 def test_non_integer_operand_is_a_parse_error():
@@ -290,7 +287,7 @@ def test_cf_soundness_across_bases_targets_and_ladder():
             try:
                 got = run_op("cf", [x, a], m, POL)
             except ArmOutOfRange:
-                assert cos_c < m.arm_min, (x, a, res)
+                assert cos_c < ARM_MIN, (x, a, res)
                 continue
             truth = ctx.divide(ctx.ln(Decimal(a)), ctx.ln(Decimal(x)))
             err = ctx.subtract(got.value.value(), truth).copy_abs()
@@ -350,7 +347,7 @@ def test_half_width_covers_the_interval_at_few_oracle_digits(monkeypatch):
 
     monkeypatch.setattr(mechsim._Run, "package", spy)
     rng = random.Random(709)
-    m, pol = MeasurementModel(), PrecisionPolicy(15, 30)
+    m, pol = MeasurementModel(), PrecisionPolicy(15)
     for _ in range(20):
         a, b = (f"0.{rng.randrange(10 ** 11, 10 ** 12)}e{rng.randint(-9, 9)}"
                 for _ in range(2))
@@ -410,3 +407,33 @@ def test_device_cf_tail_bound_is_sound_at_every_rung(monkeypatch, x):
         got = run_op("cf", args, MeasurementModel(resolution=res), POL)
         err = (got.value.value() - _truth80("cf", args)).copy_abs()
         assert err <= got.half_width, (args, res)
+
+
+def test_cf_level_with_a_cosine_band_reaching_one_is_sound():
+    # the second level's residual is clamped at 1, so its exponent has
+    # no upper bound and the first term alone bounds the band
+    args = ["3", "27.0035597384564737318340895954"]
+    got = run_op("cf", args, MeasurementModel(), POL)
+    err = (got.value.value() - _truth80("cf", args)).copy_abs()
+    assert err <= got.half_width
+
+
+def test_corner_exponent_spans_zero_to_unbounded_at_one():
+    iv, ctx = mechsim._Iv, POL.oracle_ctx()
+    u, w = iv(Decimal("0.5"), Decimal("0.6")), iv(Decimal("0.1"), Decimal("0.2"))
+    got = mechsim._corner_exponent(u, w, ctx)
+    assert got.lo == ctx.divide(ctx.ln(w.hi), ctx.ln(u.lo))
+    assert got.hi == ctx.divide(ctx.ln(w.lo), ctx.ln(u.hi))
+    got = mechsim._corner_exponent(iv(u.lo, ONE), iv(w.lo, ONE), ctx)
+    assert got.lo == 0 and got.hi == Decimal("Infinity")
+
+
+def test_device_cf_refuses_a_level_bounded_by_nothing(monkeypatch):
+    unbounded = mechsim._Iv(ONE, Decimal("Infinity"))
+    monkeypatch.setattr(mechsim, "_cf_level_steps", lambda *_: None)
+    monkeypatch.setattr(mechsim, "_corner_exponent", lambda *_: unbounded)
+    with pytest.raises(DegenerateAngle, match="no upper bound"):
+        run_op("cf", ["2", "8"], MeasurementModel(), POL)
+    # a swapped level is the reciprocal: t in [0, 1]
+    got = run_op("cf", ["8", "2"], MeasurementModel(), POL)
+    assert got.value.value() == Decimal("0.5") == got.half_width

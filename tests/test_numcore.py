@@ -86,9 +86,10 @@ def test_scaled_exponent_stays_within_the_bound():
     assert normalize("9.9e999999999").exponent == 10 ** 9
     assert normalize("1e-1000000001").exponent == -(10 ** 9)
     for text in ("1e1000000000", "-1e-1000000002"):
-        with pytest.raises(ExponentOverflow, match="exponent out of range"):
+        with pytest.raises(ExponentOverflow,
+                           match="^operand exponent out of range"):
             normalize(text)
-    with pytest.raises(ExponentOverflow):
+    with pytest.raises(ExponentOverflow, match="^result exponent"):
         renormalized(1, Decimal(5), 10 ** 9)
 
 
@@ -151,7 +152,7 @@ def test_to_text_round_trips_through_normalize():
 
 
 def test_policy_contexts():
-    pol = PrecisionPolicy(working_digits=30, oracle_digits=60)
+    pol = PrecisionPolicy(working_digits=30)
     assert pol.ctx().prec == 30
     assert pol.oracle_ctx().prec == 60
     # default search tolerance leaves one digit of headroom
@@ -205,10 +206,15 @@ def sign_of(x):
     return lambda c, i: CTX.compare(c, x)
 
 
+def never(lo, hi):
+    """A collapse rule that never stops a search."""
+    return False
+
+
 def test_bisect_accepts_a_midpoint():
     # 0.5 is too high, 0.25 is the solution
     c, lo, hi, accepted = bisect(sign_of(Decimal("0.25")), Decimal(0),
-                                 Decimal(1), CTX, "test")
+                                 Decimal(1), CTX, "test", never)
     assert (c, lo, hi, accepted) == (Decimal("0.25"), 0, Decimal("0.5"), True)
 
 
@@ -230,7 +236,7 @@ def test_bisect_raises_when_the_precision_cannot_split_the_bracket():
         return CTX.compare(c, THIRD) or 1  # never accepts
 
     with pytest.raises(NoConvergence, match="20 digits"):
-        bisect(side, Decimal(0), Decimal(1), CTX, "test")
+        bisect(side, Decimal(0), Decimal(1), CTX, "test", never)
     # 20 digits hold about 66 halvings of the unit bracket, not 200
     assert 60 < len(steps) < 80
 
@@ -250,7 +256,8 @@ def test_bisect_follows_rising_and_falling_objectives(rising):
             return 0
         return err if rising else err.copy_negate()
 
-    c, lo, hi, accepted = bisect(side, Decimal(0), Decimal(1), CTX, "test")
+    c, lo, hi, accepted = bisect(side, Decimal(0), Decimal(1), CTX, "test",
+                                 never)
     assert accepted and lo < c < hi
     assert abs(CTX.multiply(c, c) - target) <= tol
 
@@ -299,7 +306,7 @@ def test_bisect_midpoint_can_round_past_an_end():
     def outcome(window):
         try:
             return bisect(lambda c, i: ctx.compare(c, x), lo, hi, ctx, "test",
-                          None, window)
+                          never, window)
         except NoConvergence as exc:
             return str(exc)
 

@@ -125,7 +125,7 @@ def test_newton_window_leaves_every_search_bit_identical():
     rng = random.Random(1313)
     cases = 0
     for digits in (30, 50, 62):
-        ctx = PrecisionPolicy(digits, 2 * digits).ctx()
+        ctx = PrecisionPolicy(digits).ctx()
         tols = [Decimal(1).scaleb(1 - digits), Decimal("1e-5"),
                 Decimal("1e-12"), Decimal("0.3"), Decimal("0.9"),
                 Decimal(1).scaleb(-digits - 3)]
@@ -233,6 +233,20 @@ def test_rational_power_reductions():
     half = rational_power(x, 2, 4, POL)
     root2 = nth_root(RootQuery(x, 2), POL)
     assert rel(half, root2) <= Decimal("1e-15")
+
+
+def test_rational_power_split_with_an_index_dividing_m():
+    # 3**(6/3): the split strategy takes no root when n divides m
+    got = rational_power(normalize("3"), 6, 3, POL, strategy="split")
+    assert got == normalize("9")
+
+
+@pytest.mark.parametrize("text", ["3", "-2", "0.004"])
+def test_rational_power_of_zero_m_is_one(text):
+    x, one = normalize(text), normalize("1")
+    for strategy in ("compose", "split"):
+        assert rational_power(x, 0, 3, POL, strategy=strategy) == one
+    assert oracle_eval("powfrac", (x, 0, 3), POL) == one
 
 
 def test_rational_power_negative_exponent():
