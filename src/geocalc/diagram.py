@@ -14,7 +14,7 @@ height-normalized and laid out left to right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InconsistentTrace
 from .trace import TraceStep, parse_trace
@@ -33,52 +33,56 @@ _STYLE = (
     ".mark{stroke:#777;stroke-width:0.8;fill:none}"
     ".pt{fill:#1a1a2e}"
 )
-
-
-def _fmt(x: float) -> str:
-    v = 0.0 if x == 0.0 else x   # normalize -0.0
-    return f"{v:.9f}"
-
-
-@dataclass
-class _Seg:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    cls: str
+_HEAD = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+         f'width="{int(_W)}" height="{int(_H)}" '
+         f'viewBox="0 0 {int(_W)} {int(_H)}">\n<style>{_STYLE}</style>\n'
+         '<rect width="100%" height="100%" fill="#fdfdfd"/>')
 
 
 @dataclass
 class _Scene:
-    segments: list
-    marks: list          # ((fx, fy), (ax, ay), (bx, by), foot, onto, back)
-    points: list         # (label, x, y)
-    captions: list
+    """World vertices, and what is drawn on them by vertex index."""
+
+    xs: list = field(default_factory=list)
+    ys: list = field(default_factory=list)
+    segments: list = field(default_factory=list)  # (i, j, cls)
+    # (k, ax, ay, bx, by, foot, onto, back): unit arms a, b at vertex k
+    marks: list = field(default_factory=list)
+    points: list = field(default_factory=list)    # (label, k)
+    captions: list = field(default_factory=list)
+
+    def vertex(self, x: float, y: float) -> int:
+        self.xs.append(x)
+        self.ys.append(y)
+        return len(self.xs) - 1
 
     def bounds(self):
-        xs, ys = [], []
-        for s in self.segments:
-            xs += [s.x1, s.x2]
-            ys += [s.y1, s.y2]
-        for _, x, y in self.points:
-            xs.append(x)
-            ys.append(y)
-        if not xs:
+        if not self.xs:
             raise InconsistentTrace("nothing to draw")
-        return min(xs), min(ys), max(xs), max(ys)
+        xs, ys = self.xs, self.ys
+        x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+        # coordinates come from the trace's finite numbers by + - * / and
+        # sqrt, so a NaN follows an infinite coordinate, which makes a span
+        # infinite; finite spans also keep the screen mapping finite
+        if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+            raise InconsistentTrace("the construction overflows a float")
+        return x0, y0, x1, y1
 
 
-def _num(step: TraceStep, key: str) -> float:
+def _num(step: TraceStep, key: str, attrs: dict) -> float:
     """A numeric attribute of step: finite, or the trace is inconsistent."""
     try:
-        v = float(step.get(key))
+        v = float(attrs.get(key))
     except (TypeError, ValueError):
         v = math.nan
     if not math.isfinite(v):
         raise InconsistentTrace(
-            f"{step.kind} needs a finite {key}=, got {step.get(key)!r}")
+            f"{step.kind} needs a finite {key}=, got {attrs.get(key)!r}")
     return v
+
+
+def _attrs(step: TraceStep) -> dict:
+    return dict(step.attrs[::-1])   # the first of a repeated key wins
 
 
 def _cos_sin(cos_v: float):
@@ -102,12 +106,17 @@ def _split_groups(steps: list[TraceStep]) -> list[list[TraceStep]]:
     return [steps[a:b] for a, b in zip(cuts, cuts[1:] + [len(steps)])]
 
 
+def _caption(st: TraceStep) -> str:
+    a = _attrs(st)
+    return f"measure {a.get('segment')} = {a.get('value')}"
+
+
 def _build_panel(steps: list[TraceStep]) -> _Scene:
-    scene = _Scene(segments=[], marks=[], points=[], captions=[])
+    scene = _Scene()
     i = 0
     trial_cosines = []
     while i < len(steps) and steps[i].kind == "rotate-hypotenuse":
-        trial_cosines.append(_num(steps[i], "cos"))
+        trial_cosines.append(_num(steps[i], "cos", _attrs(steps[i])))
         i += 1
     if i == len(steps) or steps[i].kind != "construct-angle-from-cosine":
         # a pure rotation fan is legal: trials plus measured lengths
@@ -117,50 +126,50 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
                 if st.kind != "measure-length":
                     raise InconsistentTrace(
                         "construction must open with its angle")
-                scene.captions.append(
-                    f"measure {st.get('segment')} = {st.get('value')}")
+                scene.captions.append(_caption(st))
             return scene
         raise InconsistentTrace("construction must open with its angle")
-    cos_work = _num(steps[i], "cos")
+    cos_work = _num(steps[i], "cos", _attrs(steps[i]))
     i += 1
     bisected_from = None
     if i < len(steps) and steps[i].kind == "bisect-angle":
-        bisected_from = _num(steps[i], "cos-full")
-        cos_work = _num(steps[i], "cos-half")
+        a = _attrs(steps[i])
+        bisected_from = _num(steps[i], "cos-full", a)
+        cos_work = _num(steps[i], "cos-half", a)
         i += 1
     drops = []
-    while i < len(steps):
-        st = steps[i]
+    for st in steps[i:]:
         if st.kind == "drop-perpendicular":
-            drops.append((st.get("from"), st.get("onto"), st.get("foot"),
-                          _num(st, "length")))
+            a = _attrs(st)
+            drops.append((a.get("from"), a.get("onto"), a.get("foot"),
+                          _num(st, "length", a)))
         elif st.kind == "measure-length":
-            scene.captions.append(
-                f"measure {st.get('segment')} = {st.get('value')}")
+            scene.captions.append(_caption(st))
         else:
             raise InconsistentTrace(f"unexpected step {st.kind!r} mid-trace")
-        i += 1
     c, s = _cos_sin(cos_work)
-    # infer AB from the first drop: every drop shrinks by cos C
-    ab = drops[0][3] / c if drops else 1.0
+    # infer AB from the first drop: every drop shrinks by cos C; at
+    # cos C = 0 the first drop breaks the chain below
+    ab = drops[0][3] / c if drops and c else 1.0
     bx = ab * c / s
     hyp_len = ab / s
-    scene.points += [("C", 0.0, 0.0), ("B", bx, 0.0), ("A", bx, ab)]
-    scene.segments.append(_Seg(0.0, 0.0, bx, 0.0, "main"))
-    scene.segments.append(_Seg(bx, 0.0, bx, ab, "main"))
-    scene.segments.append(_Seg(0.0, 0.0, bx, ab, "main"))
-    scene.marks.append(((bx, 0.0), (-1.0, 0.0), (0.0, 1.0), "B", "CX", "BA"))
+    # vertices 0, 1, 2 are C, B, A
+    vertex = scene.vertex
+    scene.points += [("C", vertex(0.0, 0.0)), ("B", vertex(bx, 0.0)),
+                     ("A", vertex(bx, ab))]
+    scene.segments += [(0, 1, "main"), (1, 2, "main"), (0, 2, "main")]
+    scene.marks.append((1, -1.0, 0.0, 0.0, 1.0, "B", "CX", "BA"))
     for tc in trial_cosines:
         tcc, tcs = _cos_sin(tc)
-        scene.segments.append(
-            _Seg(0.0, 0.0, hyp_len * tcc, hyp_len * tcs, "trial"))
+        scene.segments.append((0, vertex(hyp_len * tcc, hyp_len * tcs),
+                               "trial"))
     if bisected_from is not None:
         fc, fs = _cos_sin(bisected_from)
-        scene.segments.append(
-            _Seg(0.0, 0.0, hyp_len * fc, hyp_len * fs, "aux"))
-    px, py = bx, 0.0
+        scene.segments.append((0, vertex(hyp_len * fc, hyp_len * fs), "aux"))
+    px, py, kp = bx, 0.0, 1
     prev_label = "B"
     prev_len = ab
+    t_max, f_max = hyp_len * (1.0 + 1e-9), bx * (1.0 + 1e-9)
     for frm, onto, foot, length in drops:
         if frm != prev_label:
             raise InconsistentTrace(
@@ -171,62 +180,56 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
                 f"drop {frm}->{foot} length {length} breaks the cosine chain")
         if onto in ("CA", "CY"):
             t = px * c + py * s
-            if not -1e-9 <= t <= hyp_len * (1.0 + 1e-9):
+            if not -1e-9 <= t <= t_max:
                 raise InconsistentTrace(f"foot {foot} lands off the segment")
             fx, fy = t * c, t * s
             ux, uy = c, s
         else:
             fx, fy = px, 0.0
-            if not -1e-9 <= fx <= bx * (1.0 + 1e-9):
+            if not -1e-9 <= fx <= f_max:
                 raise InconsistentTrace(f"foot {foot} lands off the segment")
             ux, uy = 1.0, 0.0
-        scene.segments.append(_Seg(px, py, fx, fy, "perp"))
+        k = vertex(fx, fy)
+        scene.segments.append((kp, k, "perp"))
         dx, dy = px - fx, py - fy
         norm = math.sqrt(dx * dx + dy * dy)
         if norm > 0:
-            scene.marks.append(((fx, fy), (ux, uy), (dx / norm, dy / norm),
+            scene.marks.append((k, ux, uy, dx / norm, dy / norm,
                                 foot, onto, f"{foot}{frm}"))
-        scene.points.append((foot, fx, fy))
-        px, py = fx, fy
+        scene.points.append((foot, k))
+        px, py, kp = fx, fy, k
         prev_label, prev_len = foot, length
     return scene
 
 
 def _render_fan(scene: _Scene, cosines: list):
-    scene.points.append(("C", 0.0, 0.0))
-    scene.segments.append(_Seg(0.0, 0.0, 1.0, 0.0, "main"))
+    vertex = scene.vertex
+    scene.points.append(("C", vertex(0.0, 0.0)))
+    scene.segments.append((0, vertex(1.0, 0.0), "main"))
     for k, tc in enumerate(cosines):
         c, s = _cos_sin(tc)
         cls = "main" if k == len(cosines) - 1 else "trial"
-        scene.segments.append(_Seg(0.0, 0.0, c, s, cls))
+        scene.segments.append((0, vertex(c, s), cls))
 
 
 def _combine(panels: list[_Scene]) -> _Scene:
     if len(panels) == 1:
         return panels[0]
-    out = _Scene(segments=[], marks=[], points=[], captions=[])
+    out = _Scene()
     offset = 0.0
     for idx, sc in enumerate(panels):
         x0, y0, x1, y1 = sc.bounds()
         f = 1.0 / max(y1 - y0, 1e-9)
         suffix = "" if idx == 0 else str(idx + 1)
-
-        def mx(x):
-            return (x - x0) * f + offset
-
-        def my(y):
-            return (y - y0) * f
-
-        for sg in sc.segments:
-            out.segments.append(
-                _Seg(mx(sg.x1), my(sg.y1), mx(sg.x2), my(sg.y2), sg.cls))
-        for (fx, fy), a, b, foot, na, nb in sc.marks:
-            out.marks.append(((mx(fx), my(fy)), a, b,
-                              foot + suffix, na, nb))
-        for label, x, y in sc.points:
-            out.points.append((label + suffix, mx(x), my(y)))
-        out.captions.extend(sc.captions)
-        offset = mx(x1) + _PANEL_GAP
+        n = len(out.xs)
+        out.xs += [(x - x0) * f + offset for x in sc.xs]
+        out.ys += [(y - y0) * f for y in sc.ys]
+        out.segments += [(i + n, j + n, cls) for i, j, cls in sc.segments]
+        out.marks += [(k + n, ax, ay, bx, by, foot + suffix, na, nb)
+                      for k, ax, ay, bx, by, foot, na, nb in sc.marks]
+        out.points += [(label + suffix, k + n) for label, k in sc.points]
+        out.captions += sc.captions
+        offset = (x1 - x0) * f + offset + _PANEL_GAP
     return out
 
 
@@ -242,61 +245,45 @@ def render_svg(trace, title: str | None = None) -> str:
     caption_h = 18.0 * len(scene.captions) + (10.0 if scene.captions else 0.0)
     scale = min((_W - 2 * _MARGIN) / span_x,
                 (_H - 2 * _MARGIN - caption_h) / span_y)
-
-    def tx(x: float) -> float:
-        return _MARGIN + (x - x0) * scale
-
-    def ty(y: float) -> float:
-        return _H - _MARGIN - caption_h - (y - y0) * scale
-
-    out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{int(_W)}" height="{int(_H)}" '
-               f'viewBox="0 0 {int(_W)} {int(_H)}">')
-    out.append(f"<style>{_STYLE}</style>")
-    out.append('<rect width="100%" height="100%" fill="#fdfdfd"/>')
+    top = _H - _MARGIN - caption_h
+    # each vertex's screen position, printed once.  A sum or difference
+    # is -0.0 only if its first term is, and every printed number is one
+    # led by _MARGIN, top or a screen position: no "-0.000000000" appears
+    X = [_MARGIN + (x - x0) * scale for x in scene.xs]
+    Y = [top - (y - y0) * scale for y in scene.ys]
+    sx = [f"{v:.9f}" for v in X]
+    sy = [f"{v:.9f}" for v in Y]
+    out = [_HEAD]
     if title:
         text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        out.append(f'<text x="{_fmt(_MARGIN)}" y="24">{text}</text>')
+        out.append(f'<text x="{_MARGIN:.9f}" y="24">{text}</text>')
     out.append('<g id="segments">')
-    for seg in scene.segments:
-        out.append(f'<line class="{seg.cls}" x1="{_fmt(tx(seg.x1))}" '
-                   f'y1="{_fmt(ty(seg.y1))}" x2="{_fmt(tx(seg.x2))}" '
-                   f'y2="{_fmt(ty(seg.y2))}"/>')
-    out.append("</g>")
-    out.append('<g id="marks">')
+    out += [f'<line class="{cls}" x1="{sx[i]}" y1="{sy[i]}" x2="{sx[j]}" '
+            f'y2="{sy[j]}"/>' for i, j, cls in scene.segments]
+    out.append('</g>\n<g id="marks">')
     side = 9.0
-    for (fx, fy), (ax, ay), (bx, by), foot, na, nb in scene.marks:
+    for k, ax, ay, bx, by, foot, na, nb in scene.marks:
         # small square set into the right angle at the foot; the y axis
         # flips on screen, so world directions negate their y parts
-        cx, cy = tx(fx), ty(fy)
-        p1 = (cx + ax * side, cy - ay * side)
-        p2 = (p1[0] + bx * side, p1[1] - by * side)
-        p3 = (cx + bx * side, cy - by * side)
+        cx, cy = X[k], Y[k]
+        p1x, p1y = cx + ax * side, cy - ay * side
         out.append(f'<polyline class="mark" data-foot="{foot}" '
                    f'data-a="{na}" data-b="{nb}" points="'
-                   f'{_fmt(p1[0])},{_fmt(p1[1])} '
-                   f'{_fmt(p2[0])},{_fmt(p2[1])} '
-                   f'{_fmt(p3[0])},{_fmt(p3[1])}"/>')
-    out.append("</g>")
-    out.append('<g id="points">')
-    for label, x, y in scene.points:
-        out.append(f'<circle class="pt" data-label="{label}" '
-                   f'cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="2.5"/>')
-    out.append("</g>")
-    out.append('<g id="labels">')
-    for label, x, y in scene.points:
-        out.append(f'<text x="{_fmt(tx(x) + 6.0)}" '
-                   f'y="{_fmt(ty(y) - 6.0)}">{label}</text>')
-    out.append("</g>")
-    out.append('<g id="caption">')
-    cy0 = _H - _MARGIN - caption_h + 24.0
-    for k, line in enumerate(scene.captions):
-        out.append(f'<text x="{_fmt(_MARGIN)}" '
-                   f'y="{_fmt(cy0 + 18.0 * k)}">{line}</text>')
-    out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+                   f'{p1x:.9f},{p1y:.9f} '
+                   f'{p1x + bx * side:.9f},{p1y - by * side:.9f} '
+                   f'{cx + bx * side:.9f},{cy - by * side:.9f}"/>')
+    out.append('</g>\n<g id="points">')
+    out += [f'<circle class="pt" data-label="{label}" cx="{sx[k]}" '
+            f'cy="{sy[k]}" r="2.5"/>' for label, k in scene.points]
+    out.append('</g>\n<g id="labels">')
+    out += [f'<text x="{X[k] + 6.0:.9f}" y="{Y[k] - 6.0:.9f}">{label}</text>'
+            for label, k in scene.points]
+    out.append('</g>\n<g id="caption">')
+    cy0 = top + 24.0
+    out += [f'<text x="{_MARGIN:.9f}" y="{cy0 + 18.0 * k:.9f}">{line}</text>'
+            for k, line in enumerate(scene.captions)]
+    out.append("</g>\n</svg>\n")
+    return "\n".join(out)
 
 
 def write_svg(trace, path: str, title: str | None = None):

@@ -33,7 +33,7 @@ def foot_label(i: int) -> str:
     return f"T{i}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     kind: str
     attrs: tuple[tuple[str, str], ...]
@@ -49,22 +49,7 @@ class TraceStep:
         return default
 
     def to_line(self) -> str:
-        parts = [self.kind]
-        parts.extend(f"{k}={v}" for k, v in self.attrs)
-        return " ".join(parts)
-
-    @classmethod
-    def from_line(cls, line: str) -> "TraceStep":
-        fields = line.split()
-        if not fields:
-            raise InconsistentTrace("empty step line")
-        kind, attrs = fields[0], []
-        for f in fields[1:]:
-            if "=" not in f:
-                raise InconsistentTrace(f"malformed attribute {f!r}")
-            k, _, v = f.partition("=")
-            attrs.append((k, v))
-        return cls(kind, tuple(attrs))
+        return self.kind + "".join([f" {k}={v}" for k, v in self.attrs])
 
 
 @dataclass
@@ -74,7 +59,7 @@ class TraceRecorder:
     steps: list[TraceStep] = field(default_factory=list)
 
     def _add(self, kind: str, *attrs: tuple[str, str]):
-        self.steps.append(TraceStep(kind, tuple(attrs)))
+        self.steps.append(TraceStep(kind, attrs))
 
     def angle(self, cos_c: Decimal):
         self._add("construct-angle-from-cosine",
@@ -99,7 +84,7 @@ class TraceRecorder:
         self._add("measure-length", ("segment", segment), ("value", str(value)))
 
     def dumps(self) -> str:
-        return "".join(s.to_line() + "\n" for s in self.steps)
+        return "".join([f"{s.to_line()}\n" for s in self.steps])
 
     def write(self, path: str):
         with open(path, "w", encoding="ascii") as fh:
@@ -111,9 +96,15 @@ def parse_trace(text: str) -> list[TraceStep]:
     if any(ch in text for ch in '<>&"'):
         raise InconsistentTrace('trace holds one of the characters <>&"')
     steps = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line in text.splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        steps.append(TraceStep.from_line(line))
+        attrs = []
+        for f in fields[1:]:
+            k, eq, v = f.partition("=")
+            if not eq:
+                raise InconsistentTrace(f"malformed attribute {f!r}")
+            attrs.append((k, v))
+        steps.append(TraceStep(fields[0], tuple(attrs)))
     return steps

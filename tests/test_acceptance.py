@@ -241,6 +241,16 @@ GOLDEN_RECIPES = {
                                    normalize("7.348e22"), POL, recorder=r),
     "root_fan": lambda r: nth_root(RootQuery(normalize("0.5972e25"), 6),
                                    POL, recorder=r),
+    # two panels laid side by side by the renderer's _combine
+    "multiply_panels": lambda r: multiply(normalize("0.5972"),
+                                          normalize("0.7348"), POL,
+                                          recorder=r),
+    # a cascade, then rotation trials that travel with the root's angle
+    "powfrac_compose": lambda r: rational_power(normalize("0.6"), 5, 4, POL,
+                                                recorder=r,
+                                                strategy="compose"),
+    # feet past the letter pool: T11, T12
+    "power_deep": lambda r: power(normalize("0.93"), 12, POL, recorder=r),
 }
 
 

@@ -212,6 +212,17 @@ MALFORMED_TRACES = {
     "quote in foot": ("construct-angle-from-cosine vertex=C cos=0.6\n"
                       'drop-perpendicular from=B onto=CA foot=D"x '
                       "length=0.36\n"),
+    "zero cos": ("construct-angle-from-cosine vertex=C cos=0\n"
+                 "drop-perpendicular from=B onto=CA foot=D length=0.5\n"),
+    "overflowing side": ("construct-angle-from-cosine vertex=C cos=1e-300\n"
+                         "drop-perpendicular from=B onto=CA foot=D "
+                         "length=1e300\n"),
+    "overflowing panel": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                          "drop-perpendicular from=B onto=CA foot=D "
+                          "length=0.36\n"
+                          "construct-angle-from-cosine vertex=C cos=1e-320\n"
+                          "drop-perpendicular from=B onto=CA foot=D "
+                          "length=0.5\n"),
 }
 
 

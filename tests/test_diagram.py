@@ -1,5 +1,6 @@
 """Trace format round trips and the deterministic SVG renderer."""
 
+import dataclasses
 from decimal import Decimal
 
 import pytest
@@ -45,6 +46,19 @@ def test_trace_write_and_reload(tmp_path):
     assert parse_trace(p.read_text()) == list(rec.steps)
 
 
+def test_trace_steps_are_immutable_hashable_values():
+    rec = power_trace()
+    step = rec.steps[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.kind = "measure-length"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.attrs = ()
+    parsed = parse_trace(rec.dumps())
+    assert parsed == rec.steps
+    assert [hash(s) for s in parsed] == [hash(s) for s in rec.steps]
+    assert set(parsed) == set(rec.steps)
+
+
 def test_parse_rejects_malformed_lines():
     with pytest.raises(InconsistentTrace):
         parse_trace("no-such-kind a=1\n")
@@ -76,6 +90,28 @@ def test_render_flags_inconsistent_cascade_length():
     bad = lines[2].replace("length=0.36", "length=0.35")
     with pytest.raises(InconsistentTrace):
         render_svg("\n".join(lines[:2] + [bad] + lines[3:]) + "\n")
+
+
+def test_render_refuses_a_zero_cosine_with_drops():
+    # the side AB is the first drop over cos C: no triangle at cos C = 0
+    with pytest.raises(InconsistentTrace, match="cosine chain"):
+        render_svg("construct-angle-from-cosine vertex=C cos=0\n"
+                   "drop-perpendicular from=B onto=CA foot=D length=0.5\n")
+
+
+@pytest.mark.parametrize("trace", [
+    # AB = 1e300 / 1e-300 overflows
+    "construct-angle-from-cosine vertex=C cos=1e-300\n"
+    "drop-perpendicular from=B onto=CA foot=D length=1e300\n",
+    # the second panel's AB = 0.5 / 1e-320 overflows
+    "construct-angle-from-cosine vertex=C cos=0.6\n"
+    "drop-perpendicular from=B onto=CA foot=D length=0.36\n"
+    "construct-angle-from-cosine vertex=C cos=1e-320\n"
+    "drop-perpendicular from=B onto=CA foot=D length=0.5\n",
+], ids=["one-panel", "second-panel"])
+def test_render_refuses_coordinates_that_overflow(trace):
+    with pytest.raises(InconsistentTrace, match="overflows"):
+        render_svg(trace)
 
 
 def test_render_basic_structure():
