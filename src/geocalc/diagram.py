@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InconsistentTrace
-from .trace import TraceStep, parse_trace
+from .trace import STEP_KINDS, TraceStep, parse_trace
 
 _W, _H = 640.0, 480.0
 _MARGIN = 52.0
@@ -69,20 +69,17 @@ class _Scene:
         return x0, y0, x1, y1
 
 
-def _num(step: TraceStep, key: str, attrs: dict) -> float:
-    """A numeric attribute of step: finite, or the trace is inconsistent."""
+def _num(step: TraceStep, i: int) -> float:
+    """The i-th attribute of step: finite, or the trace is inconsistent."""
+    text = step.values[i]
     try:
-        v = float(attrs.get(key))
-    except (TypeError, ValueError):
+        v = float(text)
+    except ValueError:
         v = math.nan
     if not math.isfinite(v):
-        raise InconsistentTrace(
-            f"{step.kind} needs a finite {key}=, got {attrs.get(key)!r}")
+        raise InconsistentTrace(f"{step.kind} needs a finite "
+                                f"{STEP_KINDS[step.kind][i]}=, got {text!r}")
     return v
-
-
-def _attrs(step: TraceStep) -> dict:
-    return dict(step.attrs[::-1])   # the first of a repeated key wins
 
 
 def _cos_sin(cos_v: float):
@@ -107,16 +104,16 @@ def _split_groups(steps: list[TraceStep]) -> list[list[TraceStep]]:
 
 
 def _caption(st: TraceStep) -> str:
-    a = _attrs(st)
-    return f"measure {a.get('segment')} = {a.get('value')}"
+    return "measure {} = {}".format(*st.values)
 
 
 def _build_panel(steps: list[TraceStep]) -> _Scene:
+    # a step's values are read by their place in STEP_KINDS[kind]
     scene = _Scene()
     i = 0
     trial_cosines = []
     while i < len(steps) and steps[i].kind == "rotate-hypotenuse":
-        trial_cosines.append(_num(steps[i], "cos", _attrs(steps[i])))
+        trial_cosines.append(_num(steps[i], 1))
         i += 1
     if i == len(steps) or steps[i].kind != "construct-angle-from-cosine":
         # a pure rotation fan is legal: trials plus measured lengths
@@ -129,20 +126,17 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
                 scene.captions.append(_caption(st))
             return scene
         raise InconsistentTrace("construction must open with its angle")
-    cos_work = _num(steps[i], "cos", _attrs(steps[i]))
+    cos_work = _num(steps[i], 1)
     i += 1
     bisected_from = None
     if i < len(steps) and steps[i].kind == "bisect-angle":
-        a = _attrs(steps[i])
-        bisected_from = _num(steps[i], "cos-full", a)
-        cos_work = _num(steps[i], "cos-half", a)
+        bisected_from, cos_work = _num(steps[i], 1), _num(steps[i], 2)
         i += 1
     drops = []
     for st in steps[i:]:
         if st.kind == "drop-perpendicular":
-            a = _attrs(st)
-            drops.append((a.get("from"), a.get("onto"), a.get("foot"),
-                          _num(st, "length", a)))
+            frm, onto, foot, _ = st.values
+            drops.append((frm, onto, foot, _num(st, 3)))
         elif st.kind == "measure-length":
             scene.captions.append(_caption(st))
         else:

@@ -201,18 +201,14 @@ class _Run:
         self.trues.append(true_length)
         return q
 
-    def result(self, value: SignedScaled,
-               half_width: Decimal) -> MeasuredResult:
-        return MeasuredResult(value=value, half_width=half_width,
-                              readings=tuple(self.readings),
-                              true_lengths=tuple(self.trues))
-
     def package(self, sign: int, mantissa: Decimal, exponent: int,
                 iv: _Iv) -> MeasuredResult:
         """Result from a raw mantissa + interval at 10**exponent scale."""
         half = iv.half_width_about(mantissa)
-        return self.result(renormalized(sign, mantissa, exponent),
-                           shift10(half, exponent).copy_abs())
+        return MeasuredResult(value=renormalized(sign, mantissa, exponent),
+                              half_width=shift10(half, exponent).copy_abs(),
+                              readings=tuple(self.readings),
+                              true_lengths=tuple(self.trues))
 
 
 def _renorm_shift(q: Decimal) -> int:

@@ -1,25 +1,34 @@
 """Construction traces: the auditable step log of a geometric run.
 
-A trace is a line-oriented text: one step per line, `kind key=value ...`.
-Only five step kinds exist; everything the engine does must be expressed
-with them, which is what keeps a construction checkable by ruler and
-compasses.
+A trace is a line-oriented text, one step per line: `kind name=value ...`.
+`STEP_KINDS` is the format: each of the five step kinds and its attribute
+names, in the one order they are written.  Everything the engine does is
+expressed with these steps, which keeps a construction checkable by
+ruler and compasses.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import InconsistentTrace
 
-STEP_KINDS = (
-    "construct-angle-from-cosine",
-    "drop-perpendicular",
-    "bisect-angle",
-    "rotate-hypotenuse",
-    "measure-length",
-)
+STEP_KINDS = {
+    "construct-angle-from-cosine": ("vertex", "cos"),
+    "drop-perpendicular": ("from", "onto", "foot", "length"),
+    "bisect-angle": ("vertex", "cos-full", "cos-half"),
+    "rotate-hypotenuse": ("pivot", "cos", "iteration"),
+    "measure-length": ("segment", "value"),
+}
+
+# one format string and one line pattern per kind, both from the table
+_FORMAT = {kind: kind + "".join([f" {name}={{}}" for name in names])
+           for kind, names in STEP_KINDS.items()}
+_PATTERN = {kind: re.compile(re.escape(kind) + "".join(
+                [rf"\s+{re.escape(name)}=(\S+)" for name in names]))
+            for kind, names in STEP_KINDS.items()}
 
 # Joint letters in cascade order: the perpendicular from B lands on D,
 # the next on E, and so on.
@@ -35,21 +44,21 @@ def foot_label(i: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
+    """One step: its kind and one string per attribute of STEP_KINDS[kind]."""
+
     kind: str
-    attrs: tuple[tuple[str, str], ...]
+    values: tuple[str, ...]
 
     def __post_init__(self):
-        if self.kind not in STEP_KINDS:
+        names = STEP_KINDS.get(self.kind)
+        if names is None:
             raise InconsistentTrace(f"unknown step kind: {self.kind!r}")
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.attrs:
-            if k == key:
-                return v
-        return default
+        if len(self.values) != len(names):
+            raise InconsistentTrace(
+                f"{self.kind} takes " + " ".join([f"{n}=" for n in names]))
 
     def to_line(self) -> str:
-        return self.kind + "".join([f" {k}={v}" for k, v in self.attrs])
+        return _FORMAT[self.kind].format(*self.values)
 
 
 @dataclass
@@ -58,30 +67,23 @@ class TraceRecorder:
 
     steps: list[TraceStep] = field(default_factory=list)
 
-    def _add(self, kind: str, *attrs: tuple[str, str]):
-        self.steps.append(TraceStep(kind, attrs))
+    def _add(self, kind: str, *values: str):
+        self.steps.append(TraceStep(kind, values))
 
     def angle(self, cos_c: Decimal):
-        self._add("construct-angle-from-cosine",
-                  ("vertex", "C"), ("cos", str(cos_c)))
+        self._add("construct-angle-from-cosine", "C", str(cos_c))
 
     def drop(self, frm: str, onto: str, foot: str, length: Decimal):
-        self._add("drop-perpendicular",
-                  ("from", frm), ("onto", onto), ("foot", foot),
-                  ("length", str(length)))
+        self._add("drop-perpendicular", frm, onto, foot, str(length))
 
     def bisect(self, cos_full: Decimal, cos_half: Decimal):
-        self._add("bisect-angle",
-                  ("vertex", "C"), ("cos-full", str(cos_full)),
-                  ("cos-half", str(cos_half)))
+        self._add("bisect-angle", "C", str(cos_full), str(cos_half))
 
     def rotate(self, pivot: str, cos_c: Decimal, iteration: int):
-        self._add("rotate-hypotenuse",
-                  ("pivot", pivot), ("cos", str(cos_c)),
-                  ("iteration", str(iteration)))
+        self._add("rotate-hypotenuse", pivot, str(cos_c), str(iteration))
 
     def measure(self, segment: str, value: Decimal):
-        self._add("measure-length", ("segment", segment), ("value", str(value)))
+        self._add("measure-length", segment, str(value))
 
     def dumps(self) -> str:
         return "".join([f"{s.to_line()}\n" for s in self.steps])
@@ -92,19 +94,20 @@ class TraceRecorder:
 
 
 def parse_trace(text: str) -> list[TraceStep]:
+    """Steps of a trace text.  Blank lines and # comments are skipped, but
+    counted: an error names its 1-based line."""
     # labels and values go into SVG unescaped: refuse markup characters
     if any(ch in text for ch in '<>&"'):
         raise InconsistentTrace('trace holds one of the characters <>&"')
     steps = []
-    for line in text.splitlines():
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line[0] == "#":
             continue
-        attrs = []
-        for f in fields[1:]:
-            k, eq, v = f.partition("=")
-            if not eq:
-                raise InconsistentTrace(f"malformed attribute {f!r}")
-            attrs.append((k, v))
-        steps.append(TraceStep(fields[0], tuple(attrs)))
+        kind = line.split(None, 1)[0]
+        m = kind in _PATTERN and _PATTERN[kind].fullmatch(line)
+        try:   # a line off its kind's pattern is a step of no values
+            steps.append(TraceStep(kind, m.groups() if m else ()))
+        except InconsistentTrace as e:
+            raise InconsistentTrace(f"line {number}: {e}") from e
     return steps

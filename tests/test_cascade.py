@@ -56,9 +56,9 @@ def test_cascade_trace_records_alternating_drops():
     assert kinds == ["construct-angle-from-cosine", "drop-perpendicular",
                      "drop-perpendicular", "drop-perpendicular",
                      "measure-length"]
-    ontos = [s.get("onto") for s in rec.steps[1:4]]
+    ontos = [onto for _, onto, _, _ in (s.values for s in rec.steps[1:4])]
     assert ontos == ["CA", "CX", "CA"]
-    feet = [s.get("foot") for s in rec.steps[1:4]]
+    feet = [foot for _, _, foot, _ in (s.values for s in rec.steps[1:4])]
     assert feet == ["D", "E", "F"]
 
 
@@ -111,8 +111,9 @@ def test_traced_power_draws_every_foot_up_to_virtual_depth():
         drops = [s for s in rec.steps if s.kind == "drop-perpendicular"]
         assert len(drops) == n
         # the measure line holds the last drawn foot's literal length
-        assert rec.steps[-1].get("segment") == f"{foot_label(n)}-perpendicular"
-        assert rec.steps[-1].get("value") == drops[-1].get("length")
+        segment, value = rec.steps[-1].values
+        assert segment == f"{foot_label(n)}-perpendicular"
+        assert value == drops[-1].values[-1]
     rec = TraceRecorder()
     power(normalize("0.999"), VIRTUAL_DEPTH + 1, POL, recorder=rec)
     assert [s.kind for s in rec.steps] == ["construct-angle-from-cosine",
@@ -231,7 +232,8 @@ def test_geometric_mean_bisect_trace_contains_bisection():
     kinds = [s.kind for s in rec.steps]
     assert "bisect-angle" in kinds
     b = rec.steps[kinds.index("bisect-angle")]
-    assert Decimal(b.get("cos-half")) > Decimal(b.get("cos-full"))
+    _, cos_full, cos_half = b.values
+    assert Decimal(cos_half) > Decimal(cos_full)
 
 
 def test_multiply_matches_oracle_on_seeded_randoms():

@@ -223,6 +223,17 @@ MALFORMED_TRACES = {
                           "construct-angle-from-cosine vertex=C cos=1e-320\n"
                           "drop-perpendicular from=B onto=CA foot=D "
                           "length=0.5\n"),
+    "no foot": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                "drop-perpendicular from=B onto=CA length=0.36\n"),
+    "no foot twice": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                      "drop-perpendicular from=B onto=CA length=0.36\n") * 2,
+    "no segment": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                   "measure-length value=1\n"),
+    "repeated cos": "construct-angle-from-cosine vertex=C cos=0.6 cos=0.7\n",
+    "unknown attribute": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                          "drop-perpendicular from=B onto=CA foot=D "
+                          "length=0.36 color=red\n"),
+    "reordered": "construct-angle-from-cosine cos=0.6 vertex=C\n",
 }
 
 

@@ -20,9 +20,14 @@ def power_trace(text="0.6", n=4):
 
 
 def test_step_kind_catalog():
-    assert STEP_KINDS == ("construct-angle-from-cosine", "drop-perpendicular",
-                          "bisect-angle", "rotate-hypotenuse",
-                          "measure-length")
+    # the whole format: each kind's attribute names, in written order
+    assert list(STEP_KINDS.items()) == [
+        ("construct-angle-from-cosine", ("vertex", "cos")),
+        ("drop-perpendicular", ("from", "onto", "foot", "length")),
+        ("bisect-angle", ("vertex", "cos-full", "cos-half")),
+        ("rotate-hypotenuse", ("pivot", "cos", "iteration")),
+        ("measure-length", ("segment", "value")),
+    ]
 
 
 def test_foot_labels():
@@ -32,11 +37,31 @@ def test_foot_labels():
 
 
 def test_trace_round_trip():
-    rec = power_trace()
-    text = rec.dumps()
-    steps = parse_trace(text)
-    assert steps == list(rec.steps)
-    assert all(isinstance(s, TraceStep) for s in steps)
+    traces = [power_trace()]
+    for method in ("bisect", "rotate"):
+        rec = TraceRecorder()
+        geometric_mean(normalize("2"), normalize("18"), POL, method=method,
+                       recorder=rec)
+        traces.append(rec)
+    rec = TraceRecorder()
+    nth_root(RootQuery(normalize("0.5972e25"), 6), POL, recorder=rec)
+    traces.append(rec)
+    for rec in traces:
+        text = rec.dumps()
+        steps = parse_trace(text)
+        assert steps == list(rec.steps)
+        assert all(isinstance(s, TraceStep) for s in steps)
+        assert [s.to_line() for s in steps] == text.splitlines()
+    # every kind's format and pattern is exercised
+    assert {s.kind for rec in traces for s in rec.steps} == set(STEP_KINDS)
+
+
+@pytest.mark.parametrize("values", [("B", "CA", "0.36"),
+                                    ("B", "CA", "D", "0.36", "red")])
+def test_step_refuses_the_wrong_number_of_values(values):
+    with pytest.raises(InconsistentTrace, match="drop-perpendicular takes "
+                       "from= onto= foot= length=$"):
+        TraceStep("drop-perpendicular", values)
 
 
 def test_trace_write_and_reload(tmp_path):
@@ -52,7 +77,7 @@ def test_trace_steps_are_immutable_hashable_values():
     with pytest.raises(dataclasses.FrozenInstanceError):
         step.kind = "measure-length"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        step.attrs = ()
+        step.values = ()
     parsed = parse_trace(rec.dumps())
     assert parsed == rec.steps
     assert [hash(s) for s in parsed] == [hash(s) for s in rec.steps]
@@ -64,6 +89,17 @@ def test_parse_rejects_malformed_lines():
         parse_trace("no-such-kind a=1\n")
     with pytest.raises(InconsistentTrace):
         parse_trace("measure-length novalue\n")
+
+
+def test_parse_errors_name_their_line():
+    # blank and comment lines count, as in device scripts
+    head = "# power\n\nconstruct-angle-from-cosine vertex=C cos=0.6\n"
+    with pytest.raises(InconsistentTrace, match="^line 4: drop-perpendicular "
+                       "takes from= onto= foot= length=$"):
+        parse_trace(head + "drop-perpendicular from=B onto=CA length=0.36\n")
+    with pytest.raises(InconsistentTrace,
+                       match="^line 4: unknown step kind: 'drop'$"):
+        parse_trace(head + "drop from=B\n")
 
 
 def test_render_is_deterministic():

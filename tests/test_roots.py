@@ -71,7 +71,7 @@ def test_root_trace_ends_with_cosine_measure():
     kinds = [s.kind for s in rec.steps]
     assert "rotate-hypotenuse" in kinds
     assert rec.steps[-1].kind == "measure-length"
-    assert rec.steps[-1].get("segment") == "cosine"
+    assert rec.steps[-1].values[0] == "cosine"
 
 
 def test_solve_cos_power_matches_oracle():
