@@ -17,8 +17,8 @@ from .cascade import divide, geometric_mean, multiply, power, reciprocal
 from .diagram import write_svg
 from .errors import GeocalcError
 from .euler import antilog, approximate_e, natural_log
-from .exponents import (evaluate_cf, recover_rational_exponent,
-                        solve_integer_exponent)
+from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, evaluate_cf,
+                        recover_rational_exponent, solve_integer_exponent)
 from .mechsim import (SCRIPTS, MeasurementModel, run_op as device_op,
                       run_script)
 from .numcore import (PrecisionPolicy, SignedScaled, normalize, oracle_eval,
@@ -182,10 +182,14 @@ def _h_solve_n(args):
 
 def _h_solve_mn(args):
     if args.resolution is not None:
+        if args.cf_depth is not None or args.cf_tol is not None:
+            raise _UsageError("--cf-depth and --cf-tol tune the engine's "
+                              "walk, not the device's")
         return _device_result(args, "cf", [args.x, args.a])
-    cf = recover_rational_exponent(normalize(args.x), normalize(args.a),
-                                   max_depth=args.cf_depth,
-                                   cf_tol=args.cf_tol, policy=_policy(args))
+    cf = recover_rational_exponent(
+        normalize(args.x), normalize(args.a),
+        DEFAULT_MAX_DEPTH if args.cf_depth is None else args.cf_depth,
+        DEFAULT_CF_TOL if args.cf_tol is None else args.cf_tol, _policy(args))
     frac = evaluate_cf(cf)
     result = f"{frac.numerator}/{frac.denominator}"
     return _emit(args, "solve-mn", [args.x, args.a], result,
@@ -237,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--resolution", type=_decimal, default=None,
                      help="graduation size in metres; enables device mode")
 
-    cf = _Parser(add_help=False)
-    cf.add_argument("--cf-depth", type=_integer, default=16)
-    cf.add_argument("--cf-tol", type=_decimal, default=Decimal("1e-12"))
-
     parser = _Parser(prog="geocalc",
                      description="scaled-decimal geometric calculator")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -253,9 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, type=_integer if name in "mn" else None)
         p.set_defaults(func=_h_engine)
 
-    p = sub.add_parser("ln", parents=[common, cf],
+    p = sub.add_parser("ln", parents=[common],
                        help="natural logarithm")
     p.add_argument("a")
+    p.add_argument("--cf-depth", type=_integer, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=_h_ln)
 
     p = sub.add_parser("antilog", parents=[common],
@@ -275,10 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_integer, default=1000)
     p.set_defaults(func=_h_solve_n)
 
-    p = sub.add_parser("solve-mn", parents=[common, cf, res],
+    p = sub.add_parser("solve-mn", parents=[common, res],
                        help="rational exponent m/n with x**(m/n) == a")
     p.add_argument("--x", required=True)
     p.add_argument("--a", required=True)
+    # None when not given: device mode refuses both
+    p.add_argument("--cf-depth", type=_integer, default=None)
+    p.add_argument("--cf-tol", type=_decimal, default=None)
     p.set_defaults(func=_h_solve_mn)
 
     p = sub.add_parser("simulate", parents=[common],

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InconsistentTrace
-from .trace import STEP_KINDS, TraceStep, parse_trace
+from .trace import STEP_KINDS, TraceStep, parse_trace, step_line
 
 _W, _H = 640.0, 480.0
 _MARGIN = 52.0
@@ -69,6 +69,14 @@ class _Scene:
         return x0, y0, x1, y1
 
 
+def _refusal(step: TraceStep, message: str) -> InconsistentTrace:
+    """An InconsistentTrace that keeps the step it refuses, so that
+    render_svg can name the step's line in a trace text."""
+    err = InconsistentTrace(message)
+    err.step = step
+    return err
+
+
 def _num(step: TraceStep, i: int) -> float:
     """The i-th attribute of step: finite, or the trace is inconsistent."""
     text = step.values[i]
@@ -77,14 +85,14 @@ def _num(step: TraceStep, i: int) -> float:
     except ValueError:
         v = math.nan
     if not math.isfinite(v):
-        raise InconsistentTrace(f"{step.kind} needs a finite "
-                                f"{STEP_KINDS[step.kind][i]}=, got {text!r}")
+        raise _refusal(step, f"{step.kind} needs a finite "
+                             f"{STEP_KINDS[step.kind][i]}=, got {text!r}")
     return v
 
 
-def _cos_sin(cos_v: float):
+def _cos_sin(cos_v: float, step: TraceStep):
     if not -1.0 < cos_v < 1.0:
-        raise InconsistentTrace(f"cosine {cos_v} out of range")
+        raise _refusal(step, f"cosine {cos_v} out of range")
     return cos_v, math.sqrt(1.0 - cos_v * cos_v)
 
 
@@ -111,37 +119,37 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
     # a step's values are read by their place in STEP_KINDS[kind]
     scene = _Scene()
     i = 0
-    trial_cosines = []
+    trials = []                   # (cosine, step)
     while i < len(steps) and steps[i].kind == "rotate-hypotenuse":
-        trial_cosines.append(_num(steps[i], 1))
+        trials.append((_num(steps[i], 1), steps[i]))
         i += 1
     if i == len(steps) or steps[i].kind != "construct-angle-from-cosine":
         # a pure rotation fan is legal: trials plus measured lengths
-        if trial_cosines:
-            _render_fan(scene, trial_cosines)
+        if trials:
+            _render_fan(scene, trials)
             for st in steps[i:]:
                 if st.kind != "measure-length":
-                    raise InconsistentTrace(
-                        "construction must open with its angle")
+                    raise _refusal(st, "construction must open with its "
+                                       "angle")
                 scene.captions.append(_caption(st))
             return scene
-        raise InconsistentTrace("construction must open with its angle")
-    cos_work = _num(steps[i], 1)
+        raise _refusal(steps[i], "construction must open with its angle")
+    cos_step, cos_work = steps[i], _num(steps[i], 1)
     i += 1
     bisected_from = None
     if i < len(steps) and steps[i].kind == "bisect-angle":
-        bisected_from, cos_work = _num(steps[i], 1), _num(steps[i], 2)
+        cos_step = steps[i]
+        bisected_from, cos_work = _num(cos_step, 1), _num(cos_step, 2)
         i += 1
     drops = []
     for st in steps[i:]:
         if st.kind == "drop-perpendicular":
-            frm, onto, foot, _ = st.values
-            drops.append((frm, onto, foot, _num(st, 3)))
+            drops.append((*st.values[:3], _num(st, 3), st))
         elif st.kind == "measure-length":
             scene.captions.append(_caption(st))
         else:
-            raise InconsistentTrace(f"unexpected step {st.kind!r} mid-trace")
-    c, s = _cos_sin(cos_work)
+            raise _refusal(st, f"unexpected step {st.kind!r} mid-trace")
+    c, s = _cos_sin(cos_work, cos_step)
     # infer AB from the first drop: every drop shrinks by cos C; at
     # cos C = 0 the first drop breaks the chain below
     ab = drops[0][3] / c if drops and c else 1.0
@@ -153,35 +161,35 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
                      ("A", vertex(bx, ab))]
     scene.segments += [(0, 1, "main"), (1, 2, "main"), (0, 2, "main")]
     scene.marks.append((1, -1.0, 0.0, 0.0, 1.0, "B", "CX", "BA"))
-    for tc in trial_cosines:
-        tcc, tcs = _cos_sin(tc)
+    for tc, st in trials:
+        tcc, tcs = _cos_sin(tc, st)
         scene.segments.append((0, vertex(hyp_len * tcc, hyp_len * tcs),
                                "trial"))
     if bisected_from is not None:
-        fc, fs = _cos_sin(bisected_from)
+        fc, fs = _cos_sin(bisected_from, cos_step)
         scene.segments.append((0, vertex(hyp_len * fc, hyp_len * fs), "aux"))
     px, py, kp = bx, 0.0, 1
     prev_label = "B"
     prev_len = ab
     t_max, f_max = hyp_len * (1.0 + 1e-9), bx * (1.0 + 1e-9)
-    for frm, onto, foot, length in drops:
+    for frm, onto, foot, length, st in drops:
         if frm != prev_label:
-            raise InconsistentTrace(
-                f"drop starts at {frm!r}, cascade is at {prev_label!r}")
+            raise _refusal(st, f"drop starts at {frm!r}, cascade is at "
+                               f"{prev_label!r}")
         expected = prev_len * c
         if expected <= 0 or abs(length - expected) > _REL_TOL * expected:
-            raise InconsistentTrace(
-                f"drop {frm}->{foot} length {length} breaks the cosine chain")
+            raise _refusal(st, f"drop {frm}->{foot} length {length} breaks "
+                               "the cosine chain")
         if onto in ("CA", "CY"):
             t = px * c + py * s
             if not -1e-9 <= t <= t_max:
-                raise InconsistentTrace(f"foot {foot} lands off the segment")
+                raise _refusal(st, f"foot {foot} lands off the segment")
             fx, fy = t * c, t * s
             ux, uy = c, s
         else:
             fx, fy = px, 0.0
             if not -1e-9 <= fx <= f_max:
-                raise InconsistentTrace(f"foot {foot} lands off the segment")
+                raise _refusal(st, f"foot {foot} lands off the segment")
             ux, uy = 1.0, 0.0
         k = vertex(fx, fy)
         scene.segments.append((kp, k, "perp"))
@@ -196,13 +204,13 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
     return scene
 
 
-def _render_fan(scene: _Scene, cosines: list):
+def _render_fan(scene: _Scene, trials: list):
     vertex = scene.vertex
     scene.points.append(("C", vertex(0.0, 0.0)))
     scene.segments.append((0, vertex(1.0, 0.0), "main"))
-    for k, tc in enumerate(cosines):
-        c, s = _cos_sin(tc)
-        cls = "main" if k == len(cosines) - 1 else "trial"
+    for k, (tc, st) in enumerate(trials):
+        c, s = _cos_sin(tc, st)
+        cls = "main" if k == len(trials) - 1 else "trial"
         scene.segments.append((0, vertex(c, s), cls))
 
 
@@ -228,11 +236,19 @@ def _combine(panels: list[_Scene]) -> _Scene:
 
 
 def render_svg(trace, title: str | None = None) -> str:
-    """Render a trace (text or parsed steps) to a standalone SVG string."""
+    """Render a trace (text or parsed steps) to a standalone SVG string.
+    A refusal of one step of a trace text names the step's line."""
     steps = parse_trace(trace) if isinstance(trace, str) else list(trace)
     if not steps:
         raise InconsistentTrace("empty trace")
-    scene = _combine([_build_panel(g) for g in _split_groups(steps)])
+    try:
+        scene = _combine([_build_panel(g) for g in _split_groups(steps)])
+    except InconsistentTrace as e:
+        step = getattr(e, "step", None)
+        if step is None or not isinstance(trace, str):
+            raise
+        k = next(k for k, st in enumerate(steps) if st is step)
+        raise InconsistentTrace(f"line {step_line(trace, k)}: {e}") from e
     x0, y0, x1, y1 = scene.bounds()
     span_x = max(x1 - x0, 1e-12)
     span_y = max(y1 - y0, 1e-12)

@@ -14,7 +14,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 from .errors import DomainError, NoIntegerExponent
-from .numcore import _ONE, DEFAULT_POLICY, PrecisionPolicy, SignedScaled
+from .numcore import (_ONE, DEFAULT_POLICY, Interval, PrecisionPolicy,
+                      SignedScaled)
 
 MAX_TERM = 10 ** 6
 DEFAULT_MATCH_TOL = Decimal("1e-9")
@@ -125,11 +126,12 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
         f"no exponent in [1, {max_n}] matches within {DEFAULT_MATCH_TOL}")
 
 
-def below_one(x: SignedScaled, a: SignedScaled,
-              ctx: Context) -> tuple[Decimal, Decimal]:
-    """The (u, v) in (0, 1) with u**t == v whenever x**t == a: x and a,
-    both inverted when above 1.  Raises unless both are positive, neither
-    is 1, and they sit on the same side of 1."""
+def first_level(x: SignedScaled, a: SignedScaled, ctx: Context
+                ) -> tuple[Decimal, Decimal, list[int]]:
+    """(u, v, terms) that start the walk of t with x**t == a, on the engine
+    and the device alike: x and a, both inverted when above 1, then
+    swapped behind a 0 term when t < 1.  Raises unless both are positive,
+    neither is 1, and they sit on the same side of 1."""
     xd, ad = x.value(), a.value()
     if xd <= 0 or ad <= 0:
         raise DomainError("exponent recovery needs positive values")
@@ -137,9 +139,18 @@ def below_one(x: SignedScaled, a: SignedScaled,
         raise DomainError("exponent recovery is degenerate at 1")
     if (xd > 1) != (ad > 1):
         raise DomainError("base and target must sit on the same side of 1")
-    if xd > 1:
-        return ctx.divide(_ONE, xd), ctx.divide(_ONE, ad)
-    return xd, ad
+    u, v = ((ctx.divide(_ONE, xd), ctx.divide(_ONE, ad)) if xd > 1
+            else (xd, ad))
+    return (v, u, [0]) if v > u else (u, v, [])
+
+
+def cf_interval(terms: list[int], tail: Interval) -> Interval:
+    """Outward interval of [t0; t1, ..., tk, r] for r in `tail`, by
+    back-substituting level = t + 1/level from the last term."""
+    one, level = Interval.point(_ONE), tail
+    for t in reversed(terms):
+        level = Interval.point(Decimal(t)).add(one.div(level))
+    return level
 
 
 def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
@@ -150,19 +161,13 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
     """Continued fraction of the exponent t with x**t == a.
 
     Requires x and a on the same side of 1 (positive exponent).  When
-    the exponent is below 1 the roles swap once up front and the listing
-    starts with a 0 term.
+    the exponent is below 1 the listing starts with a 0 term.
     """
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
     ctx = policy.oracle_ctx()
-    u, v = below_one(x, a, ctx)
+    u, v, terms = first_level(x, a, ctx)
     fuzz = Decimal(1).scaleb(20 - ctx.prec)
-    terms: list[int] = []
-    if v > u:
-        # exponent below 1: recover its reciprocal after a leading zero
-        terms.append(0)
-        u, v = v, u
     terminated = False
     while len(terms) < max_depth:
         n = _floor_exponent(u, v, ctx, fuzz, max_term)

@@ -16,16 +16,18 @@ lies inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
+from decimal import Context, Decimal
 
 from .cascade import _parity_adjust
 from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
                      GeocalcError, ParseError)
-from .exponents import below_one
-from .numcore import (_ONE, _POS_INF, _TENTH, _TWO, DEFAULT_POLICY,
-                      PrecisionPolicy, SignedScaled, bisect, check_power,
-                      check_root, check_same_sign, normalize, parse_decimal,
-                      parse_integer, renormalized, shift10)
+from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
+                        first_level)
+from .numcore import (_ONE, _POS_INF, _TENTH, _TWO, _UP, DEFAULT_POLICY,
+                      Interval, PrecisionPolicy, SignedScaled, bisect,
+                      check_power, check_root, check_same_sign, normalize,
+                      parse_decimal, parse_integer, renormalized, shift10,
+                      to_text)
 from .trace import foot_label
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -39,8 +41,6 @@ RESOLUTION_LADDER = (Decimal("1e-5"), Decimal("5e-7"),
 N_ARMS = 10                   # telescopic perpendiculars on the device
 ARM_MIN, ARM_MAX = Decimal("0.01"), Decimal("2.0")   # their range, metres
 _LEVEL_STEP_CAP = 10 ** 4
-_CF_TERM_FLOOR = Decimal("1e-12")
-_CF_MAX_DEPTH = 16
 
 
 def arm_id(i: int) -> str:
@@ -134,57 +134,6 @@ class MeasuredResult:
     true_lengths: tuple[Decimal, ...]
 
 
-# endpoint contexts round outward only, so a bound can never shrink
-_IV_PREC = 60
-_DOWN = Context(prec=_IV_PREC, rounding=ROUND_FLOOR,
-                Emin=-10 ** 17, Emax=10 ** 17)
-_UP = Context(prec=_IV_PREC, rounding=ROUND_CEILING,
-              Emin=-10 ** 17, Emax=10 ** 17)
-
-
-@dataclass(frozen=True)
-class _Iv:
-    """Closed interval of positive Decimals."""
-
-    lo: Decimal
-    hi: Decimal
-
-    def widen(self, h: Decimal) -> "_Iv":
-        return _Iv(_DOWN.subtract(self.lo, h), _UP.add(self.hi, h))
-
-    def scale10(self, k: int) -> "_Iv":
-        return _Iv(shift10(self.lo, k), shift10(self.hi, k))
-
-    def mul(self, other: "_Iv") -> "_Iv":
-        return _Iv(_DOWN.multiply(self.lo, other.lo),
-                   _UP.multiply(self.hi, other.hi))
-
-    def add(self, other: "_Iv") -> "_Iv":
-        return _Iv(_DOWN.add(self.lo, other.lo), _UP.add(self.hi, other.hi))
-
-    def div(self, other: "_Iv") -> "_Iv":
-        return _Iv(_DOWN.divide(self.lo, other.hi),
-                   _UP.divide(self.hi, other.lo))
-
-    def pow_int(self, n: int) -> "_Iv":
-        nn = Decimal(n)
-        return _Iv(_DOWN.power(self.lo, nn), _UP.power(self.hi, nn))
-
-    def sqrt(self) -> "_Iv":
-        return _Iv(_DOWN.sqrt(self.lo), _UP.sqrt(self.hi))
-
-    def hull(self, other: "_Iv") -> "_Iv":
-        return _Iv(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def half_width_about(self, center: Decimal) -> Decimal:
-        return max(_UP.subtract(center, self.lo),
-                   _UP.subtract(self.hi, center))
-
-
-def _point(x: Decimal) -> _Iv:
-    return _Iv(x, x)
-
-
 class _Run:
     """One device run: model, policy, oracle context, half step, and the
     readings its script takes."""
@@ -202,10 +151,16 @@ class _Run:
         return q
 
     def package(self, sign: int, mantissa: Decimal, exponent: int,
-                iv: _Iv) -> MeasuredResult:
-        """Result from a raw mantissa + interval at 10**exponent scale."""
+                iv: Interval) -> MeasuredResult:
+        """Result from a raw mantissa + interval at 10**exponent scale.
+        Refuses a band wider than its value, which says nothing of it."""
         half = iv.half_width_about(mantissa)
-        return MeasuredResult(value=renormalized(sign, mantissa, exponent),
+        value = renormalized(sign, mantissa, exponent)
+        if half > mantissa:
+            band = to_text(renormalized(1, half, exponent), 3)
+            raise DomainError(f"the band +/- {band} is wider than the value "
+                              f"{to_text(value, 5)}")
+        return MeasuredResult(value=value,
                               half_width=shift10(half, exponent).copy_abs(),
                               readings=tuple(self.readings),
                               true_lengths=tuple(self.trues))
@@ -219,7 +174,7 @@ def _renorm_shift(q: Decimal) -> int:
 # --- cascade scripts ----------------------------------------------------
 
 def _staged_power(run: _Run, x_mant: Decimal, n: int
-                  ) -> tuple[Decimal, int, _Iv]:
+                  ) -> tuple[Decimal, int, Interval]:
     """Run n perpendiculars at the quantized angle cos C = Q(x)/Q(1).
 
     Returns (final stage reading, decade shift J accumulated by stage
@@ -229,9 +184,9 @@ def _staged_power(run: _Run, x_mant: Decimal, n: int
     ctx, h, model = run.ctx, run.h, run.model
     state = assemble(x_mant, _ONE, _ONE, model, run.policy)
     cos_true = state.cos_c
-    cos_iv = _point(x_mant).widen(h).div(_point(state.ac_set))
+    cos_iv = Interval.around(x_mant, h).div(Interval.point(state.ac_set))
     ab = state.perp_ab            # set exactly on a graduation
-    ab_iv = _point(ab)
+    ab_iv = Interval.point(ab)
     shift_j = done = 0
     reading = iv = None
     while done < n:
@@ -255,28 +210,29 @@ def _staged_power(run: _Run, x_mant: Decimal, n: int
     return reading, shift_j, iv
 
 
-def _quotient(run: _Run, ab: Decimal, ab_iv: _Iv, hyp: Decimal,
-              hyp_iv: _Iv) -> tuple[Decimal, _Iv]:
+def _quotient(run: _Run, ab: Decimal, ab_iv: Interval, hyp: Decimal,
+              hyp_iv: Interval) -> tuple[Decimal, Interval]:
     """AB over AC: BC = 1 against AC = Q(hyp), read BD = AB / AC.
 
     Returns the reading and its interval, for AB in `ab_iv` and the
     hypotenuse in `hyp_iv`.
     """
     bd = run.read("BD", assemble(_ONE, hyp, ab, run.model, run.policy).bd)
-    return bd, ab_iv.mul(_point(_ONE).div(hyp_iv)).widen(run.h)
+    return bd, ab_iv.mul(Interval.point(_ONE).div(hyp_iv)).widen(run.h)
 
 
 def _device_reciprocal(run: _Run, mantissa: Decimal, exponent: int,
-                       band: Decimal) -> tuple[Decimal, int, _Iv]:
+                       band: Decimal) -> tuple[Decimal, int, Interval]:
     """Reciprocal of mantissa * 10**exponent: AB = 1 over AC = Q(10m).
 
     `band` widens the hypotenuse for an uncertain input mantissa.
     Returns (BD reading, result exponent, interval at that scale).
     """
     if band == 0 and mantissa == _TENTH:
-        return _TENTH, 2 - exponent, _point(_TENTH)
-    hyp_iv = _point(mantissa).widen(band).scale10(1).widen(run.h)
-    bd, iv = _quotient(run, _ONE, _point(_ONE), shift10(mantissa, 1), hyp_iv)
+        return _TENTH, 2 - exponent, Interval.point(_TENTH)
+    hyp_iv = Interval.around(mantissa, band).scale10(1).widen(run.h)
+    bd, iv = _quotient(run, _ONE, Interval.point(_ONE), shift10(mantissa, 1),
+                       hyp_iv)
     return bd, 1 - exponent, iv
 
 
@@ -304,8 +260,8 @@ def _script_multiply(run: _Run, a: SignedScaled,
     h = run.h
     state = assemble(b.mantissa, _ONE, a.mantissa, run.model, run.policy)
     bd = run.read("BD", state.bd)
-    cos_iv = _point(b.mantissa).widen(h).div(_point(state.ac_set))
-    iv = _point(a.mantissa).widen(h).mul(cos_iv).widen(h)
+    cos_iv = Interval.around(b.mantissa, h).div(Interval.point(state.ac_set))
+    iv = Interval.around(a.mantissa, h).mul(cos_iv).widen(h)
     return run.package(a.sign * b.sign, bd, a.exponent + b.exponent, iv)
 
 
@@ -316,7 +272,7 @@ def _script_divide(run: _Run, num: SignedScaled,
     exponent = num.exponent - den.exponent + 1
     if den.is_power_of_ten:
         r = run.read("AB", num.mantissa)
-        return run.package(sign, r, exponent, _point(num.mantissa).widen(h))
+        return run.package(sign, r, exponent, Interval.around(num.mantissa, h))
     # BC = 1 against AC = 10 * den mantissa; lift AB a decade when the
     # perpendicular would leave the telescopic range
     ab = num.mantissa
@@ -324,7 +280,8 @@ def _script_divide(run: _Run, num: SignedScaled,
         ab = shift10(num.mantissa, 1)
         exponent -= 1
     hyp = shift10(den.mantissa, 1)
-    bd, iv = _quotient(run, ab, _point(ab).widen(h), hyp, _point(hyp).widen(h))
+    bd, iv = _quotient(run, ab, Interval.around(ab, h), hyp,
+                       Interval.around(hyp, h))
     return run.package(sign, bd, exponent, iv)
 
 
@@ -342,7 +299,7 @@ def _script_gmean(run: _Run, a: SignedScaled,
     m1, m2, half_exp = _parity_adjust(a, b)
     if m1 == m2:
         r = run.read("ED", m1)
-        return run.package(a.sign, r, half_exp, _point(m1).widen(h))
+        return run.package(a.sign, r, half_exp, Interval.around(m1, h))
     big, small = (m1, m2) if m1 > m2 else (m2, m1)
     ed = run.read("ED", small)
     target = run.read("AB", big)
@@ -357,13 +314,13 @@ def _script_gmean(run: _Run, a: SignedScaled,
     c, lo, hi, accepted = _rotate(run, side)
     ab_final = ctx.divide(ed, ctx.multiply(c, c))
     if accepted or quantize(ab_final) == target:
-        ab_iv = _point(big).widen(_UP.multiply(_TWO, h))
+        ab_iv = Interval.around(big, _UP.multiply(_TWO, h))
     else:
-        ends = _Iv(min(ab_final, ctx.divide(ed, ctx.multiply(hi, hi))),
-                   max(ab_final, ctx.divide(ed, ctx.multiply(lo, lo))))
-        ab_iv = ends.hull(_point(big)).widen(_UP.multiply(_TWO, h))
+        ends = Interval(min(ab_final, ctx.divide(ed, ctx.multiply(hi, hi))),
+                        max(ab_final, ctx.divide(ed, ctx.multiply(lo, lo))))
+        ab_iv = ends.hull(Interval.point(big)).widen(_UP.multiply(_TWO, h))
     bd = run.read("BD", ctx.divide(ed, c))
-    iv = _point(small).widen(h).mul(ab_iv).sqrt().widen(h)
+    iv = Interval.around(small, h).mul(ab_iv).sqrt().widen(h)
     return run.package(a.sign, bd, half_exp, iv)
 
 
@@ -372,7 +329,8 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
     ctx, h, model = run.ctx, run.h, run.model
     if n == 1:
         r = run.read("AB", x.mantissa)
-        return run.package(x.sign, r, x.exponent, _point(x.mantissa).widen(h))
+        return run.package(x.sign, r, x.exponent,
+                           Interval.around(x.mantissa, h))
     k = -((-x.exponent) // n)           # ceil(exponent / n)
     target = shift10(x.mantissa, x.exponent - n * k)   # telescoped, < 1
     quantize = model.quantize
@@ -399,16 +357,16 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
     p_fin, j_fin, anchors = chain(c, True)
     # a re-anchor reading q stands for a length in q -+ h, so the chain's
     # relative envelope is the product of q / (q -+ h)
-    rel_iv = _point(_ONE)
+    rel_iv = Interval.point(_ONE)
     for q in anchors:
-        rel_iv = rel_iv.mul(_point(q).div(_point(q).widen(h)))
+        rel_iv = rel_iv.mul(Interval.point(q).div(Interval.around(q, h)))
     # the ideal cosine sits within: half the bracket, plus the reading
     # envelope and the residual mismatch divided through the slope of c^n
     mismatch = ctx.divide(ctx.subtract(shift10(p_fin, -j_fin), target).copy_abs(),
                           target)
     eps_rel = ctx.add(rel_iv.half_width_about(_ONE), mismatch)
     slack = ctx.divide(ctx.multiply(c, eps_rel), Decimal(n))
-    c_iv = _Iv(lo, hi).widen(slack)
+    c_iv = Interval(lo, hi).widen(slack)
     sin_c = ctx.sqrt(ctx.subtract(_ONE, ctx.multiply(c, c)))
     ab_set = model.quantize(_ONE)
     bc = run.read("BC", ctx.divide(ctx.multiply(ab_set, c), sin_c))
@@ -420,7 +378,7 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
 
 # --- exponent recovery on the device ------------------------------------
 
-def _corner_exponent(u_iv: _Iv, w_iv: _Iv, ctx: Context) -> _Iv:
+def _corner_exponent(u_iv: Interval, w_iv: Interval, ctx: Context) -> Interval:
     """Interval of ln w / ln u for u in u_iv and w in w_iv, with u.lo and
     w.lo in (0, 1).  It starts at 0 when w reaches 1 and is unbounded
     above when u reaches 1."""
@@ -428,10 +386,10 @@ def _corner_exponent(u_iv: _Iv, w_iv: _Iv, ctx: Context) -> _Iv:
           else ctx.divide(ctx.ln(w_iv.hi), ctx.ln(u_iv.lo)))
     hi = (_POS_INF if u_iv.hi >= 1
           else ctx.divide(ctx.ln(w_iv.lo), ctx.ln(u_iv.hi)))
-    return _Iv(lo, hi)
+    return Interval(lo, hi)
 
 
-def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: _Iv, v: Decimal):
+def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: Interval, v: Decimal):
     """Step arms at cos C = Q(u_set) until a reading drops below v.
 
     Comparisons against the target stick are visual and unlogged; the
@@ -446,7 +404,7 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: _Iv, v: Decimal):
     state = assemble(u_set, _ONE, _ONE, model, run.policy)
     cos_true = state.cos_c
     anchor = state.perp_ab
-    cur_iv = _point(anchor)
+    cur_iv = Interval.point(anchor)
     n = 0
     prev = None                   # (n, reading, interval, true length)
     while True:
@@ -482,16 +440,12 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: _Iv, v: Decimal):
 def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
     """Recover t with x**t = a by arm counting, as a banded interval."""
     ctx, h = run.ctx, run.h
-    u, v = below_one(x, a, ctx)
-    swapped = v > u
-    if swapped:
-        u, v = v, u
-    u_iv = _point(u).widen(h)     # settings put the realized cosine here
-    v_iv = _point(v)
-    term_tol = max(_CF_TERM_FLOOR, ctx.multiply(20, run.model.resolution))
-    terms: list[int] = []
-    tail: _Iv | None = None
-    for _ in range(_CF_MAX_DEPTH):
+    u, v, terms = first_level(x, a, ctx)
+    u_iv = Interval.around(u, h)     # settings put the realized cosine here
+    v_iv = Interval.point(v)
+    term_tol = max(DEFAULT_CF_TOL, ctx.multiply(20, run.model.resolution))
+    tail = None
+    for _ in range(DEFAULT_MAX_DEPTH):
         got = _cf_level_steps(run, u, u_iv, v)
         if got is None:
             break
@@ -500,38 +454,30 @@ def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
                    and ctx.power(u_iv.hi, Decimal(n_steps + 1)) < v_iv.lo)
         if not certain:
             break
-        w = ctx.divide(v, reading)
-        if w > 1:
-            w = _ONE
+        w = min(ctx.divide(v, reading), _ONE)
         w_iv = v_iv.div(ch_iv)
         if w_iv.hi > 1:
-            w_iv = _Iv(min(w_iv.lo, _ONE), _ONE)
+            w_iv = Interval(min(w_iv.lo, _ONE), _ONE)
         if ctx.subtract(_ONE, w) <= term_tol:
             # residual indistinguishable from 1: close with a tail bound
             w_lo = min(w, w_iv.lo)
             if w_lo >= 1:
-                tail = _point(Decimal(n_steps))
+                tail = Interval.point(Decimal(n_steps))
             else:
+                # the next term is at least floor(1 / r_hi), and at least 1
                 r_hi = ctx.divide(ctx.ln(w_lo), ctx.ln(u_iv.hi))
-                if r_hi >= 1:
-                    t_hi = _ONE
-                else:
-                    t_hi = ctx.divide(_ONE,
-                                      Decimal(int(ctx.divide(_ONE, r_hi))))
-                tail = _Iv(Decimal(n_steps), _UP.add(n_steps, t_hi))
+                t_hi = ctx.divide(_ONE, Decimal(max(
+                    1, int(ctx.divide(_ONE, r_hi)))))
+                tail = Interval(Decimal(n_steps), _UP.add(n_steps, t_hi))
             break
         terms.append(n_steps)
-        u_iv, v_iv = w_iv.hull(_point(w).widen(h)), u_iv
+        u_iv, v_iv = w_iv.hull(Interval.around(w, h)), u_iv
         u, v = w, u
     if tail is None:
         # stopped without resolving the level: cover its whole exponent
         lvl = _corner_exponent(u_iv, v_iv, ctx)
-        tail = _Iv(max(_ONE, lvl.lo), lvl.hi)
-    level = tail
-    for t in reversed(terms):
-        level = _point(Decimal(t)).add(_point(_ONE).div(level))
-    if swapped:
-        level = _point(_ONE).div(level)
+        tail = Interval(max(_ONE, lvl.lo), lvl.hi)
+    level = cf_interval(terms, tail)
     if level.hi == _POS_INF:
         raise DegenerateAngle("the cosine band reaches 1, so the exponent "
                               "has no upper bound")

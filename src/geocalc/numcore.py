@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
-                     ROUND_HALF_EVEN)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING,
+                     ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal)
 
 from .errors import (DomainError, EvenRootOfNegative, ExponentOverflow,
                      NoConvergence, ParseError, SignMismatch,
@@ -47,6 +47,60 @@ _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN,
 def shift10(d: Decimal, k: int) -> Decimal:
     """Multiply a Decimal by 10**k exactly: only the exponent moves."""
     return d.scaleb(k, _EXACT)
+
+
+_IV_PREC = 60
+_DOWN = Context(prec=_IV_PREC, rounding=ROUND_FLOOR, Emin=-_EMAX, Emax=_EMAX)
+_UP = Context(prec=_IV_PREC, rounding=ROUND_CEILING, Emin=-_EMAX, Emax=_EMAX)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Closed interval of nonnegative Decimals, hi possibly infinite,
+    rounded outward so that a bound never shrinks (R. E. Moore, 1966)."""
+
+    lo: Decimal
+    hi: Decimal
+
+    @classmethod
+    def point(cls, x: Decimal) -> "Interval":
+        return cls(x, x)
+
+    @classmethod
+    def around(cls, x: Decimal, h: Decimal) -> "Interval":
+        """[x - h, x + h]: a value trusted to within h."""
+        return cls(_DOWN.subtract(x, h), _UP.add(x, h))
+
+    def widen(self, h: Decimal) -> "Interval":
+        return Interval(_DOWN.subtract(self.lo, h), _UP.add(self.hi, h))
+
+    def scale10(self, k: int) -> "Interval":
+        return Interval(shift10(self.lo, k), shift10(self.hi, k))
+
+    def mul(self, other: "Interval") -> "Interval":
+        return Interval(_DOWN.multiply(self.lo, other.lo),
+                        _UP.multiply(self.hi, other.hi))
+
+    def add(self, other: "Interval") -> "Interval":
+        return Interval(_DOWN.add(self.lo, other.lo),
+                        _UP.add(self.hi, other.hi))
+
+    def div(self, other: "Interval") -> "Interval":
+        return Interval(_DOWN.divide(self.lo, other.hi),
+                        _UP.divide(self.hi, other.lo))
+
+    def pow_int(self, n: int) -> "Interval":
+        return Interval(_DOWN.power(self.lo, n), _UP.power(self.hi, n))
+
+    def sqrt(self) -> "Interval":
+        return Interval(_DOWN.sqrt(self.lo), _UP.sqrt(self.hi))
+
+    def hull(self, other: "Interval") -> "Interval":
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+
+    def half_width_about(self, center: Decimal) -> Decimal:
+        return max(_UP.subtract(center, self.lo),
+                   _UP.subtract(self.hi, center))
 
 
 # bisect's tight loop asks collapsed once per _CHUNK halvings; a traced

@@ -111,3 +111,10 @@ def parse_trace(text: str) -> list[TraceStep]:
         except InconsistentTrace as e:
             raise InconsistentTrace(f"line {number}: {e}") from e
     return steps
+
+
+def step_line(text: str, k: int) -> int:
+    """The 1-based line of the k-th step (0-based) that parse_trace reads
+    from text."""
+    return [number for number, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.strip()) and line[0] != "#"][k]

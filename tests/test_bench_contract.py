@@ -41,3 +41,8 @@ def test_every_wrapped_method_exists():
 def test_internal_e_cache_is_inspectable():
     # the traced run reads euler.internal_e.misses from its cache_info
     assert geocalc.euler.internal_e.cache_info().misses >= 0
+
+
+def test_every_device_op_is_a_script():
+    # a renamed script would leave its mechsim.op.*.ms metric reading 0
+    assert set(_spans().DEVICE_OPS) <= set(geocalc.mechsim.SCRIPTS)

@@ -147,7 +147,13 @@ def test_usage_errors_exit_one(capsys):
                  ["pow", "2", "3", "--resolution", "1e-5",
                   "--diagram", "out.svg"],
                  ["pow", "2", "3", "--resolution", "1e-5",
-                  "--emit-trace", "t.trace"]):
+                  "--emit-trace", "t.trace"],
+                 # ln has no --cf-tol; the device's walk takes neither
+                 ["ln", "151", "--cf-tol", "0.5"],
+                 ["solve-mn", "--x", "2", "--a", "11.3137084989847603904",
+                  "--resolution", "1e-5", "--cf-depth", "1"],
+                 ["solve-mn", "--x", "2", "--a", "11.3137084989847603904",
+                  "--resolution", "1e-5", "--cf-tol", "1e-3"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("usage error:")
@@ -254,6 +260,16 @@ def test_malformed_files_exit_two(capsys, tmp_path, case):
     assert not out_svg.exists()
 
 
+def test_diagram_refusal_names_the_trace_line(capsys, tmp_path):
+    path = tmp_path / "in.trace"
+    path.write_text(MALFORMED_TRACES["bad cos"], encoding="ascii")
+    code, out, err = run(capsys, "diagram", str(path),
+                         str(tmp_path / "out.svg"))
+    assert (code, out, err) == (2, "", "error: InconsistentTrace: line 1: "
+                                "construct-angle-from-cosine needs a finite "
+                                "cos=, got 'abc'\n")
+
+
 def test_simulate_non_integer_operand_exits_two(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("pow 2 x\n"))
     code, out, err = run(capsys, "simulate", "-")
@@ -286,6 +302,21 @@ def test_trace_emission_and_diagram_subcommand(capsys, tmp_path):
     assert svg_a.read_bytes() == svg_b.read_bytes()
     (p,) = run_json(capsys, "pow", "0.6", "4", "--emit-trace", str(trace))
     assert p["trace_path"] == str(trace)
+
+
+@pytest.mark.parametrize("n, want", [
+    ("50000", "error: DomainError: the band +/- 8.55e15051 is wider than "
+              "the value 2.4860e15051\n"),
+    ("-20000", "error: DomainError: the band +/- 1.20e-6020 is wider than "
+               "the value 2.7624e-6021\n"),
+    ("20000", None),
+], ids=["50000", "-20000", "20000"])
+def test_device_refuses_a_band_wider_than_its_value(capsys, n, want):
+    code, out, err = run(capsys, "pow", "2", n, "--resolution", "1e-5")
+    if want is None:   # a band of 0.81 times the value still prints
+        assert (code, out, err) == (0, "3.6200e6020 +/- 2.95e6020\n", "")
+    else:
+        assert (code, out, err) == (2, "", want)
 
 
 def test_device_cf_solver(capsys):
@@ -369,7 +400,8 @@ def test_one_literal_grammar(capsys, monkeypatch, where, literal):
                             io.StringIO(f"pow 0.87 6 resolution={literal}\n"))
         argv, want = ["simulate", "-"], (2, "ParseError")
     else:
-        op = ["ln", "2"] if where == "--cf-tol" else ["pow", "2", "3"]
+        op = (["solve-mn", "--x", "2", "--a", "8"] if where == "--cf-tol"
+              else ["pow", "2", "3"])
         argv, want = op + [f"{where}={literal}"], (1, "usage error:")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (want[0], "")

@@ -102,6 +102,22 @@ def test_parse_errors_name_their_line():
         parse_trace(head + "drop from=B\n")
 
 
+def test_render_errors_name_their_line():
+    with pytest.raises(InconsistentTrace, match="^line 1: construct-angle-"
+                       "from-cosine needs a finite cos=, got 'abc'$"):
+        render_svg("construct-angle-from-cosine vertex=C cos=abc\n")
+    # the comment and the blank line count
+    text = ("# power\nconstruct-angle-from-cosine vertex=C cos=0.6\n"
+            "drop-perpendicular from=B onto=CA foot=D length=0.36\n\n"
+            "drop-perpendicular from=D onto=CB foot=E length=0.5\n")
+    with pytest.raises(InconsistentTrace, match="^line 5: drop D->E length "
+                       "0.5 breaks the cosine chain$"):
+        render_svg(text)
+    # parsed steps carry no lines
+    with pytest.raises(InconsistentTrace, match="^drop D->E"):
+        render_svg(parse_trace(text))
+
+
 def test_render_is_deterministic():
     rec = power_trace()
     assert render_svg(rec.steps) == render_svg(rec.steps)

@@ -15,7 +15,7 @@ from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
                      geometric_mean, multiply, normalize, nth_root,
                      oracle_eval, power, rational_power,
                      recover_rational_exponent, run_op, run_script, shift10)
-from geocalc import mechsim
+from geocalc import mechsim, numcore
 from geocalc.mechsim import ARM_MIN, SCRIPTS, arm_id, parse_script_line
 
 POL = DEFAULT_POLICY
@@ -419,7 +419,7 @@ def test_cf_level_with_a_cosine_band_reaching_one_is_sound():
 
 
 def test_corner_exponent_spans_zero_to_unbounded_at_one():
-    iv, ctx = mechsim._Iv, POL.oracle_ctx()
+    iv, ctx = numcore.Interval, POL.oracle_ctx()
     u, w = iv(Decimal("0.5"), Decimal("0.6")), iv(Decimal("0.1"), Decimal("0.2"))
     got = mechsim._corner_exponent(u, w, ctx)
     assert got.lo == ctx.divide(ctx.ln(w.hi), ctx.ln(u.lo))
@@ -429,7 +429,7 @@ def test_corner_exponent_spans_zero_to_unbounded_at_one():
 
 
 def test_device_cf_refuses_a_level_bounded_by_nothing(monkeypatch):
-    unbounded = mechsim._Iv(ONE, Decimal("Infinity"))
+    unbounded = numcore.Interval(ONE, Decimal("Infinity"))
     monkeypatch.setattr(mechsim, "_cf_level_steps", lambda *_: None)
     monkeypatch.setattr(mechsim, "_corner_exponent", lambda *_: unbounded)
     with pytest.raises(DegenerateAngle, match="no upper bound"):
