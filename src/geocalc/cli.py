@@ -21,8 +21,9 @@ from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, evaluate_cf,
                         recover_rational_exponent, solve_integer_exponent)
 from .mechsim import (SCRIPTS, MeasurementModel, run_op as device_op,
                       run_script)
-from .numcore import (PrecisionPolicy, SignedScaled, normalize, oracle_eval,
-                      parse_decimal, parse_integer, renormalized, to_text)
+from .numcore import (OPS, PrecisionPolicy, SignedScaled, normalize,
+                      oracle_eval, parse_decimal, parse_integer, renormalized,
+                      to_text)
 from .roots import RootQuery, nth_root, rational_power
 from .trace import TraceRecorder
 
@@ -117,24 +118,23 @@ def _device_result(args, op: str, inputs: list[str]) -> str:
 
 # --- handlers -----------------------------------------------------------
 
-# One row per engine operation: library function, operands (m and n are
-# ints, the others decimal literals), help text.  Functions are looked
-# up by name when called, so that a wrapper bound over the module
-# global, such as a profiler's, sees every call.
+# op: (library function, help text); its operands are its row of OPS.
+# Functions are looked up by name when called, so that a wrapper bound
+# over the module global, such as a profiler's, sees every call.
 _ENGINE = {
-    "pow": ("power", "xn", "integer power x**n"),
-    "root": ("nth_root", "xn", "principal n-th root"),
-    "powfrac": ("rational_power", "xmn", "rational power x**(m/n)"),
-    "recip": ("reciprocal", "x", "reciprocal 1/x"),
-    "mul": ("multiply", "ab", "product a*b"),
-    "div": ("divide", "ab", "quotient a/b"),
-    "gmean": ("geometric_mean", "ab", "geometric mean of a and b"),
+    "pow": ("power", "integer power x**n"),
+    "root": ("nth_root", "principal n-th root"),
+    "powfrac": ("rational_power", "rational power x**(m/n)"),
+    "recip": ("reciprocal", "reciprocal 1/x"),
+    "mul": ("multiply", "product a*b"),
+    "div": ("divide", "quotient a/b"),
+    "gmean": ("geometric_mean", "geometric mean of a and b"),
 }
 
 
 def _h_engine(args):
     op = args.command
-    func, names, _ = _ENGINE[op]
+    func, names = _ENGINE[op][0], OPS[op][0]
     inputs = [str(getattr(args, name)) for name in names]
     rec = _recorder_for(args)
     if getattr(args, "resolution", None) is not None:
@@ -246,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    for op, (_func, names, text) in _ENGINE.items():
+    for op, (_func, text) in _ENGINE.items():
         p = sub.add_parser(op, help=text, parents=[common, backend, trace]
                            + ([res] if op in SCRIPTS else []))
-        for name in names:
+        for name in OPS[op][0]:
             p.add_argument(name, type=_integer if name in "mn" else None)
         p.set_defaults(func=_h_engine)
 

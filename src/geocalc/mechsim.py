@@ -23,11 +23,10 @@ from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
                      GeocalcError, ParseError)
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
                         first_level)
-from .numcore import (_ONE, _POS_INF, _TENTH, _TWO, _UP, DEFAULT_POLICY,
+from .numcore import (_ONE, _POS_INF, _TENTH, _TWO, _UP, DEFAULT_POLICY, OPS,
                       Interval, PrecisionPolicy, SignedScaled, bisect,
-                      check_power, check_root, check_same_sign, normalize,
-                      parse_decimal, parse_integer, renormalized, shift10,
-                      to_text)
+                      normalize, parse_decimal, parse_integer, renormalized,
+                      shift10, to_text)
 from .trace import foot_label
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -237,7 +236,6 @@ def _device_reciprocal(run: _Run, mantissa: Decimal, exponent: int,
 
 
 def _script_power(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
-    check_power(x, n)
     sign = -1 if (x.sign < 0 and n % 2) else 1
     reading, shift_j, iv = _staged_power(run, x.mantissa, abs(n))
     res = run.package(sign, reading, x.exponent * abs(n) - shift_j, iv)
@@ -256,12 +254,14 @@ def _script_recip(run: _Run, x: SignedScaled) -> MeasuredResult:
 
 def _script_multiply(run: _Run, a: SignedScaled,
                      b: SignedScaled) -> MeasuredResult:
-    """One perpendicular: AB = Q(a), cos C = Q(b)/Q(1), read BD = a*b."""
+    """One perpendicular: AB = Q(a), cos C = Q(b)/Q(1), read BD = a*b.
+    No half step for the reading: around(a, h) * around(b, h) / Q(1) holds
+    a*b (b < 1, |Q(1) - 1| <= h), and `package` measures from the reading."""
     h = run.h
     state = assemble(b.mantissa, _ONE, a.mantissa, run.model, run.policy)
     bd = run.read("BD", state.bd)
     cos_iv = Interval.around(b.mantissa, h).div(Interval.point(state.ac_set))
-    iv = Interval.around(a.mantissa, h).mul(cos_iv).widen(h)
+    iv = Interval.around(a.mantissa, h).mul(cos_iv)
     return run.package(a.sign * b.sign, bd, a.exponent + b.exponent, iv)
 
 
@@ -294,7 +294,6 @@ def _rotate(run: _Run, side):
 
 def _script_gmean(run: _Run, a: SignedScaled,
                   b: SignedScaled) -> MeasuredResult:
-    check_same_sign(a, b)
     ctx, h, quantize = run.ctx, run.h, run.model.quantize
     m1, m2, half_exp = _parity_adjust(a, b)
     if m1 == m2:
@@ -325,7 +324,6 @@ def _script_gmean(run: _Run, a: SignedScaled,
 
 
 def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
-    check_root(x, n)
     ctx, h, model = run.ctx, run.h, run.model
     if n == 1:
         r = run.read("AB", x.mantissa)
@@ -487,24 +485,20 @@ def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
 
 # --- script driver ------------------------------------------------------
 
-# op: (script, operand kinds); "num" operands are decimal literals
-SCRIPTS = {"pow": (_script_power, ("num", "int")),
-           "root": (_script_root, ("num", "int")),
-           "mul": (_script_multiply, ("num", "num")),
-           "div": (_script_divide, ("num", "num")),
-           "gmean": (_script_gmean, ("num", "num")),
-           "recip": (_script_recip, ("num",)),
-           "cf": (_script_cf, ("num", "num"))}
+# op: script; its operand names and domain rule are the op's row of OPS
+SCRIPTS = {"pow": _script_power, "root": _script_root,
+           "mul": _script_multiply, "div": _script_divide,
+           "gmean": _script_gmean, "recip": _script_recip, "cf": _script_cf}
 
 
 def _script(op: str, n_args: int):
-    """The script and operand kinds of `op`, checking its arity."""
+    """The script, operand names and rule of `op`, checking its arity."""
     if op not in SCRIPTS:
         raise ParseError(f"unknown device operation {op!r}")
-    script, kinds = SCRIPTS[op]
-    if n_args != len(kinds):
-        raise ParseError(f"{op} takes {len(kinds)} arguments, got {n_args}")
-    return script, kinds
+    names, rule, _ = OPS[op]
+    if n_args != len(names):
+        raise ParseError(f"{op} takes {len(names)} arguments, got {n_args}")
+    return SCRIPTS[op], names, rule
 
 
 def parse_script_line(line: str):
@@ -520,9 +514,12 @@ def parse_script_line(line: str):
 
 def run_op(op: str, args: list[str], model: MeasurementModel,
            policy: PrecisionPolicy = DEFAULT_POLICY) -> MeasuredResult:
-    script, kinds = _script(op, len(args))
-    operands = [normalize(a) if kind == "num" else parse_integer(a)
-                for a, kind in zip(args, kinds)]
+    """Run `op` on its operand texts; its rule runs before any arm is set."""
+    script, names, rule = _script(op, len(args))
+    operands = [parse_integer(a) if name in "mn" else normalize(a)
+                for a, name in zip(args, names)]
+    if rule is not None:
+        rule(*operands)
     return script(_Run(model, policy), *operands)
 
 

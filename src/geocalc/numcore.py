@@ -432,26 +432,28 @@ def _oracle_gmean(ctx: Context, a: Decimal, b: Decimal) -> Decimal:
     return r.copy_negate() if a < 0 else r
 
 
-# op: (domain rule or None, formula(ctx, *operands)), keyed like
-# cli._ENGINE and SCRIPTS.  The rule sees the SignedScaled operands, the
-# formula their Decimal values; m and n stay ints for both.
-_ORACLE = {
-    "pow": (check_power, lambda ctx, x, n: _root_power(ctx, x, n, 1)),
-    "root": (check_root, lambda ctx, x, n: _root_power(ctx, x, 1, n)),
-    "powfrac": (check_rational_power, _root_power),
-    "recip": (None, lambda ctx, x: ctx.divide(_ONE, x)),
-    "mul": (None, Context.multiply),
-    "div": (None, Context.divide),
-    "gmean": (check_same_sign, _oracle_gmean),
+# The one table of operations, read by the CLI, the device and the oracle.
+# op: (operand names, domain rule or None, oracle formula or None); m and
+# n are ints, the others decimals.  The rule sees SignedScaled operands,
+# formula(ctx, ...) their Decimal values.  cf refuses in first_level.
+OPS = {
+    "pow": ("xn", check_power, lambda ctx, x, n: _root_power(ctx, x, n, 1)),
+    "root": ("xn", check_root, lambda ctx, x, n: _root_power(ctx, x, 1, n)),
+    "powfrac": ("xmn", check_rational_power, _root_power),
+    "recip": ("x", None, lambda ctx, x: ctx.divide(_ONE, x)),
+    "mul": ("ab", None, Context.multiply),
+    "div": ("ab", None, Context.divide),
+    "gmean": ("ab", check_same_sign, _oracle_gmean),
+    "cf": ("xa", None, None),
 }
 
 
 def oracle_eval(op: str, args: tuple, policy: PrecisionPolicy = DEFAULT_POLICY) -> SignedScaled:
     """Reference evaluation at oracle precision, bypassing all geometry,
     behind the op's domain rule.  Numeric operands are SignedScaled."""
-    if op not in _ORACLE:
+    _, check, formula = OPS.get(op, ("", None, None))
+    if formula is None:
         raise DomainError(f"unknown oracle op: {op!r}")
-    check, formula = _ORACLE[op]
     if check is not None:
         check(*args)
     values = (a.value() if isinstance(a, SignedScaled) else a for a in args)

@@ -5,6 +5,7 @@ stderr, and the exit code.  Expected result strings were frozen
 from the high-precision oracle.
 """
 
+import argparse
 import io
 import json
 import os
@@ -18,7 +19,8 @@ import pytest
 import geocalc
 from geocalc import (MeasurementModel, RESOLUTION_LADDER, approximate_e, cli,
                      run_op)
-from geocalc.mechsim import SCRIPTS
+from geocalc.mechsim import _LEVEL_STEP_CAP, N_ARMS, SCRIPTS
+from geocalc.numcore import OPS
 
 A_2_1971_181 = "1896.99842083110790327024929966961121487868624225173871384836"
 
@@ -122,6 +124,9 @@ def test_device_mode_reports_half_width(capsys):
     (p,) = run_json(capsys, "pow", "0.87", "6", "--resolution", "1e-5")
     assert p["error_bound"] == "2.38e-5"
     assert p["result"] == "4.3363e-1"
+    # a mul band adds no half step for its reading
+    code, out, _ = run(capsys, "mul", "0.3", "0.7", "--resolution", "1e-5")
+    assert (code, out) == (0, "2.1000e-1 +/- 5.01e-6\n")
 
 
 def test_oracle_backend_agrees(capsys):
@@ -240,6 +245,25 @@ MALFORMED_TRACES = {
                           "drop-perpendicular from=B onto=CA foot=D "
                           "length=0.36 color=red\n"),
     "reordered": "construct-angle-from-cosine cos=0.6 vertex=C\n",
+    "cos above one": "construct-angle-from-cosine vertex=C cos=1.5\n",
+    "drop off the cascade": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                             "drop-perpendicular from=X onto=CA foot=D "
+                             "length=0.36\n"),
+    "bisect after a drop": ("construct-angle-from-cosine vertex=C cos=0.6\n"
+                            "drop-perpendicular from=B onto=CA foot=D "
+                            "length=0.36\n"
+                            "bisect-angle vertex=C cos-full=0.6 "
+                            "cos-half=0.89\n"),
+    "rotation first": ("rotate-hypotenuse pivot=A cos=0.6 iteration=1\n"
+                       "drop-perpendicular from=B onto=CA foot=D "
+                       "length=0.36\n"),
+}
+# the refusal of a malformed cascade, and the line it names
+CASCADE_REFUSALS = {
+    "cos above one": "line 1: cosine 1.5 out of range",
+    "drop off the cascade": "line 2: drop starts at 'X', cascade is at 'B'",
+    "bisect after a drop": "line 3: unexpected step 'bisect-angle' mid-trace",
+    "rotation first": "line 2: construction must open with its angle",
 }
 
 
@@ -257,6 +281,8 @@ def test_malformed_files_exit_two(capsys, tmp_path, case):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and "Traceback" not in err
     assert case.startswith("non-ascii") or "InconsistentTrace" in err
+    if case in CASCADE_REFUSALS:
+        assert err == f"error: InconsistentTrace: {CASCADE_REFUSALS[case]}\n"
     assert not out_svg.exists()
 
 
@@ -325,6 +351,21 @@ def test_device_cf_solver(capsys):
     assert (code, out) == (0, "1.0890e1 +/- 1.58e-9\n")
 
 
+def test_device_cf_level_step_cap(capsys):
+    # a = 1.0001**12000: the first level walks _LEVEL_STEP_CAP arms
+    # without crossing and is banded by corner exponents
+    code, out, err = run(capsys, "solve-mn", "--x", "1.0001", "--a",
+                         "3.31991773497594925289013636177e+0",
+                         "--resolution", "1e-10")
+    assert (code, out, err) == (0, "1.2000e4 +/- 6.01e-3\n", "")
+    value, band = (Decimal(t) for t in out.split(" +/- "))
+    assert value - band <= 12000 <= value + band
+    # one re-anchor reading per full stage before the cap, none at it
+    res = run_op("cf", ["1.0001", "3.31991773497594925289013636177e+0"],
+                 MeasurementModel(resolution=Decimal("1e-10")))
+    assert len(res.readings) == _LEVEL_STEP_CAP // N_ARMS - 1
+
+
 def test_device_cf_solver_below_a_tenth(capsys):
     # cos C = 1/20: the crossing at two arms lies past a reading below 0.1,
     # so the level is banded by corner exponents instead of an arm count
@@ -363,6 +404,12 @@ def test_digits_past_the_default_decimal_context(capsys):
     assert (code, out, err) == (0, "1.2500000000000000000000000000e-1\n", "")
 
 
+# x, a that solve-mn refuses in exponents.first_level on both backends
+CF_REFUSALS = {("-2", "8"): "exponent recovery needs positive values",
+               ("1", "8"): "exponent recovery is degenerate at 1",
+               ("2", "0.5"): "base and target must sit on the same side of 1"}
+
+
 @pytest.mark.parametrize("op, operands", [
     ("pow", ["2", "0"]), ("pow", ["2", "1000001"]),
     ("pow", ["1e-999999999", "2"]), ("root", ["-16", "4"]),
@@ -372,16 +419,33 @@ def test_digits_past_the_default_decimal_context(capsys):
     ("powfrac", ["2", "2000000", "3"]), ("powfrac", ["1e900000", "2000", "3"]),
     ("mul", ["1e900000000", "1e900000000"]),
     ("div", ["1e900000000", "1e-900000000"]),
-    ("recip", ["1e-1000000000"])])
+    ("recip", ["1e-1000000000"]),
+    *(("solve-mn", ["--x", x, "--a", a]) for x, a in CF_REFUSALS)])
 def test_backends_reject_the_same_operands(capsys, op, operands):
-    modes = [["--backend", "construction"], ["--backend", "oracle"]]
-    if op in SCRIPTS:
-        modes.append(["--resolution", "1e-5"])
-    first, *others = (run(capsys, op, *mode, "--", *operands)
-                      for mode in modes)
+    if op == "solve-mn":        # the engine's walk, and the device's cf
+        modes = [[], ["--resolution", "1e-5"]]
+    else:
+        modes = [["--backend", "construction"], ["--backend", "oracle"]]
+        if op in SCRIPTS:
+            modes.append(["--resolution", "1e-5"])
+        operands = ["--", *operands]
+    first, *others = (run(capsys, op, *mode, *operands) for mode in modes)
     assert all(other == first for other in others)
     code, out, err = first
     assert (code, out) == (2, "") and err.startswith("error: ")
+    if op == "solve-mn":
+        want = CF_REFUSALS[operands[1], operands[3]]
+        assert err == f"error: DomainError: {want}\n"
+
+
+def test_one_table_of_operations():
+    assert set(cli._ENGINE) | set(SCRIPTS) == set(OPS)
+    assert all(OPS[op][2] is not None for op in cli._ENGINE)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for op in cli._ENGINE:
+        positionals = sub.choices[op]._get_positional_actions()
+        assert "".join(a.dest for a in positionals) == OPS[op][0], op
 
 
 # the last two are 1e-5 with an Arabic-Indic and a full-width digit one

@@ -56,6 +56,8 @@ def test_solve_integer_exponent_sign_rules():
                                   10, POL) == 2
     with pytest.raises(NoIntegerExponent):
         solve_integer_exponent(normalize("-2"), normalize("8"), 10, POL)
+    with pytest.raises(NoIntegerExponent):     # no power of 2 is negative
+        solve_integer_exponent(normalize("2"), normalize("-8"), 10, POL)
 
 
 def test_solve_integer_exponent_no_match():
