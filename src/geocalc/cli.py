@@ -19,11 +19,11 @@ from .errors import GeocalcError
 from .euler import antilog, approximate_e, natural_log
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, evaluate_cf,
                         recover_rational_exponent, solve_integer_exponent)
-from .mechsim import (SCRIPTS, MeasurementModel, run_op as device_op,
-                      run_script)
-from .numcore import (OPS, PrecisionPolicy, SignedScaled, normalize,
-                      oracle_eval, parse_decimal, parse_integer, renormalized,
-                      to_text)
+from .mechsim import (DEFAULT_RESOLUTION, SCRIPTS, MeasurementModel,
+                      run_op as device_op, run_script)
+from .numcore import (DEFAULT_POLICY, OPS, PrecisionPolicy, SignedScaled,
+                      normalize, oracle_eval, parse_decimal, parse_integer,
+                      renormalized, to_text)
 from .roots import RootQuery, nth_root, rational_power
 from .trace import TraceRecorder
 
@@ -65,8 +65,9 @@ _decimal, _integer = _literal(parse_decimal), _literal(parse_integer)
 
 
 def _policy(args) -> PrecisionPolicy:
-    return PrecisionPolicy(working_digits=max(30, args.digits + 10),
-                           rel_tol=args.tol)
+    return PrecisionPolicy(
+        working_digits=max(DEFAULT_POLICY.working_digits, args.digits + 10),
+        rel_tol=args.tol)
 
 
 def _fmt_decimal(d: Decimal, digits: int) -> str:
@@ -288,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="run a device measurement script")
     p.add_argument("script", help="script path, or - for stdin")
-    p.add_argument("--resolution", type=_decimal,
-                   default=Decimal("1e-5"))
+    p.add_argument("--resolution", type=_decimal, default=DEFAULT_RESOLUTION)
     p.set_defaults(func=_h_simulate)
 
     p = sub.add_parser("diagram", parents=[common],

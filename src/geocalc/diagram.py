@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InconsistentTrace
-from .trace import STEP_KINDS, TraceStep, parse_trace, step_line
+from .trace import STEP_KINDS, TraceStep, parse_trace
 
 _W, _H = 640.0, 480.0
 _MARGIN = 52.0
@@ -69,14 +69,6 @@ class _Scene:
         return x0, y0, x1, y1
 
 
-def _refusal(step: TraceStep, message: str) -> InconsistentTrace:
-    """An InconsistentTrace that keeps the step it refuses, so that
-    render_svg can name the step's line in a trace text."""
-    err = InconsistentTrace(message)
-    err.step = step
-    return err
-
-
 def _num(step: TraceStep, i: int) -> float:
     """The i-th attribute of step: finite, or the trace is inconsistent."""
     text = step.values[i]
@@ -85,14 +77,14 @@ def _num(step: TraceStep, i: int) -> float:
     except ValueError:
         v = math.nan
     if not math.isfinite(v):
-        raise _refusal(step, f"{step.kind} needs a finite "
-                             f"{STEP_KINDS[step.kind][i]}=, got {text!r}")
+        raise step.refusal(f"{step.kind} needs a finite "
+                           f"{STEP_KINDS[step.kind][i]}=, got {text!r}")
     return v
 
 
 def _cos_sin(cos_v: float, step: TraceStep):
     if not -1.0 < cos_v < 1.0:
-        raise _refusal(step, f"cosine {cos_v} out of range")
+        raise step.refusal(f"cosine {cos_v} out of range")
     return cos_v, math.sqrt(1.0 - cos_v * cos_v)
 
 
@@ -129,11 +121,10 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
             _render_fan(scene, trials)
             for st in steps[i:]:
                 if st.kind != "measure-length":
-                    raise _refusal(st, "construction must open with its "
-                                       "angle")
+                    raise st.refusal("construction must open with its angle")
                 scene.captions.append(_caption(st))
             return scene
-        raise _refusal(steps[i], "construction must open with its angle")
+        raise steps[i].refusal("construction must open with its angle")
     cos_step, cos_work = steps[i], _num(steps[i], 1)
     i += 1
     bisected_from = None
@@ -148,7 +139,7 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
         elif st.kind == "measure-length":
             scene.captions.append(_caption(st))
         else:
-            raise _refusal(st, f"unexpected step {st.kind!r} mid-trace")
+            raise st.refusal(f"unexpected step {st.kind!r} mid-trace")
     c, s = _cos_sin(cos_work, cos_step)
     # infer AB from the first drop: every drop shrinks by cos C; at
     # cos C = 0 the first drop breaks the chain below
@@ -174,22 +165,22 @@ def _build_panel(steps: list[TraceStep]) -> _Scene:
     t_max, f_max = hyp_len * (1.0 + 1e-9), bx * (1.0 + 1e-9)
     for frm, onto, foot, length, st in drops:
         if frm != prev_label:
-            raise _refusal(st, f"drop starts at {frm!r}, cascade is at "
-                               f"{prev_label!r}")
+            raise st.refusal(f"drop starts at {frm!r}, cascade is at "
+                             f"{prev_label!r}")
         expected = prev_len * c
         if expected <= 0 or abs(length - expected) > _REL_TOL * expected:
-            raise _refusal(st, f"drop {frm}->{foot} length {length} breaks "
-                               "the cosine chain")
+            raise st.refusal(f"drop {frm}->{foot} length {length} breaks "
+                             "the cosine chain")
         if onto in ("CA", "CY"):
             t = px * c + py * s
             if not -1e-9 <= t <= t_max:
-                raise _refusal(st, f"foot {foot} lands off the segment")
+                raise st.refusal(f"foot {foot} lands off the segment")
             fx, fy = t * c, t * s
             ux, uy = c, s
         else:
             fx, fy = px, 0.0
             if not -1e-9 <= fx <= f_max:
-                raise _refusal(st, f"foot {foot} lands off the segment")
+                raise st.refusal(f"foot {foot} lands off the segment")
             ux, uy = 1.0, 0.0
         k = vertex(fx, fy)
         scene.segments.append((kp, k, "perp"))
@@ -236,19 +227,13 @@ def _combine(panels: list[_Scene]) -> _Scene:
 
 
 def render_svg(trace, title: str | None = None) -> str:
-    """Render a trace (text or parsed steps) to a standalone SVG string.
-    A refusal of one step of a trace text names the step's line."""
+    """Render a trace (text or steps) to a standalone SVG string.  A
+    refusal of one step names its line when the step was parsed from a
+    trace text."""
     steps = parse_trace(trace) if isinstance(trace, str) else list(trace)
     if not steps:
         raise InconsistentTrace("empty trace")
-    try:
-        scene = _combine([_build_panel(g) for g in _split_groups(steps)])
-    except InconsistentTrace as e:
-        step = getattr(e, "step", None)
-        if step is None or not isinstance(trace, str):
-            raise
-        k = next(k for k, st in enumerate(steps) if st is step)
-        raise InconsistentTrace(f"line {step_line(trace, k)}: {e}") from e
+    scene = _combine([_build_panel(g) for g in _split_groups(steps)])
     x0, y0, x1, y1 = scene.bounds()
     span_x = max(x1 - x0, 1e-12)
     span_y = max(y1 - y0, 1e-12)

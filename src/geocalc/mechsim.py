@@ -27,7 +27,7 @@ from .numcore import (_ONE, _POS_INF, _TENTH, _TWO, _UP, DEFAULT_POLICY, OPS,
                       Interval, PrecisionPolicy, SignedScaled, bisect,
                       normalize, parse_decimal, parse_integer, renormalized,
                       shift10, to_text)
-from .trace import foot_label
+from .trace import foot_label, numbered_lines
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
 
@@ -532,13 +532,10 @@ def run_script(script, model: MeasurementModel | None = None,
     are skipped.  A resolution field swaps the graduation for that line.
     An error keeps its type and is prefixed with its 1-based line number.
     """
-    lines = script.splitlines() if isinstance(script, str) else list(script)
+    lines = script.splitlines() if isinstance(script, str) else script
     base = model if model is not None else MeasurementModel()
     out = []
-    for number, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in numbered_lines(lines):
         try:
             op, args, resolution = parse_script_line(line)
             m = base if resolution is None else replace(

@@ -44,18 +44,26 @@ def foot_label(i: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
-    """One step: its kind and one string per attribute of STEP_KINDS[kind]."""
+    """One step: its kind and one string per attribute of STEP_KINDS[kind].
+    `line` is the step's 1-based line in a parsed trace text, 0 for a
+    recorded step; equality and hashing ignore it."""
 
     kind: str
     values: tuple[str, ...]
+    line: int = field(default=0, compare=False)
 
     def __post_init__(self):
         names = STEP_KINDS.get(self.kind)
         if names is None:
-            raise InconsistentTrace(f"unknown step kind: {self.kind!r}")
+            raise self.refusal(f"unknown step kind: {self.kind!r}")
         if len(self.values) != len(names):
-            raise InconsistentTrace(
+            raise self.refusal(
                 f"{self.kind} takes " + " ".join([f"{n}=" for n in names]))
+
+    def refusal(self, message: str) -> InconsistentTrace:
+        """An InconsistentTrace refusing this step, naming its line if any."""
+        return InconsistentTrace(
+            f"line {self.line}: {message}" if self.line else message)
 
     def to_line(self) -> str:
         return _FORMAT[self.kind].format(*self.values)
@@ -93,28 +101,25 @@ class TraceRecorder:
             fh.write(self.dumps())
 
 
+def numbered_lines(lines):
+    """(1-based number, stripped line) of each line that is neither blank
+    nor a # comment; the skipped lines are counted."""
+    for number, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield number, line
+
+
 def parse_trace(text: str) -> list[TraceStep]:
-    """Steps of a trace text.  Blank lines and # comments are skipped, but
-    counted: an error names its 1-based line."""
+    """Steps of a trace text, each carrying its line.  Blank lines and #
+    comments are skipped, but counted: an error names its 1-based line."""
     # labels and values go into SVG unescaped: refuse markup characters
     if any(ch in text for ch in '<>&"'):
         raise InconsistentTrace('trace holds one of the characters <>&"')
     steps = []
-    for number, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line[0] == "#":
-            continue
+    for number, line in numbered_lines(text.splitlines()):
         kind = line.split(None, 1)[0]
         m = kind in _PATTERN and _PATTERN[kind].fullmatch(line)
-        try:   # a line off its kind's pattern is a step of no values
-            steps.append(TraceStep(kind, m.groups() if m else ()))
-        except InconsistentTrace as e:
-            raise InconsistentTrace(f"line {number}: {e}") from e
+        # a line off its kind's pattern is a step of no values
+        steps.append(TraceStep(kind, m.groups() if m else (), number))
     return steps
-
-
-def step_line(text: str, k: int) -> int:
-    """The 1-based line of the k-th step (0-based) that parse_trace reads
-    from text."""
-    return [number for number, raw in enumerate(text.splitlines(), 1)
-            if (line := raw.strip()) and line[0] != "#"][k]

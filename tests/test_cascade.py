@@ -1,7 +1,7 @@
 """Cascade construction, powers, reciprocals, products, quotients, means."""
 
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 
 import pytest
 
@@ -47,6 +47,14 @@ def test_validate_flags_a_corrupted_length():
     bad = Cascade(construction=casc.construction,
                   lengths=casc.lengths[:-1] + (Decimal("0.13"),))
     assert not bad.validate(POL)
+    # each ratio passes at 0.9 of its tolerance, but p1**2 misses AB * p2
+    # by 1.8e-28 relative, past the mean-proportional check's 1e-28
+    t = Decimal("1e-28")
+    with localcontext(Context(prec=80)):
+        p1 = Decimal("0.6") * (1 + Decimal("0.9") * t)
+        p2 = Decimal("0.6") * p1 * (1 - Decimal("0.9") * t)
+    skew = Cascade(Construction(Decimal("0.6"), Decimal(1), 2), (p1, p2))
+    assert not skew.validate(POL)
 
 
 def test_cascade_trace_records_alternating_drops():

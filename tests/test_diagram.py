@@ -79,6 +79,9 @@ def test_trace_steps_are_immutable_hashable_values():
     with pytest.raises(dataclasses.FrozenInstanceError):
         step.values = ()
     parsed = parse_trace(rec.dumps())
+    # equality and hashing ignore the line a parsed step carries
+    assert [s.line for s in parsed] == list(range(1, len(parsed) + 1))
+    assert {s.line for s in rec.steps} == {0}
     assert parsed == rec.steps
     assert [hash(s) for s in parsed] == [hash(s) for s in rec.steps]
     assert set(parsed) == set(rec.steps)
@@ -113,9 +116,12 @@ def test_render_errors_name_their_line():
     with pytest.raises(InconsistentTrace, match="^line 5: drop D->E length "
                        "0.5 breaks the cosine chain$"):
         render_svg(text)
-    # parsed steps carry no lines
-    with pytest.raises(InconsistentTrace, match="^drop D->E"):
+    # parsed steps carry their lines; recorded steps have none
+    with pytest.raises(InconsistentTrace, match="^line 5: drop D->E length "
+                       "0.5 breaks the cosine chain$"):
         render_svg(parse_trace(text))
+    with pytest.raises(InconsistentTrace, match="^drop D->E"):
+        render_svg([TraceStep(s.kind, s.values) for s in parse_trace(text)])
 
 
 def test_render_is_deterministic():

@@ -2,7 +2,7 @@
 
 import math
 import random
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -65,6 +65,9 @@ def test_solve_integer_exponent_no_match():
         solve_integer_exponent(normalize("2"), normalize("1000"), 100, POL)
     with pytest.raises(NoIntegerExponent):
         solve_integer_exponent(normalize("2"), normalize("0.5"), 100, POL)
+    # not even the first power of 0.5 reaches 0.9
+    with pytest.raises(NoIntegerExponent):
+        solve_integer_exponent(normalize("0.5"), normalize("0.9"), 10, POL)
 
 
 def test_recover_rational_exponent_canonical_terms():
@@ -115,6 +118,14 @@ def test_recover_truncates_irrational_exponent():
     assert not cf.terminated
     got = evaluate_cf(cf)
     assert abs(float(got) - math.sqrt(2)) < 1e-4
+
+
+def test_recover_stops_at_the_term_cap():
+    # t = 1 + 1e-9: the second term, about 1e9, lies past MAX_TERM
+    a = Context(prec=80).power(Decimal(2), 1 + Decimal("1e-9"))
+    cf = recover_rational_exponent(normalize("2"), normalize(str(a)),
+                                   policy=POL)
+    assert cf == ContinuedFraction((1,), terminated=False)
 
 
 def test_change_of_base_ratio():

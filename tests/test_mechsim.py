@@ -1,5 +1,6 @@
 """Simulated telescopic-arm device: quantization, scripts, error bounds."""
 
+import io
 import math
 import random
 from decimal import (Context, Decimal, Inexact, ROUND_CEILING, ROUND_DOWN,
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
-                     DegenerateAngle, GeocalcError,
+                     DegenerateAngle, EvenRootOfNegative, GeocalcError,
                      MeasurementModel, ParseError, PrecisionPolicy,
                      RESOLUTION_LADDER, RootQuery, assemble, divide,
                      geometric_mean, multiply, normalize, nth_root,
@@ -207,6 +208,17 @@ div 5.972e24 7.348e22 resolution=1e-10
     assert len(results) == 2
     # the per-line override tightens the second result far below the first
     assert results[1].half_width < results[0].half_width
+
+
+@pytest.mark.parametrize("script", [
+    ["# roots", "", "root -8 2"],
+    io.StringIO("# roots\n\nroot -8 2\n"),
+])
+def test_script_lines_count_blanks_and_comments(script):
+    # a list or an open file keeps its numbering, as a text does
+    with pytest.raises(EvenRootOfNegative, match="^line 3: index 2 root of "
+                       "a negative radicand$"):
+        run_script(script, policy=POL)
 
 
 def test_script_results_are_deterministic():

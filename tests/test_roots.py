@@ -1,7 +1,7 @@
 """Roots and rational powers driven by cosine search."""
 
 import random
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import pytest
 
@@ -159,6 +159,16 @@ def test_loose_tolerance_search_gets_no_window():
                 == _reference_solve_cos_power(40, target, ctx, rel_tol)
                 == Decimal("0.7499999999999995"))
     assert newton_window(40, target, ctx, Decimal("0.5")) is not None
+
+
+def test_root_of_an_index_past_newtons_basin():
+    # past about 10**16 Newton's float seed may leave its basin, and then
+    # there is no window: the bracketed search alone must find the root
+    x, n = normalize("0.1"), 9721136870520942972
+    got = nth_root(RootQuery(x, n), POL)
+    ctx = Context(prec=80)
+    want = ctx.power(x.value(), ctx.divide(1, n))
+    assert rel_diff(got.value(), want, ctx) <= POL.rel_tol
 
 
 @pytest.mark.parametrize("text", ["0.9999999999999999", "0.99999999999999",
