@@ -15,6 +15,7 @@ lies inside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal
 
@@ -23,10 +24,10 @@ from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
                      GeocalcError, ParseError)
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
                         first_level)
-from .numcore import (_ONE, _POS_INF, _TENTH, _TWO, _UP, DEFAULT_POLICY, OPS,
-                      Interval, PrecisionPolicy, SignedScaled, bisect,
-                      normalize, parse_decimal, parse_integer, renormalized,
-                      shift10, to_text)
+from .numcore import (_DOWN, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
+                      DEFAULT_POLICY, OPS, Interval, PrecisionPolicy,
+                      SignedScaled, bisect, normalize, parse_decimal,
+                      parse_integer, renormalized, shift10, to_text)
 from .trace import foot_label, numbered_lines
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -285,11 +286,29 @@ def _script_divide(run: _Run, num: SignedScaled,
     return run.package(sign, bd, exponent, iv)
 
 
-def _rotate(run: _Run, side):
-    """Bisect the apex cosine in [1e-6, 1 - 1e-6] down to one graduation."""
+def _rotate(run: _Run, side, window: tuple[Decimal, Decimal]):
+    """Bisect the apex cosine in [1e-6, 1 - 1e-6] down to one graduation,
+    asking side only inside the known-side window (below, above)."""
     ctx, resolution = run.ctx, run.model.resolution
     return bisect(side, Decimal("1e-6"), Decimal("0.999999"), ctx, "rotation",
-                  lambda lo, hi: ctx.subtract(hi, lo) < resolution)
+                  lambda lo, hi: ctx.subtract(hi, lo) < resolution, window)
+
+
+def _gmean_window(ed: Decimal, target: Decimal, h: Decimal, ctx: Context):
+    """(below, above) outside which the rotating mean's side is known.
+
+    side(c) snaps x = ed / c**2, two roundings under ctx that move it by
+    less than 2u relative, u = 10**(1 - prec), and compares the reading
+    with target, which lies on the graduation grid.  The window is
+    sqrt(ed / (target -+ h)), outward, widened by 100u relative, which
+    also covers sqrt: Decimal rounds it to nearest in every context.
+    For c below it, ed / c**2 exceeds (target + h)(1 + 100u), so x
+    exceeds target + h and snaps a graduation above target: side < 0.
+    For c above it, x falls short of target - h and snaps below: side > 0.
+    """
+    iv = Interval.point(ed).div(Interval.around(target, h)).sqrt()
+    iv = iv.widen(_UP.multiply(iv.hi, shift10(_ONE, 3 - ctx.prec)))
+    return iv.lo, iv.hi
 
 
 def _script_gmean(run: _Run, a: SignedScaled,
@@ -310,7 +329,8 @@ def _script_gmean(run: _Run, a: SignedScaled,
             return 0
         return -1 if r > target else 1
 
-    c, lo, hi, accepted = _rotate(run, side)
+    c, lo, hi, accepted = _rotate(run, side,
+                                  _gmean_window(ed, target, h, ctx))
     ab_final = ctx.divide(ed, ctx.multiply(c, c))
     if accepted or quantize(ab_final) == target:
         ab_iv = Interval.around(big, _UP.multiply(_TWO, h))
@@ -321,6 +341,52 @@ def _script_gmean(run: _Run, a: SignedScaled,
     bd = run.read("BD", ctx.divide(ed, c))
     iv = Interval.around(small, h).mul(ab_iv).sqrt().widen(h)
     return run.package(a.sign, bd, half_exp, iv)
+
+
+def _root_window(target: Decimal, n: int, h: Decimal, ctx: Context):
+    """(below, above) outside which the device root chain's side is known.
+
+    side(c) compares the telescoped chain T(c) of `_script_root` with
+    target, which lies in [10**-n, 1).  Take c >= 0.1.  The first arm
+    after an anchor in [0.1, 1] is at least ARM_MIN, and a later arm is
+    the product the previous step checked against ARM_MIN; so each of
+    the at most n - 1 re-anchors reads a length p >= ARM_MIN, and its
+    reading q = p -+ h scales T by q / p in 1 -+ d, d = h / ARM_MIN.
+    With the n multiplies, each rounded by less than u = 10**(1 - prec)
+    relative, T(c) lies within c**n [(1 - d)**(n - 1) (1 - u)**n,
+    (1 + d)**(n - 1) (1 + u)**n].  For c < 0.1 a stage that re-anchors
+    after one arm reads at most a c (1 + u) + h from its anchor a >= 0.1,
+    a factor below 0.1 (1 + u)(1 + d), and a longer stage re-anchors at
+    p >= ARM_MIN; so T(c) stays under the upper envelope at c = 0.1.
+
+    The edges start from a float r = target**(1/n), taken through
+    log10 as `numcore.newton_window` does: below = r (1 + d)**-(n-1)/n
+    and above = r (1 - d)**-(n-1)/n, each nudged outward by 1e-12.
+    Outward integer powers then certify them: below**n times the upper
+    envelope is at most target, so side < 0 for every c < below when
+    below >= 0.1; above**n times the lower envelope is at least target,
+    which puts above past 0.1, so side > 0 for every c > above.  An
+    edge that fails its certificate, and a below under 0.1, becomes
+    -+Infinity: float error can only widen the window.
+    """
+    d = _UP.divide(h, ARM_MIN)
+    u = shift10(_ONE, 1 - ctx.prec)
+    e = target.adjusted()
+    log_r = (e + math.log10(float(shift10(target, -e)))) / n
+    lean = (n - 1) / n / math.log(10)
+    below = ctx.create_decimal_from_float(
+        10 ** (log_r - lean * math.log1p(float(d))) * (1 - 1e-12))
+    above = ctx.create_decimal_from_float(
+        10 ** (log_r - lean * math.log1p(-float(d))) * (1 + 1e-12))
+    upper = _UP.multiply(_UP.power(_UP.add(_ONE, d), n - 1),
+                         _UP.power(_UP.add(_ONE, u), n))
+    lower = _DOWN.multiply(_DOWN.power(_DOWN.subtract(_ONE, d), n - 1),
+                           _DOWN.power(_DOWN.subtract(_ONE, u), n))
+    if below < _TENTH or _UP.multiply(_UP.power(below, n), upper) > target:
+        below = _NEG_INF
+    if _DOWN.multiply(_DOWN.power(above, n), lower) < target:
+        above = _POS_INF
+    return below, above
 
 
 def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
@@ -351,7 +417,7 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
         p, j, _ = chain(c, False)
         return -1 if shift10(p, -j) < target else 1
 
-    c, lo, hi, _ = _rotate(run, side)
+    c, lo, hi, _ = _rotate(run, side, _root_window(target, n, h, ctx))
     p_fin, j_fin, anchors = chain(c, True)
     # a re-anchor reading q stands for a length in q -+ h, so the chain's
     # relative envelope is the product of q / (q -+ h)

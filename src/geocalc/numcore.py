@@ -128,9 +128,10 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     A chunk that ends collapsed, or a midpoint outside (lo, hi), sends
     the step loop back to the state saved at the chunk's start, or just
     after the last side call, to replay it.  This is exact for a
-    collapsed that stays true once true while the brackets nest, as
-    hi - lo <= rel_tol*lo does (rounded subtract and multiply are
-    monotone): a chunk that ends uncollapsed held no collapsed step, and
+    collapsed that stays true once true while the brackets nest, as the
+    engine's hi - lo <= rel_tol*lo and the device's hi - lo < resolution
+    do (rounded subtract and multiply are monotone): a chunk that ends
+    uncollapsed held no collapsed step, and
     side is called with the same (c, i) in the same order.
     """
     add, divide = ctx.add, ctx.divide

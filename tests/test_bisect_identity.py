@@ -7,18 +7,20 @@ both and require the same result or exception type, and the same
 side(c, i) calls in the same order.  The traced sweep holds a traced
 search to the one a traced search ran before bisect drew: no window,
 every midpoint asks side, and the first four draw a rotation.  The
-seed is fixed.
+device sweep runs each device rotation search with its window and with
+none.  The seeds are fixed.
 """
 
+import math
 import random
 from decimal import Context, Decimal
 from functools import partial
 from itertools import count
 
-from geocalc import (GeocalcError, NoConvergence, PrecisionPolicy,
-                     TraceRecorder, geometric_mean, normalize,
-                     solve_cos_power)
-from geocalc import cascade, roots
+from geocalc import (RESOLUTION_LADDER, GeocalcError, MeasurementModel,
+                     NoConvergence, PrecisionPolicy, TraceRecorder,
+                     geometric_mean, normalize, solve_cos_power)
+from geocalc import cascade, mechsim, roots
 from geocalc.numcore import _ONE, _TWO, bisect, shift10
 
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
@@ -261,3 +263,89 @@ def test_collapse_mid_chunk_on_a_boundary_and_at_a_side_call():
             else:
                 assert (Decimal("0.75"), 1) in new_calls or k < 2
 
+
+
+def _device_searches(monkeypatch, op, args, resolution, keep_window):
+    """run_op on the device, with every rotation search's (result or
+    exception type, side calls, side, window) in the order they ran."""
+    searches = []
+
+    def run(side, lo, hi, ctx, what, collapsed, window):
+        calls = []
+
+        def logged(c, i):
+            calls.append((str(c), i))
+            return side(c, i)
+        try:
+            got = bisect(logged, lo, hi, ctx, what, collapsed,
+                         window if keep_window else None)
+        except GeocalcError as exc:
+            searches.append((type(exc).__name__, calls, side, window))
+            raise
+        searches.append((got, calls, side, window))
+        return got
+    monkeypatch.setattr(mechsim, "bisect", run)
+    model = MeasurementModel(resolution=resolution)
+    return _outcome(lambda: mechsim.run_op(op, args, model)), searches
+
+
+def _device_cases(rng):
+    """(op, args, rungs) for the device's two searches: gmean and root
+    over radicand decades -300..300 and root index log-uniform up to
+    499 at every rung, one root index in 500..4 999 and the fixed cases.
+    The two deep roots run at the coarsest rung only, where h/ARM_MIN
+    times the index is largest, since each plain side call walks every
+    arm."""
+    def number(sign=""):
+        return (f"{sign}0.{rng.randrange(10 ** 11, 10 ** 12)}"
+                f"e{rng.randint(-300, 300)}")
+    every, coarsest = RESOLUTION_LADDER, RESOLUTION_LADDER[:1]
+    # solution cosines above the bracket's top 0.999999, a root of
+    # exactly 0.1, and a deep root
+    cases = [("gmean", ["0.5", "0.5000001"], every),
+             ("root", ["0.99999999", "3"], every),
+             ("root", ["0.1e-29", "30"], every),
+             ("root", ["2", "10000"], coarsest),
+             ("root", [number(), str(rng.randint(500, 4999))], coarsest)]
+    for _ in range(12):
+        sign = rng.choice(("", "-"))
+        cases.append(("gmean", [number(sign), number(sign)], every))
+        n = int(10 ** rng.uniform(math.log10(2), math.log10(500)))
+        sign = rng.choice(("", "-")) if n % 2 else ""
+        cases.append(("root", [number(sign), str(n)], every))
+    return cases
+
+
+def test_device_windows_change_no_rotation(monkeypatch):
+    """The device's gmean and root windows keep every rotation search.
+
+    Each search runs with its window and with none (every midpoint asks
+    side): the result, or the exception type, is the same, and the
+    windowed side calls are a subsequence of the plain ones.  Just
+    outside each finite edge, by one unit of the search context, side
+    gives the window's sign.  Root 0.1e-29 30 has the root 0.1 exactly,
+    so its lower edge is dropped.
+    """
+    ctx = PrecisionPolicy().oracle_ctx()
+    windowed_calls = plain_calls = 0
+    for op, args, rungs in _device_cases(random.Random(2525)):
+        for resolution in rungs:
+            plain = _device_searches(monkeypatch, op, args, resolution, False)
+            got = _device_searches(monkeypatch, op, args, resolution, True)
+            where = (op, args, str(resolution))
+            assert got[0] == plain[0], where
+            assert len(got[1]) == len(plain[1]) == 1, where
+            (result, calls, side, window), (want, want_calls, _, _) = (
+                got[1][0], plain[1][0])
+            assert result == want, where
+            assert _is_subsequence(calls, want_calls), where
+            windowed_calls += len(calls)
+            plain_calls += len(want_calls)
+            below, above = window
+            if below.is_finite():
+                assert side(ctx.next_minus(below), 0) < 0, where
+            if above.is_finite():
+                assert side(ctx.next_plus(above), 0) > 0, where
+            if args == ["0.1e-29", "30"]:
+                assert not below.is_finite(), where
+    assert windowed_calls * 4 < plain_calls
