@@ -225,8 +225,11 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
     Both operands here share a decade, so the solution cosine is interior.
     Like the root search, it also stops once the bracket is narrower than
     rel_tol relative: the working precision can stall the bracket before
-    small/c**2 comes within the tolerance of `big`.  Midpoints outside a
-    Newton window around sqrt(small/big) are decided without side
+    small/c**2 comes within the tolerance of `big`.  Newton's point
+    sqrt(small/big), rounded to ctx, is tried first and returned if side
+    accepts it; the search bisects when rel_tol is below one working
+    unit or above 1/2 (no window), or when side rejects the point.
+    Midpoints outside a Newton window around it are decided without side
     (numcore.newton_window shows why that keeps every result).
     """
     ctx_div, ctx_mul = ctx.divide, ctx.multiply

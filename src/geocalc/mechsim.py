@@ -300,8 +300,7 @@ def _gmean_window(ed: Decimal, target: Decimal, h: Decimal, ctx: Context):
     side(c) snaps x = ed / c**2, two roundings under ctx that move it by
     less than 2u relative, u = 10**(1 - prec), and compares the reading
     with target, which lies on the graduation grid.  The window is
-    sqrt(ed / (target -+ h)), outward, widened by 100u relative, which
-    also covers sqrt: Decimal rounds it to nearest in every context.
+    sqrt(ed / (target -+ h)), outward, widened by 100u relative.
     For c below it, ed / c**2 exceeds (target + h)(1 + 100u), so x
     exceeds target + h and snaps a graduation above target: side < 0.
     For c above it, x falls short of target - h and snaps below: side > 0.

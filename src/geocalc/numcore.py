@@ -93,7 +93,11 @@ class Interval:
         return Interval(_DOWN.power(self.lo, n), _UP.power(self.hi, n))
 
     def sqrt(self) -> "Interval":
-        return Interval(_DOWN.sqrt(self.lo), _UP.sqrt(self.hi))
+        # Decimal rounds sqrt half-even in every context: one unit outward
+        # covers that rounding (a zero end stays zero)
+        lo = _DOWN.sqrt(self.lo)
+        return Interval(_DOWN.next_minus(lo) if lo else lo,
+                        _UP.next_plus(_UP.sqrt(self.hi)))
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -123,6 +127,13 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     draw(c, i), if given, sees the first _DRAWN midpoints that pass the
     collapse check, before they are decided.
 
+    A window (below, above, guess) also names a point to try first:
+    before any midpoint, side(guess, 0) is asked once, if lo < guess <
+    hi.  If it accepts, the search returns (guess, lo, hi, True) where it
+    would first have returned or entered the windowed loop below: at
+    once untraced, after its drawn midpoints traced, so that both return
+    the same point.  Otherwise the search halves exactly as without it.
+
     With a window, later halvings outside it run in a tight loop that
     asks collapsed only after every _CHUNK of them and before side calls.
     A chunk that ends collapsed, or a midpoint outside (lo, hi), sends
@@ -135,11 +146,14 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     side is called with the same (c, i) in the same order.
     """
     add, divide = ctx.add, ctx.divide
-    below, above = window or (_NEG_INF, _POS_INF)
+    below, above, *guess = window or (_NEG_INF, _POS_INF)
+    hit = bool(guess) and lo < guess[0] < hi and not side(guess[0], 0)
     drawn = 0 if draw is None else _DRAWN
     i = 0
     while True:
         if i == drawn and window is not None:  # once: each step adds 1 to i
+            if hit:
+                return guess[0], lo, hi, True
             saved = lo, hi, i
             while True:
                 for i in range(i, i + _CHUNK):
@@ -167,12 +181,12 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
             lo, hi, i = saved
         c = divide(add(lo, hi), _TWO)
         if collapsed(lo, hi):
-            return c, lo, hi, False
+            return (guess[0], lo, hi, True) if hit else (c, lo, hi, False)
         if i < drawn:
             draw(c, i)
         s = -1 if c < below else 1 if c > above else side(c, i)
         if not s:
-            return c, lo, hi, True
+            return guess[0] if hit else c, lo, hi, True
         if c == lo or c == hi:
             raise NoConvergence(f"{what} search: {ctx.prec} digits cannot "
                                 f"split [{lo}, {hi}]")
@@ -214,6 +228,13 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     units u that the power, or the product c*c and the quotient, round
     by.  So side would return the window's sign.  A looser rel_tol gets
     no window: near 1, side accepts midpoints outside it.
+
+    The window's third entry is r rounded under ctx, for bisect to try
+    before any midpoint: r lies far inside the window, so side almost
+    always accepts it and the search ends on one side call.  It is left
+    out when rel_tol is below one unit u: side then accepts only a
+    rounded power that lands on the target, which can happen by
+    accident at a point the halving would never reach.
     """
     if rel_tol > _HALF:
         return None
@@ -239,7 +260,8 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
                 break
         prev = size
     half = mul(scale, r)
-    return sub(r, half), wctx.add(r, half)
+    window = sub(r, half), wctx.add(r, half)
+    return window + (ctx.plus(r),) if rel_tol >= unit else window
 
 
 @dataclass(frozen=True)

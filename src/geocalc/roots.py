@@ -2,9 +2,9 @@
 
 An nth root is the cascade run in reverse: find the apex cosine whose
 depth-n perpendicular equals the radicand mantissa.  The objective
-cos**n C is monotone on (0, 1), so a bracketed bisection suffices.  The
-radicand's exponent splits as E = n*k + r; the 10**(r/n) residue is
-itself a root search on 10**-r.
+cos**n C is monotone on (0, 1), so a bracketed bisection suffices, once
+Newton's point has been tried.  The radicand's exponent splits as
+E = n*k + r; the 10**(r/n) residue is itself a root search on 10**-r.
 """
 
 from __future__ import annotations
@@ -35,10 +35,16 @@ class RootQuery:
 
 def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
                     recorder: TraceRecorder | None = None) -> Decimal:
-    """Cosine c with c**n == target, 0 < target < 1, by bisection.
+    """Cosine c with c**n == target, 0 < target < 1: Newton's point if it
+    passes, else by bisection.
 
-    The bracket always satisfies f(hi) >= target >= f(lo).  Midpoints
-    outside a window around the Newton root are decided without a power.
+    The search asks side first at Newton's root rounded to ctx
+    (numcore.newton_window) and returns it if |c**n - target| <=
+    rel_tol*target.  It bisects instead when rel_tol is below one
+    working unit, when there is no window (n past Newton's basin, or
+    rel_tol above 1/2), or when side rejects the point.  The bracket
+    always satisfies f(hi) >= target >= f(lo).  Midpoints outside a
+    window around the Newton root are decided without a power.
     """
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")

@@ -10,7 +10,7 @@ from geocalc import (DEFAULT_POLICY, ExponentOverflow, NoConvergence,
                      ZeroNotRepresentable,
                      normalize, oracle_eval, rel_diff, renormalized, shift10,
                      to_text)
-from geocalc.numcore import bisect
+from geocalc.numcore import _EXACT, Interval, bisect
 
 
 def test_shift10_is_exact_exponent_surgery():
@@ -312,3 +312,42 @@ def test_bisect_midpoint_can_round_past_an_end():
 
     assert outcome((x, x)) == outcome(None)
     assert "split [0.50000000000000000000000000000, " in outcome(None)
+
+
+def test_bisect_tries_the_guess_first():
+    # accepted, the guess is returned on one side call; rejected, the
+    # search is the one without it after that call; outside the bracket,
+    # it is not asked
+    def collapsed(lo, hi):
+        return CTX.subtract(hi, lo) < Decimal("1e-12")
+
+    window = (Decimal("0.33333"), Decimal("0.33334"))
+    plain = bisect(sign_of(THIRD), Decimal(0), Decimal(1), CTX, "test",
+                   collapsed, window)
+    for guess in (THIRD, Decimal("0.333333"), Decimal(2)):
+        asked = []
+
+        def side(c, i):
+            asked.append(c)
+            return sign_of(THIRD)(c, i)
+        got = bisect(side, Decimal(0), Decimal(1), CTX, "test", collapsed,
+                     window + (guess,))
+        if guess == THIRD:
+            assert got == (THIRD, 0, 1, True) and asked == [THIRD]
+        else:
+            assert got == plain and len(asked) > 1
+            assert (asked[0] == guess) == (guess < 1)
+
+
+@pytest.mark.parametrize("digits", [60, 5])
+def test_interval_sqrt_rounds_outward(digits):
+    # lo**2 <= x <= hi**2, squared exactly, for each end of an interval
+    rng = random.Random(2525 + digits)
+    for _ in range(3000):
+        ends = sorted(shift10(Decimal(rng.randrange(10 ** (digits - 1),
+                                                    10 ** digits)),
+                              rng.randint(-60, 20)) for _ in range(2))
+        for x, y in ((ends[0], ends[0]), tuple(ends)):
+            root = Interval(x, y).sqrt()
+            assert _EXACT.multiply(root.lo, root.lo) <= x
+            assert y <= _EXACT.multiply(root.hi, root.hi)

@@ -6,11 +6,13 @@ from decimal import Context, Decimal
 import pytest
 
 from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
-                     GeocalcError, PrecisionPolicy, RootQuery, TraceRecorder,
-                     normalize, nth_root, oracle_eval, power, rational_power,
-                     rel_diff, solve_cos_power)
-from geocalc.numcore import (_ONE, bisect, cosine_bracket, newton_window,
-                             shift10)
+                     GeocalcError, NoConvergence, PrecisionPolicy, RootQuery,
+                     TraceRecorder, geometric_mean, normalize, nth_root,
+                     oracle_eval, power, rational_power, rel_diff,
+                     solve_cos_power)
+from geocalc import cascade, roots
+from geocalc.numcore import (_NEG_INF, _ONE, _POS_INF, bisect,
+                             cosine_bracket, newton_window, shift10)
 from geocalc.roots import _assert_root_between
 
 POL = DEFAULT_POLICY
@@ -96,7 +98,8 @@ def test_solve_cos_power_reaches_the_bracket_floor():
 
 
 def _reference_solve_cos_power(n, target, ctx, rel_tol):
-    """The root search without the Newton window: a power at every midpoint."""
+    """The root search without the Newton window's edges: Newton's point
+    first, then a power at every midpoint."""
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
     nn = Decimal(n)
@@ -109,9 +112,11 @@ def _reference_solve_cos_power(n, target, ctx, rel_tol):
         return 1 if p > target else -1
 
     lo, hi = cosine_bracket(target, nn, ctx)
+    window = newton_window(n, target, ctx, rel_tol)
     return bisect(side, lo, hi, ctx, "root",
                   lambda lo, hi: ctx.subtract(hi, lo)
-                  <= ctx.multiply(rel_tol, lo))[0]
+                  <= ctx.multiply(rel_tol, lo),
+                  window and (_NEG_INF, _POS_INF) + window[2:])[0]
 
 
 def _search_outcome(search, n, target, ctx, rel_tol):
@@ -159,6 +164,75 @@ def test_loose_tolerance_search_gets_no_window():
                 == _reference_solve_cos_power(40, target, ctx, rel_tol)
                 == Decimal("0.7499999999999995"))
     assert newton_window(40, target, ctx, Decimal("0.5")) is not None
+
+
+def _searches(monkeypatch, run):
+    """run(); then, for every engine search it made, (side, window, the
+    side calls, [bisect's result] or [] if it raised)."""
+    searches = []
+
+    def recording(side, lo, hi, ctx, what, collapsed, window=None,
+                  draw=None):
+        calls, result = [], []
+        searches.append((side, window, calls, result))
+
+        def counted(c, i):
+            calls.append(c)
+            return side(c, i)
+        result.append(bisect(counted, lo, hi, ctx, what, collapsed, window,
+                             draw))
+        return result[0]
+    monkeypatch.setattr(roots, "bisect", recording)
+    monkeypatch.setattr(cascade, "bisect", recording)
+    run()
+    return searches
+
+
+def _search_corpus():
+    """Root, powfrac and rotating-mean calls over random 12-digit operands,
+    with root indices 2..12 and powfrac indices 2..7."""
+    rng = random.Random(2626)
+
+    def number():
+        return normalize(f"0.{rng.randrange(10 ** 11, 10 ** 12)}"
+                         f"e{rng.randint(-12, 12)}")
+    for _ in range(60):
+        nth_root(RootQuery(number(), rng.randint(2, 12)), POL)
+        rational_power(number(), rng.randint(-9, 9) or 1, rng.randint(2, 7),
+                       POL)
+        geometric_mean(number(), number(), POL, method="rotate")
+
+
+def test_searches_end_on_newtons_point(monkeypatch):
+    """At the default policy almost every search ends on one side call, at
+    Newton's point, and none returns a point side rejects."""
+    searches = _searches(monkeypatch, _search_corpus)
+    assert len(searches) >= 250
+    one_call = [s for s in searches if len(s[2]) == 1]
+    assert len(one_call) >= 0.95 * len(searches)
+    for side, window, calls, [(c, lo, hi, accepted)] in searches:
+        assert side(c, 0) == 0 or not accepted
+        if len(calls) == 1:
+            assert c == calls[0] == window[2] and accepted
+
+
+def test_a_tolerance_below_one_unit_takes_no_shortcut(monkeypatch):
+    # side would accept only a power that rounds onto the target, which
+    # can happen at a point the halving never reaches
+    ctx, tight = POL.ctx(), POL.rel_tol / 10
+
+    def tight_searches():
+        rng = random.Random(2627)
+        for _ in range(40):
+            target = Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
+            try:
+                solve_cos_power(rng.randint(2, 12), target, ctx, tight)
+            except NoConvergence:
+                pass
+    searches = _searches(monkeypatch, tight_searches)
+    assert len(searches) == 40
+    for side, window, calls, result in searches:
+        assert len(window) == 2 and len(calls) > 1
 
 
 def test_root_of_an_index_past_newtons_basin():
