@@ -227,10 +227,11 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
     rel_tol relative: the working precision can stall the bracket before
     small/c**2 comes within the tolerance of `big`.  Newton's point
     sqrt(small/big), rounded to ctx, is tried first and returned if side
-    accepts it; the search bisects when rel_tol is below one working
-    unit or above 1/2 (no window), or when side rejects the point.
-    Midpoints outside a Newton window around it are decided without side
-    (numcore.newton_window shows why that keeps every result).
+    accepts it.  When side rejects it, or rel_tol is below one working
+    unit (no point), the search bisects the bracket cut to a Newton
+    window around it (numcore.newton_window shows that side rejects
+    every cosine outside); above 1/2 there is no window and it bisects
+    the whole bracket.
     """
     ctx_div, ctx_mul = ctx.divide, ctx.multiply
     tol = ctx_mul(rel_tol, big)

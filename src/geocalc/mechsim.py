@@ -24,7 +24,7 @@ from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
                      GeocalcError, ParseError)
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
                         first_level)
-from .numcore import (_DOWN, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
+from .numcore import (_NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
                       DEFAULT_POLICY, OPS, Interval, PrecisionPolicy,
                       SignedScaled, bisect, normalize, parse_decimal,
                       parse_integer, renormalized, shift10, to_text)
@@ -359,9 +359,9 @@ def _root_window(target: Decimal, n: int, h: Decimal, ctx: Context):
     p >= ARM_MIN; so T(c) stays under the upper envelope at c = 0.1.
 
     The edges start from a float r = target**(1/n), taken through
-    log10 as `numcore.newton_window` does: below = r (1 + d)**-(n-1)/n
-    and above = r (1 - d)**-(n-1)/n, each nudged outward by 1e-12.
-    Outward integer powers then certify them: below**n times the upper
+    log10: below = r (1 + d)**-(n-1)/n and above = r (1 - d)**-(n-1)/n,
+    each nudged outward by 1e-12.  Outward integer powers
+    (Interval.pow_int) then certify them: below**n times the upper
     envelope is at most target, so side < 0 for every c < below when
     below >= 0.1; above**n times the lower envelope is at least target,
     which puts above past 0.1, so side > 0 for every c > above.  An
@@ -377,13 +377,12 @@ def _root_window(target: Decimal, n: int, h: Decimal, ctx: Context):
         10 ** (log_r - lean * math.log1p(float(d))) * (1 - 1e-12))
     above = ctx.create_decimal_from_float(
         10 ** (log_r - lean * math.log1p(-float(d))) * (1 + 1e-12))
-    upper = _UP.multiply(_UP.power(_UP.add(_ONE, d), n - 1),
-                         _UP.power(_UP.add(_ONE, u), n))
-    lower = _DOWN.multiply(_DOWN.power(_DOWN.subtract(_ONE, d), n - 1),
-                           _DOWN.power(_DOWN.subtract(_ONE, u), n))
-    if below < _TENTH or _UP.multiply(_UP.power(below, n), upper) > target:
+    envelope = Interval.around(_ONE, d).pow_int(n - 1).mul(
+        Interval.around(_ONE, u).pow_int(n))
+    if below < _TENTH or Interval.point(below).pow_int(n).mul(
+            envelope).hi > target:
         below = _NEG_INF
-    if _DOWN.multiply(_DOWN.power(above, n), lower) < target:
+    if Interval.point(above).pow_int(n).mul(envelope).lo < target:
         above = _POS_INF
     return below, above
 

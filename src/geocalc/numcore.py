@@ -35,6 +35,7 @@ _TWO = Decimal(2)
 _TENTH = Decimal("0.1")
 _HALF = Decimal("0.5")
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
+_LN10, _LOG10_HALF = math.log(10), math.log10(0.5)
 
 # Nothing rounds or clamps for lack of precision or exponent range
 # here: shift10 moves only the exponent, and to_text rounds a mantissa
@@ -90,7 +91,14 @@ class Interval:
                         _UP.divide(self.hi, other.lo))
 
     def pow_int(self, n: int) -> "Interval":
-        return Interval(_DOWN.power(self.lo, n), _UP.power(self.hi, n))
+        """[lo**n, hi**n] for n >= 1 by square-and-multiply: each directed
+        multiply is correctly rounded, where power is not directed."""
+        lo, hi = self.lo, self.hi
+        for bit in bin(n)[3:]:
+            lo, hi = _DOWN.multiply(lo, lo), _UP.multiply(hi, hi)
+            if bit == "1":
+                lo, hi = _DOWN.multiply(lo, self.lo), _UP.multiply(hi, self.hi)
+        return Interval(lo, hi)
 
     def sqrt(self) -> "Interval":
         # Decimal rounds sqrt half-even in every context: one unit outward
@@ -107,13 +115,12 @@ class Interval:
                    _UP.subtract(self.hi, center))
 
 
-# bisect's tight loop asks collapsed once per _CHUNK halvings; a traced
-# search draws its first _DRAWN midpoints as rotations.
-_CHUNK, _DRAWN = 16, 4
+# a traced search draws its first _DRAWN midpoints as rotations
+_DRAWN = 4
 
 
 def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
-           collapsed, window: tuple[Decimal, Decimal] | None = None,
+           collapsed, window: tuple | None = None,
            draw=None) -> tuple[Decimal, Decimal, Decimal, bool]:
     """Halve [lo, hi] under ctx; return (c, lo, hi, accepted).
 
@@ -127,66 +134,36 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     draw(c, i), if given, sees the first _DRAWN midpoints that pass the
     collapse check, before they are decided.
 
-    A window (below, above, guess) also names a point to try first:
-    before any midpoint, side(guess, 0) is asked once, if lo < guess <
-    hi.  If it accepts, the search returns (guess, lo, hi, True) where it
-    would first have returned or entered the windowed loop below: at
-    once untraced, after its drawn midpoints traced, so that both return
-    the same point.  Otherwise the search halves exactly as without it.
-
-    With a window, later halvings outside it run in a tight loop that
-    asks collapsed only after every _CHUNK of them and before side calls.
-    A chunk that ends collapsed, or a midpoint outside (lo, hi), sends
-    the step loop back to the state saved at the chunk's start, or just
-    after the last side call, to replay it.  This is exact for a
-    collapsed that stays true once true while the brackets nest, as the
-    engine's hi - lo <= rel_tol*lo and the device's hi - lo < resolution
-    do (rounded subtract and multiply are monotone): a chunk that ends
-    uncollapsed held no collapsed step, and
-    side is called with the same (c, i) in the same order.
+    Newton's window (below, above, point) from newton_window is also a
+    bracket, and point, unless None, a guess: before any midpoint,
+    side(point, 0) is asked once, if lo < point < hi.  Where the search
+    would take its first undrawn midpoint, at once untraced, or stop
+    collapsed before that, it returns (point, lo, hi, True) if side
+    accepted the point, and otherwise cuts [lo, hi] to [max(lo, below),
+    min(hi, above)] and halves on from there.  A drawn midpoint outside
+    the window leaves it inside the bracket, so traced and untraced
+    searches halve the same cut bracket unless side decided a drawn one.
     """
     add, divide = ctx.add, ctx.divide
-    below, above, *guess = window or (_NEG_INF, _POS_INF)
-    hit = bool(guess) and lo < guess[0] < hi and not side(guess[0], 0)
+    below, above, *point = window or (_NEG_INF, _POS_INF)
+    guess = point[0] if point else None
+    hit = guess is not None and lo < guess < hi and not side(guess, 0)
+    cut = bool(point)  # Newton's window: cut to it once
     drawn = 0 if draw is None else _DRAWN
     i = 0
     while True:
-        if i == drawn and window is not None:  # once: each step adds 1 to i
+        if cut and (i == drawn or collapsed(lo, hi)):
             if hit:
-                return guess[0], lo, hi, True
-            saved = lo, hi, i
-            while True:
-                for i in range(i, i + _CHUNK):
-                    c = divide(add(lo, hi), _TWO)
-                    if not lo < c < hi:
-                        break
-                    if c < below:
-                        lo = c
-                    elif c > above:
-                        hi = c
-                    elif collapsed(lo, hi):
-                        break
-                    else:
-                        s = side(c, i)
-                        if not s:
-                            return c, lo, hi, True
-                        lo, hi = (lo, c) if s > 0 else (c, hi)
-                        saved = lo, hi, i + 1
-                else:
-                    i += 1
-                    if not collapsed(lo, hi):
-                        saved = lo, hi, i
-                        continue
-                break
-            lo, hi, i = saved
+                return guess, lo, hi, True
+            lo, hi, cut = max(lo, below), min(hi, above), False
         c = divide(add(lo, hi), _TWO)
         if collapsed(lo, hi):
-            return (guess[0], lo, hi, True) if hit else (c, lo, hi, False)
+            return c, lo, hi, False
         if i < drawn:
             draw(c, i)
         s = -1 if c < below else 1 if c > above else side(c, i)
         if not s:
-            return guess[0] if hit else c, lo, hi, True
+            return guess if hit else c, lo, hi, True
         if c == lo or c == hi:
             raise NoConvergence(f"{what} search: {ctx.prec} digits cannot "
                                 f"split [{lo}, {hi}]")
@@ -203,19 +180,21 @@ def cosine_bracket(target: Decimal, n: Decimal, ctx: Context):
 
 
 def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
-    """(below, above) around the root r of r**n == target, or None.
+    """(below, above, point) around the root r of r**n == target, or None.
 
     With t = max(rel_tol, u), u = 10**(1 - prec), the half-width is
     8*t*r/n.  Newton runs at prec + 12 digits, plus the digits of n so
-    that one unit of r stays far inside the window, from a float seed.
-    From the second step on, a correction that fails to halve the
-    previous one means the seed lies outside Newton's basin (n beyond
-    about 10**16): then there is no window.  Otherwise Newton stops once
-    a correction is below a quarter of the half-width, which leaves r
-    far closer to the root than the half-width.
+    that one unit of r stays far inside the window.  Its float seed is
+    1 + expm1(ln(target)/n) for a root above 1/2, which keeps the digits
+    of r - 1 at large n, and 10**(log10(target)/n) below.  From the second
+    step on, a correction that fails to halve the previous one means the
+    seed lies outside Newton's basin (n beyond about 10**16): then there
+    is no window.  Otherwise Newton stops once a correction is below a
+    quarter of the half-width, which leaves r far closer to the root than
+    the half-width.
 
-    Every midpoint c outside the window misses by more than rel_tol, in
-    the window's direction, for both objectives that use one:
+    Every c outside the window misses by more than rel_tol, in the
+    window's direction, for both objectives that use one:
     - the root search's c**n against target: c > r(1 + 8t/n) gives
       c**n > target(1 + 8t), and c < r(1 - 8t/n) gives c**n <
       target*e**(-8t);
@@ -227,14 +206,16 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     t = 0.1 and by more than 0.25 beyond, relative: more than the few
     units u that the power, or the product c*c and the quotient, round
     by.  So side would return the window's sign.  A looser rel_tol gets
-    no window: near 1, side accepts midpoints outside it.
+    no window: near 1, side accepts midpoints outside it.  The edges are
+    rounded outward to ctx, so side < 0 at below and > 0 at above, and
+    [below, above] is a bracket that bisect can cut to.
 
-    The window's third entry is r rounded under ctx, for bisect to try
+    The third entry, point, is r rounded under ctx, for bisect to try
     before any midpoint: r lies far inside the window, so side almost
-    always accepts it and the search ends on one side call.  It is left
-    out when rel_tol is below one unit u: side then accepts only a
-    rounded power that lands on the target, which can happen by
-    accident at a point the halving would never reach.
+    always accepts it and the search ends on one side call.  It is None
+    when rel_tol is below one unit u: side then accepts only a rounded
+    power that lands on the target, which can happen by accident at a
+    point the halving would never reach.
     """
     if rel_tol > _HALF:
         return None
@@ -243,7 +224,11 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     sub, mul, div = wctx.subtract, wctx.multiply, wctx.divide
     e = target.adjusted()
     log10 = e + math.log10(float(shift10(target, -e)))
-    r = wctx.create_decimal_from_float(10 ** (log10 / n))
+    if log10 > _LOG10_HALF * n:
+        r = wctx.add(_ONE, wctx.create_decimal_from_float(
+            math.expm1(log10 * _LN10 / n)))
+    else:
+        r = wctx.create_decimal_from_float(10 ** (log10 / n))
     nn, n1 = Decimal(n), Decimal(n - 1)
     unit = shift10(_ONE, 1 - ctx.prec)
     scale = div(mul(8, max(rel_tol, unit)), nn)  # half-width / r
@@ -260,8 +245,10 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
                 break
         prev = size
     half = mul(scale, r)
-    window = sub(r, half), wctx.add(r, half)
-    return window + (ctx.plus(r),) if rel_tol >= unit else window
+    wctx.prec, wctx.rounding = ctx.prec, ROUND_FLOOR
+    below = wctx.subtract(r, half)
+    wctx.rounding = ROUND_CEILING
+    return below, wctx.add(r, half), ctx.plus(r) if rel_tol >= unit else None
 
 
 @dataclass(frozen=True)
@@ -441,12 +428,19 @@ def to_text(v: SignedScaled, digits: int) -> str:
 
 
 def _root_power(ctx: Context, x: Decimal, m: int, n: int) -> Decimal:
-    """x**(m/n), negative only when x < 0 and m is odd; n = 1 raises to
-    Decimal(m) exactly instead of a rounded quotient."""
+    """x**(m/n), negative only when x < 0 and m is odd.  n = 1 raises to
+    Decimal(m) exactly; n > 1 raises to the rounded quotient m/n at ten
+    more digits and rounds once into ctx, so that an exact root such as
+    421.875**(1/3) = 7.5 comes out exact and rounds its ties right."""
     if m == 0:
         return _ONE
-    e = Decimal(m) if n == 1 else ctx.divide(Decimal(m), Decimal(n))
-    r = ctx.power(x.copy_abs(), e)
+    if n == 1:
+        r = ctx.power(x.copy_abs(), Decimal(m))
+    else:
+        wide = ctx.copy()
+        wide.prec += 10
+        r = ctx.plus(wide.power(x.copy_abs(),
+                                wide.divide(Decimal(m), Decimal(n))))
     return r.copy_negate() if x < 0 and m % 2 else r
 
 

@@ -40,11 +40,12 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
 
     The search asks side first at Newton's root rounded to ctx
     (numcore.newton_window) and returns it if |c**n - target| <=
-    rel_tol*target.  It bisects instead when rel_tol is below one
-    working unit, when there is no window (n past Newton's basin, or
-    rel_tol above 1/2), or when side rejects the point.  The bracket
-    always satisfies f(hi) >= target >= f(lo).  Midpoints outside a
-    window around the Newton root are decided without a power.
+    rel_tol*target.  When side rejects the point, or rel_tol is below
+    one working unit (no point), it bisects the cosine bracket cut to
+    the window around the Newton root; at large n that cut is already
+    collapsed.  Without a window (n past Newton's basin, or rel_tol
+    above 1/2) it bisects the whole cosine bracket.  The bracket always
+    satisfies f(hi) >= target >= f(lo).
     """
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")

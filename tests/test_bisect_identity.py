@@ -1,15 +1,18 @@
-"""The windowed fast path of numcore.bisect against the plain step loop.
+"""numcore.bisect against a plain step loop.
 
-`_step_bisect` is `numcore.bisect` as it was before the fast path: one
-collapse check, window test and possible side call per halving, after
-Newton's point is tried first.  The sweeps below run the root search
-and the rotating geometric mean on both and require the same result or
-exception type, and the same side(c, i) calls in the same order.  The
+`_step_bisect` is the step loop `numcore.bisect` runs, written out on its
+own: one collapse check, window test and possible side call per halving,
+after Newton's point is tried first and, where the search would take its
+first undrawn midpoint, the bracket is cut to Newton's window.  The
+sweeps below run the root search and the rotating geometric mean on
+both and require the same result or exception type, and the same
+side(c, i) calls in the same order.  `_edgeless` is the same loop with
+the window's edges deciding no midpoint: every midpoint asks side.  The
 traced sweep holds a traced search to the one a traced search ran
 before bisect drew: no window edges, every midpoint asks side, and the
-first four draw a rotation; Newton's point is tried first there too.
-The device sweep runs each device rotation search with its window and
-with none.  The seeds are fixed.
+first four draw a rotation; Newton's point is tried first and the
+bracket cut there too.  The device sweep runs each device rotation
+search with its window and with none.  The seeds are fixed.
 """
 
 import math
@@ -28,64 +31,70 @@ _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
 
 
 def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
-                 collapsed=None,
-                 window: tuple[Decimal, Decimal] | None = None,
-                 draw=None) -> tuple[Decimal, Decimal, Decimal, bool]:
+                 collapsed=None, window: tuple | None = None, draw=None,
+                 edges=True) -> tuple[Decimal, Decimal, Decimal, bool]:
     """Halve [lo, hi] under ctx; return (c, lo, hi, accepted).
 
     Each step takes the midpoint c, stops if collapsed(lo, hi), then asks
     side(c, i), i = 0, 1, ...: 0 accepts c, > 0 sets hi = c, < 0 lo = c.
-    A known-side window (below, above) answers for side: c < below is
-    < 0 and c > above is > 0, so side is called only inside the window.
-    No step cap: a midpoint that rounds onto an end raises NoConvergence.
-    draw(c, i), if given, sees the midpoints i < 4 before they are
-    decided.  Without a window that is what a traced side did before
-    bisect drew: it drew its first four calls.
+    A known-side window (below, above) answers for side, if edges: c <
+    below is < 0 and c > above is > 0.  No step cap: a midpoint that
+    rounds onto an end raises NoConvergence.  draw(c, i), if given, sees
+    the midpoints i < 4 before they are decided.  Without a window that
+    is what a traced side did before bisect drew: it drew its first four
+    calls.
 
     A window's third entry, Newton's point, is asked first, once, if it
-    lies inside (lo, hi).  If side accepts it, the search returns it in
-    place of the midpoint it ends on, and at the latest after the
-    midpoints it draws.
+    is not None and lies inside (lo, hi).  At step 0 untraced, step 4
+    traced, or the first collapsed step before that, the search returns
+    the point if side accepted it, and otherwise cuts [lo, hi] to the
+    window's edges; a point accepted earlier replaces the midpoint a
+    drawn step ends on.
     """
     add, divide = ctx.add, ctx.divide
-    below, above, *guess = window or (_NEG_INF, _POS_INF)
-    point = None
-    if guess and lo < guess[0] < hi and not side(guess[0], 0):
-        point = guess[0]
+    below, above, *point = window or (_NEG_INF, _POS_INF)
+    accepted = None
+    if point and point[0] is not None and lo < point[0] < hi:
+        if not side(point[0], 0):
+            accepted = point[0]
+    cut = bool(point)
     for i in count():
-        if point is not None and (draw is None or i == 4):
-            return point, lo, hi, True
+        done = collapsed is not None and collapsed(lo, hi)
+        if cut and (done or i == (0 if draw is None else 4)):
+            if accepted is not None:
+                return accepted, lo, hi, True
+            lo, hi, cut = max(lo, below), min(hi, above), False
+            done = collapsed is not None and collapsed(lo, hi)
         c = divide(add(lo, hi), _TWO)
-        if collapsed is not None and collapsed(lo, hi):
-            if point is not None:
-                return point, lo, hi, True
+        if done:
             return c, lo, hi, False
         if draw is not None and i < 4:
             draw(c, i)
-        s = -1 if c < below else 1 if c > above else side(c, i)
+        if edges and c < below:
+            s = -1
+        elif edges and c > above:
+            s = 1
+        else:
+            s = side(c, i)
         if not s:
-            return c if point is None else point, lo, hi, True
+            return c if accepted is None else accepted, lo, hi, True
         if c == lo or c == hi:
             raise NoConvergence(f"{what} search: {ctx.prec} digits cannot "
                                 f"split [{lo}, {hi}]")
         lo, hi = (lo, c) if s > 0 else (c, hi)
 
 
-def _edgeless(window):
-    """window without its edges: only Newton's point, if it has one."""
-    return window and (_NEG_INF, _POS_INF) + window[2:]
+_edgeless = partial(_step_bisect, edges=False)
 
 
-def _recording(impl, calls, keep_window=True):
-    """impl with every side(c, i) call appended to calls; without
-    keep_window, the window keeps only Newton's point."""
+def _recording(impl, calls):
+    """impl with every side(c, i) call appended to calls."""
     def run(side, lo, hi, ctx, what, collapsed=None, window=None,
             draw=None):
         def logged(c, i):
             calls.append((str(c), i))
             return side(c, i)
-        return impl(logged, lo, hi, ctx, what, collapsed,
-                    window if keep_window else _edgeless(window), draw)
+        return impl(logged, lo, hi, ctx, what, collapsed, window, draw)
     return run
 
 
@@ -96,9 +105,9 @@ def _outcome(search):
         return type(exc).__name__
 
 
-def _run(monkeypatch, module, impl, search, keep_window=True):
+def _run(monkeypatch, module, impl, search):
     calls = []
-    monkeypatch.setattr(module, "bisect", _recording(impl, calls, keep_window))
+    monkeypatch.setattr(module, "bisect", _recording(impl, calls))
     return _outcome(search), calls
 
 
@@ -169,12 +178,12 @@ def _operand_pairs(rng, digits):
 
 
 def test_rotate_means_match_the_step_loop(monkeypatch):
-    """The window and the fast path keep every rotating mean.
+    """The window and the cut keep every rotating mean.
 
     Against the step loop without the window's edges (Newton's point,
-    then every midpoint asks side), the result is the same and the
-    windowed side calls are a subsequence of its calls; against the step
-    loop with the window, the calls are the same.
+    the cut, then every midpoint asks side), the result is the same and
+    the windowed side calls are a subsequence of its calls; against the
+    step loop with the window, the calls are the same.
     """
     rng = random.Random(1415)
     cases = 0
@@ -185,8 +194,7 @@ def test_rotate_means_match_the_step_loop(monkeypatch):
                 def search():
                     return geometric_mean(normalize(a), normalize(b), policy,
                                           method="rotate")
-                plain = _run(monkeypatch, cascade, _step_bisect, search,
-                             keep_window=False)
+                plain = _run(monkeypatch, cascade, _edgeless, search)
                 stepped = _run(monkeypatch, cascade, _step_bisect, search)
                 got = _run(monkeypatch, cascade, bisect, search)
                 assert got == stepped, (digits, str(rel_tol), a, b)
@@ -201,11 +209,11 @@ def _rotating_mean(a, b, policy, recorder=None):
                           recorder=recorder, method="rotate")
 
 
-def _traced(monkeypatch, module, impl, search, keep_window=True):
+def _traced(monkeypatch, module, impl, search):
     """_run on search(recorder), plus the trace the recorder holds."""
     recorder = TraceRecorder()
     outcome, calls = _run(monkeypatch, module, impl,
-                          lambda: search(recorder), keep_window)
+                          lambda: search(recorder))
     return outcome, calls, recorder.dumps()
 
 
@@ -214,9 +222,11 @@ def test_traced_searches_match_the_old_traced_path(monkeypatch):
 
     Against the step loop without the window's edges that draws i < 4,
     the result and the trace are the same.  Against the same search
-    untraced, the result is the same, and so are the side calls, except
-    that a search ending on Newton's point untraced asks side only
-    there, while the traced one may also ask at its drawn midpoints.
+    untraced, the result is the same, and so are the cosines side is
+    asked at, except that a search ending on Newton's point untraced
+    asks side only there, while the traced one may also ask at its drawn
+    midpoints.  The step numbers i differ: the traced search takes its
+    four drawn steps before it cuts the bracket, the untraced one none.
     """
     searches = []
     for digits, rel_tol, n, target in _root_cases(random.Random(1414)):
@@ -231,25 +241,25 @@ def test_traced_searches_match_the_old_traced_path(monkeypatch):
                          for a, b in _operand_pairs(rng, digits)]
     assert len(searches) == ROOT_CASES + len(DIGITS) * 7 * 7
     for module, search in searches:
-        want = _traced(monkeypatch, module, _step_bisect, search,
-                       keep_window=False)
+        want = _traced(monkeypatch, module, _edgeless, search)
         got = _traced(monkeypatch, module, bisect, search)
         untraced = _run(monkeypatch, module, bisect, search)
         assert (got[0], got[2]) == (want[0], want[2]), search
         assert got[0] == untraced[0], search
-        assert (got[1] == untraced[1] or len(untraced[1]) == 1
-                and got[1][0] == untraced[1][0]), search
+        asked, asked_untraced = ([c for c, _ in calls]
+                                 for calls in (got[1], untraced[1]))
+        assert (asked == asked_untraced or len(asked_untraced) == 1
+                and asked[0] == asked_untraced[0]), search
 
 
-def test_collapse_mid_chunk_on_a_boundary_and_at_a_side_call():
+def test_collapse_at_every_step_after_window_and_side_decisions():
     """Collapse at every step index, with and without an earlier side call.
 
     With the window above the bracket every midpoint sets lo, so the
-    bracket [1 - 2**-i, 1] collapses first at step k: on a chunk
-    boundary for k = 16 and 32, mid-chunk otherwise.  With a window
-    around 0.75 the second midpoint asks side, which moves the saved
-    state off the chunk grid.  A search that draws sees the step loop's
-    first min(4, k) midpoints and makes the same side calls.
+    bracket [1 - 2**-i, 1] collapses first at step k, each midpoint
+    decided by the window alone.  With a window around 0.75 the second
+    midpoint asks side.  A search that draws sees the step loop's first
+    min(4, k) midpoints and makes the same side calls.
     """
     ctx = Context(prec=60)
     windows = {"above": (Decimal(2), Decimal(3)),

@@ -136,6 +136,15 @@ def test_oracle_backend_agrees(capsys):
     assert direct == oracle == "1.56326e6\n"
 
 
+def test_oracle_rounds_an_exact_root_tie_to_even(capsys):
+    # 421.875**(1/3) is exactly 7.5; raised to the 60-digit 1/3 it fell
+    # just short of 7.5 and printed 7e0
+    for backend in ("construction", "oracle"):
+        code, out, err = run(capsys, "root", "421.875", "3", "--digits", "1",
+                             "--backend", backend)
+        assert (code, out, err) == (0, "8e0\n", ""), backend
+
+
 def test_output_is_deterministic(capsys):
     one = run(capsys, "gmean", "5.972e24", "7.348e22", "--json")
     two = run(capsys, "gmean", "5.972e24", "7.348e22", "--json")

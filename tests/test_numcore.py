@@ -316,14 +316,14 @@ def test_bisect_midpoint_can_round_past_an_end():
 
 def test_bisect_tries_the_guess_first():
     # accepted, the guess is returned on one side call; rejected, the
-    # search is the one without it after that call; outside the bracket,
-    # it is not asked
+    # search is the one without it after that call, cut to the window;
+    # outside the bracket, it is not asked
     def collapsed(lo, hi):
         return CTX.subtract(hi, lo) < Decimal("1e-12")
 
     window = (Decimal("0.33333"), Decimal("0.33334"))
     plain = bisect(sign_of(THIRD), Decimal(0), Decimal(1), CTX, "test",
-                   collapsed, window)
+                   collapsed, window + (None,))
     for guess in (THIRD, Decimal("0.333333"), Decimal(2)):
         asked = []
 
@@ -339,6 +339,29 @@ def test_bisect_tries_the_guess_first():
             assert (asked[0] == guess) == (guess < 1)
 
 
+def test_bisect_cuts_the_bracket_to_newtons_window():
+    # a window with a third entry is a bracket: with no point to accept,
+    # the search halves [below, above] from its first step; traced, it
+    # first draws four midpoints of [lo, hi], then cuts to the same
+    def collapsed(lo, hi):
+        return CTX.subtract(hi, lo) < Decimal("1e-12")
+
+    asked, draws = [], []
+
+    def side(c, i):
+        asked.append(c)
+        return sign_of(THIRD)(c, i)
+    window = (Decimal("0.33333"), Decimal("0.33334"), None)
+    got = bisect(side, Decimal(0), Decimal(1), CTX, "test", collapsed,
+                 window)
+    assert asked[0] == Decimal("0.333335")
+    assert all(window[0] < c < window[1] for c in asked)
+    assert window[0] <= got[1] < got[2] <= window[1] and not got[3]
+    assert bisect(side, Decimal(0), Decimal(1), CTX, "test", collapsed,
+                  window, lambda c, i: draws.append(str(c))) == got
+    assert draws == ["0.5", "0.25", "0.375", "0.3125"]
+
+
 @pytest.mark.parametrize("digits", [60, 5])
 def test_interval_sqrt_rounds_outward(digits):
     # lo**2 <= x <= hi**2, squared exactly, for each end of an interval
@@ -351,3 +374,24 @@ def test_interval_sqrt_rounds_outward(digits):
             root = Interval(x, y).sqrt()
             assert _EXACT.multiply(root.lo, root.lo) <= x
             assert y <= _EXACT.multiply(root.hi, root.hi)
+
+
+def _integer_and_exponent(d: Decimal) -> tuple[int, int]:
+    _, digits, exponent = d.as_tuple()
+    return int("".join(map(str, digits))), exponent
+
+
+@pytest.mark.parametrize("digits, top", [(60, 100), (5, 300)])
+def test_interval_pow_int_rounds_outward(digits, top):
+    # lo <= x**n <= hi in exact integers, for x = m * 10**-digits in
+    # [0.1, 1) and n in 2..top; Context.power is not directed and missed
+    # the exact power by a fraction of a unit in 2 and 3 of these cases
+    rng = random.Random(2727 + digits)
+    for _ in range(4000):
+        m = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        n = rng.randint(2, top)
+        iv = Interval.point(shift10(Decimal(m), -digits)).pow_int(n)
+        (lo, a), (hi, b) = map(_integer_and_exponent, (iv.lo, iv.hi))
+        # x**n = m**n * 10**(-digits*n), each end = integer * 10**exponent
+        assert (lo * 10 ** (a + digits * n) <= m ** n
+                <= hi * 10 ** (b + digits * n)), (m, n)

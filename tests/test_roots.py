@@ -1,5 +1,6 @@
 """Roots and rational powers driven by cosine search."""
 
+import math
 import random
 from decimal import Context, Decimal
 
@@ -7,8 +8,8 @@ import pytest
 
 from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
                      GeocalcError, NoConvergence, PrecisionPolicy, RootQuery,
-                     TraceRecorder, geometric_mean, normalize, nth_root,
-                     oracle_eval, power, rational_power, rel_diff,
+                     TraceRecorder, antilog, geometric_mean, normalize,
+                     nth_root, oracle_eval, power, rational_power, rel_diff,
                      solve_cos_power)
 from geocalc import cascade, roots
 from geocalc.numcore import (_NEG_INF, _ONE, _POS_INF, bisect,
@@ -99,7 +100,8 @@ def test_solve_cos_power_reaches_the_bracket_floor():
 
 def _reference_solve_cos_power(n, target, ctx, rel_tol):
     """The root search without the Newton window's edges: Newton's point
-    first, then a power at every midpoint."""
+    first, then a power at every midpoint of the bracket cut to the
+    window."""
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
     nn = Decimal(n)
@@ -113,6 +115,8 @@ def _reference_solve_cos_power(n, target, ctx, rel_tol):
 
     lo, hi = cosine_bracket(target, nn, ctx)
     window = newton_window(n, target, ctx, rel_tol)
+    if window:
+        lo, hi = max(lo, window[0]), min(hi, window[1])
     return bisect(side, lo, hi, ctx, "root",
                   lambda lo, hi: ctx.subtract(hi, lo)
                   <= ctx.multiply(rel_tol, lo),
@@ -216,23 +220,67 @@ def test_searches_end_on_newtons_point(monkeypatch):
             assert c == calls[0] == window[2] and accepted
 
 
+def test_searches_past_newtons_point_end_in_its_window(monkeypatch):
+    """Where side rejects Newton's point (one unit of c moves c**n by n
+    units), the search cuts its bracket to the window.  Over root indices
+    13..10**9 and antilog's two searches at n = 10**9, each search makes
+    at most 3 side calls and ends inside the window rounded to ctx: on
+    the point, or with the cut bracket inside the window.  A collapsed
+    search returns that bracket's midpoint, rounded (lo + hi)/2, which
+    can land a unit or two outside it when lo + hi rounds."""
+    ctx = POL.ctx()
+
+    def run():
+        rng = random.Random(2727)
+        for _ in range(100):
+            n = int(10 ** rng.uniform(math.log10(13), 9))
+            nth_root(RootQuery(normalize(
+                f"0.{rng.randrange(10 ** 11, 10 ** 12)}"
+                f"e{rng.randint(-12, 12)}"), n), POL)
+        antilog(Decimal("0.123456789"), POL)  # e**(123456789/10**9)
+    searches = _searches(monkeypatch, run)
+    assert len(searches) >= 150
+    for side, (below, above, point), calls, [(c, lo, hi, accepted)] in (
+            searches):
+        assert len(calls) <= 3
+        if accepted and c == point:
+            assert below < c < above
+        else:
+            assert below <= lo < hi <= above
+        if not accepted:
+            assert c == ctx.divide(ctx.add(lo, hi), 2)
+        assert side(c, 0) == 0 or not accepted
+    # at n = 10**9 the window is already collapsed: no halving at all
+    for side, window, calls, [(c, lo, hi, accepted)] in searches[-2:]:
+        assert calls == [window[2]] and not accepted
+        assert (lo, hi) == window[:2]
+
+
 def test_a_tolerance_below_one_unit_takes_no_shortcut(monkeypatch):
     # side would accept only a power that rounds onto the target, which
-    # can happen at a point the halving never reaches
+    # can happen at a point the halving never reaches: the window carries
+    # no point, and the search asks side first at the midpoint of the
+    # bracket cut to the window
     ctx, tight = POL.ctx(), POL.rel_tol / 10
+    cases = []
 
     def tight_searches():
         rng = random.Random(2627)
         for _ in range(40):
             target = Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
+            cases.append((rng.randint(2, 12), target))
             try:
-                solve_cos_power(rng.randint(2, 12), target, ctx, tight)
+                solve_cos_power(*cases[-1], ctx, tight)
             except NoConvergence:
                 pass
     searches = _searches(monkeypatch, tight_searches)
     assert len(searches) == 40
-    for side, window, calls, result in searches:
-        assert len(window) == 2 and len(calls) > 1
+    for (n, target), (side, window, calls, result) in zip(cases, searches):
+        below, above, point = window
+        lo, hi = cosine_bracket(target, Decimal(n), ctx)
+        lo, hi = max(lo, below), min(hi, above)
+        assert point is None and calls[0] == ctx.divide(ctx.add(lo, hi), 2)
+        assert not result or side(result[0][0], 0) == 0
 
 
 def test_root_of_an_index_past_newtons_basin():
