@@ -24,7 +24,7 @@ from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
                      GeocalcError, ParseError)
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
                         first_level)
-from .numcore import (_NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
+from .numcore import (_DOWN, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
                       DEFAULT_POLICY, OPS, Interval, PrecisionPolicy,
                       SignedScaled, bisect, normalize, parse_decimal,
                       parse_integer, renormalized, shift10, to_text)
@@ -443,11 +443,14 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
 def _corner_exponent(u_iv: Interval, w_iv: Interval, ctx: Context) -> Interval:
     """Interval of ln w / ln u for u in u_iv and w in w_iv, with u.lo and
     w.lo in (0, 1).  It starts at 0 when w reaches 1 and is unbounded
-    above when u reaches 1."""
+    above when u reaches 1.  Each correctly rounded (negative) ln steps
+    one unit of ctx outward, and the quotients round outward."""
     lo = (Decimal(0) if w_iv.hi >= 1
-          else ctx.divide(ctx.ln(w_iv.hi), ctx.ln(u_iv.lo)))
+          else _DOWN.divide(ctx.next_plus(ctx.ln(w_iv.hi)),
+                            ctx.next_minus(ctx.ln(u_iv.lo))))
     hi = (_POS_INF if u_iv.hi >= 1
-          else ctx.divide(ctx.ln(w_iv.lo), ctx.ln(u_iv.hi)))
+          else _UP.divide(ctx.next_minus(ctx.ln(w_iv.lo)),
+                          ctx.next_plus(ctx.ln(u_iv.hi))))
     return Interval(lo, hi)
 
 

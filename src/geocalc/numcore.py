@@ -130,7 +130,8 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     < 0 and c > above is > 0, so side is called only inside the window.
     No step cap: a midpoint that rounds onto an end raises NoConvergence.
     A midpoint can also round past an end, when lo + hi rounds across a
-    decade; the search then goes on from the bracket that step leaves.
+    decade; the search then goes on from the bracket that step leaves,
+    and a collapsed search returns its midpoint clamped to [lo, hi].
     draw(c, i), if given, sees the first _DRAWN midpoints that pass the
     collapse check, before they are decided.
 
@@ -158,7 +159,7 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
             lo, hi, cut = max(lo, below), min(hi, above), False
         c = divide(add(lo, hi), _TWO)
         if collapsed(lo, hi):
-            return c, lo, hi, False
+            return min(max(c, lo), hi), lo, hi, False
         if i < drawn:
             draw(c, i)
         s = -1 if c < below else 1 if c > above else side(c, i)

@@ -4,14 +4,15 @@ An nth root is the cascade run in reverse: find the apex cosine whose
 depth-n perpendicular equals the radicand mantissa.  The objective
 cos**n C is monotone on (0, 1), so a bracketed bisection suffices, once
 Newton's point has been tried.  The radicand's exponent splits as
-E = n*k + r; the 10**(r/n) residue is itself a root search on 10**-r.
+E = n*k + r; the 10**(r/n) residue is itself a root search on 10**-r,
+a fixed scale built once per (n, r, policy), like euler.internal_e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from functools import partial
+from functools import lru_cache, partial
 
 from .cascade import _mantissa_power, multiply, power
 from .errors import DomainError
@@ -20,6 +21,8 @@ from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, MAX_ABS_EXPONENT,
                       check_rational_power, check_root, cosine_bracket,
                       newton_window, renormalized, shift10)
 from .trace import TraceRecorder
+
+_RESIDUE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,17 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
                   newton_window(n, target, ctx, rel_tol), draw)[0]
 
 
+@lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
+def _residue_cosine(n: int, r: int, policy: PrecisionPolicy) -> Decimal:
+    """The untraced cosine c with c**n == 10**-r, so 10**(r/n) = 1/c."""
+    return solve_cos_power(n, shift10(_ONE, -r), policy.ctx(), policy.rel_tol)
+
+
 def nth_root(query: RootQuery,
              policy: PrecisionPolicy = DEFAULT_POLICY,
              recorder: TraceRecorder | None = None) -> SignedScaled:
-    """Principal nth root (negative radicand allowed for odd n)."""
+    """Principal nth root (negative radicand allowed for odd n).  The
+    residue 10**(r/n) comes from _residue_cosine, once per (n, r, policy)."""
     x, n = query.radicand, query.index
     if n == 1 or x.is_unit:
         return x  # n == 1 or |x| == 1: the root is x itself
@@ -84,9 +94,7 @@ def nth_root(query: RootQuery,
         _mantissa_power(c_m, n, policy, recorder)
         recorder.measure("cosine", c_m)
     if r:
-        # 10**(r/n) = 1 / (10**-r)**(1/n)
-        c_r = solve_cos_power(n, shift10(_ONE, -r), ctx, policy.rel_tol, None)
-        mant = ctx.divide(c_m, c_r)
+        mant = ctx.divide(c_m, _residue_cosine(n, r, policy))
     else:
         mant = c_m
     result = renormalized(x.sign, mant, k)

@@ -39,9 +39,10 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     side(c, i), i = 0, 1, ...: 0 accepts c, > 0 sets hi = c, < 0 lo = c.
     A known-side window (below, above) answers for side, if edges: c <
     below is < 0 and c > above is > 0.  No step cap: a midpoint that
-    rounds onto an end raises NoConvergence.  draw(c, i), if given, sees
-    the midpoints i < 4 before they are decided.  Without a window that
-    is what a traced side did before bisect drew: it drew its first four
+    rounds onto an end raises NoConvergence; a collapsed search returns
+    its midpoint clamped to [lo, hi].  draw(c, i), if given, sees the
+    midpoints i < 4 before they are decided.  Without a window that is
+    what a traced side did before bisect drew: it drew its first four
     calls.
 
     A window's third entry, Newton's point, is asked first, once, if it
@@ -67,7 +68,7 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
             done = collapsed is not None and collapsed(lo, hi)
         c = divide(add(lo, hi), _TWO)
         if done:
-            return c, lo, hi, False
+            return min(max(c, lo), hi), lo, hi, False
         if draw is not None and i < 4:
             draw(c, i)
         if edges and c < below:
@@ -106,6 +107,7 @@ def _outcome(search):
 
 
 def _run(monkeypatch, module, impl, search):
+    roots._residue_cosine.cache_clear()  # no search hides in the cache
     calls = []
     monkeypatch.setattr(module, "bisect", _recording(impl, calls))
     return _outcome(search), calls

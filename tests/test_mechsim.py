@@ -15,7 +15,8 @@ from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
                      RESOLUTION_LADDER, RootQuery, assemble, divide,
                      geometric_mean, multiply, normalize, nth_root,
                      oracle_eval, power, rational_power,
-                     recover_rational_exponent, run_op, run_script, shift10)
+                     recover_rational_exponent, rel_diff, run_op, run_script,
+                     shift10)
 from geocalc import mechsim, numcore
 from geocalc.mechsim import ARM_MIN, SCRIPTS, arm_id, parse_script_line
 
@@ -434,10 +435,32 @@ def test_corner_exponent_spans_zero_to_unbounded_at_one():
     iv, ctx = numcore.Interval, POL.oracle_ctx()
     u, w = iv(Decimal("0.5"), Decimal("0.6")), iv(Decimal("0.1"), Decimal("0.2"))
     got = mechsim._corner_exponent(u, w, ctx)
-    assert got.lo == ctx.divide(ctx.ln(w.hi), ctx.ln(u.lo))
-    assert got.hi == ctx.divide(ctx.ln(w.lo), ctx.ln(u.hi))
+    # just outside the half-even corner quotients
+    lo = ctx.divide(ctx.ln(w.hi), ctx.ln(u.lo))
+    hi = ctx.divide(ctx.ln(w.lo), ctx.ln(u.hi))
+    assert got.lo < lo and got.hi > hi
+    assert rel_diff(got.lo, lo, ctx) < Decimal("1e-58")
+    assert rel_diff(got.hi, hi, ctx) < Decimal("1e-58")
     got = mechsim._corner_exponent(iv(u.lo, ONE), iv(w.lo, ONE), ctx)
     assert got.lo == 0 and got.hi == Decimal("Infinity")
+
+
+@pytest.mark.parametrize("policy", [POL, PrecisionPolicy(15)])
+def test_corner_exponent_rounds_outward(policy):
+    # the band holds the corner quotients ln w.hi / ln u.lo and
+    # ln w.lo / ln u.hi, taken at 110 digits, for random u and w in (0, 1)
+    rng, ctx = random.Random(2929), policy.oracle_ctx()
+    ref = Context(prec=110)
+
+    def interval():
+        lo, hi = sorted(Decimal(rng.randrange(1, 10 ** ctx.prec)).scaleb(
+            -ctx.prec) for _ in range(2))
+        return numcore.Interval(lo, hi)
+    for _ in range(500):
+        u, w = interval(), interval()
+        got = mechsim._corner_exponent(u, w, ctx)
+        assert got.lo <= ref.divide(ref.ln(w.hi), ref.ln(u.lo)), (u, w)
+        assert got.hi >= ref.divide(ref.ln(w.lo), ref.ln(u.hi)), (u, w)
 
 
 def test_device_cf_refuses_a_level_bounded_by_nothing(monkeypatch):

@@ -68,6 +68,37 @@ def test_root_exponent_residue_paths():
         assert rel(got, want) <= Decimal("1e-20")
 
 
+@pytest.mark.parametrize("policy", [POL,
+                                    PrecisionPolicy(40, Decimal("1e-30"))])
+def test_residue_cosine_is_a_fresh_search(policy):
+    # the cached residue cosine, on its first call and on a repeat, is
+    # what the search on 10**-r returns afresh
+    roots._residue_cosine.cache_clear()
+    ctx = policy.ctx()
+    for n in range(2, 41):
+        for r in range(1, n):
+            want = solve_cos_power(n, shift10(_ONE, -r), ctx, policy.rel_tol)
+            assert roots._residue_cosine(n, r, policy) == want, (n, r)
+            assert roots._residue_cosine(n, r, policy) == want, (n, r)
+
+
+def test_residue_cache_is_keyed_on_the_index_and_residue_only():
+    # 500 radicands, each a new mantissa, leave one entry per residue
+    # (n, r) with r != 0: at most 1 + 2 + ... + 11 = 66 for n in 2..12
+    roots._residue_cosine.cache_clear()
+    rng = random.Random(2828)
+    residues = set()
+    for _ in range(500):
+        x = normalize(f"0.{rng.randrange(10 ** 11, 10 ** 12)}"
+                      f"e{rng.randint(-30, 30)}")
+        n = rng.randint(2, 12)
+        nth_root(RootQuery(x, n), POL)
+        if x.exponent % n:
+            residues.add((n, x.exponent % n))
+    size = roots._residue_cosine.cache_info().currsize
+    assert size == len(residues) <= 66
+
+
 def test_root_trace_ends_with_cosine_measure():
     rec = TraceRecorder()
     nth_root(RootQuery(normalize("0.5972e25"), 6), POL, recorder=rec)
@@ -172,7 +203,9 @@ def test_loose_tolerance_search_gets_no_window():
 
 def _searches(monkeypatch, run):
     """run(); then, for every engine search it made, (side, window, the
-    side calls, [bisect's result] or [] if it raised)."""
+    side calls, [bisect's result] or [] if it raised).  The residue cache
+    starts empty, so the searches do not depend on earlier tests."""
+    roots._residue_cosine.cache_clear()
     searches = []
 
     def recording(side, lo, hi, ctx, what, collapsed, window=None,
@@ -200,7 +233,7 @@ def _search_corpus():
     def number():
         return normalize(f"0.{rng.randrange(10 ** 11, 10 ** 12)}"
                          f"e{rng.randint(-12, 12)}")
-    for _ in range(60):
+    for _ in range(75):
         nth_root(RootQuery(number(), rng.randint(2, 12)), POL)
         rational_power(number(), rng.randint(-9, 9) or 1, rng.randint(2, 7),
                        POL)
@@ -226,8 +259,9 @@ def test_searches_past_newtons_point_end_in_its_window(monkeypatch):
     13..10**9 and antilog's two searches at n = 10**9, each search makes
     at most 3 side calls and ends inside the window rounded to ctx: on
     the point, or with the cut bracket inside the window.  A collapsed
-    search returns that bracket's midpoint, rounded (lo + hi)/2, which
-    can land a unit or two outside it when lo + hi rounds."""
+    search returns that bracket's rounded midpoint (lo + hi)/2 clamped
+    to [lo, hi]: when lo + hi rounds, the midpoint can land a unit or two
+    outside the bracket."""
     ctx = POL.ctx()
 
     def run():
@@ -248,7 +282,8 @@ def test_searches_past_newtons_point_end_in_its_window(monkeypatch):
         else:
             assert below <= lo < hi <= above
         if not accepted:
-            assert c == ctx.divide(ctx.add(lo, hi), 2)
+            assert c == min(max(ctx.divide(ctx.add(lo, hi), 2), lo), hi)
+            assert lo <= c <= hi
         assert side(c, 0) == 0 or not accepted
     # at n = 10**9 the window is already collapsed: no halving at all
     for side, window, calls, [(c, lo, hi, accepted)] in searches[-2:]:
