@@ -113,14 +113,9 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
         candidates = [n for n in (floor_n, floor_n + 1) if 1 <= n <= max_n]
     tol = ctx.multiply(DEFAULT_MATCH_TOL, v)
     for n in candidates:
-        p = ctx.power(u, Decimal(n))
-        if ctx.subtract(p, v).copy_abs() <= tol:
-            if x.sign < 0:
-                want = -1 if n % 2 else 1
-                if a.sign != want:
-                    continue
-            elif a.sign < 0:
-                continue
+        # a's sign must be that of x**n
+        if (a.sign == (x.sign if n % 2 else 1) and ctx.subtract(
+                ctx.power(u, Decimal(n)), v).copy_abs() <= tol):
             return n
     raise NoIntegerExponent(
         f"no exponent in [1, {max_n}] matches within {DEFAULT_MATCH_TOL}")

@@ -221,36 +221,32 @@ def _quotient(run: _Run, ab: Decimal, ab_iv: Interval, hyp: Decimal,
     return bd, ab_iv.mul(Interval.point(_ONE).div(hyp_iv)).widen(run.h)
 
 
-def _device_reciprocal(run: _Run, mantissa: Decimal, exponent: int,
-                       band: Decimal) -> tuple[Decimal, int, Interval]:
-    """Reciprocal of mantissa * 10**exponent: AB = 1 over AC = Q(10m).
-
-    `band` widens the hypotenuse for an uncertain input mantissa.
-    Returns (BD reading, result exponent, interval at that scale).
-    """
-    if band == 0 and mantissa == _TENTH:
-        return _TENTH, 2 - exponent, Interval.point(_TENTH)
-    hyp_iv = Interval.around(mantissa, band).scale10(1).widen(run.h)
-    bd, iv = _quotient(run, _ONE, Interval.point(_ONE), shift10(mantissa, 1),
-                       hyp_iv)
-    return bd, 1 - exponent, iv
-
-
 def _script_power(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
     sign = -1 if (x.sign < 0 and n % 2) else 1
     reading, shift_j, iv = _staged_power(run, x.mantissa, abs(n))
     res = run.package(sign, reading, x.exponent * abs(n) - shift_j, iv)
     if n > 0:
         return res
-    # x**n = 1 / x**|n|: the measured power's band widens the hypotenuse
-    m, e = res.value.mantissa, res.value.exponent
-    return run.package(sign, *_device_reciprocal(
-        run, m, e, shift10(res.half_width, -e)))
+    # x**n = 1 / x**|n|: the measured power, band and all, is recip's operand
+    return _script_recip(run, res.value, res.half_width)
 
 
-def _script_recip(run: _Run, x: SignedScaled) -> MeasuredResult:
-    return run.package(x.sign, *_device_reciprocal(
-        run, x.mantissa, x.exponent, Decimal(0)))
+def _script_recip(run: _Run, x: SignedScaled,
+                  band: Decimal = Decimal(0)) -> MeasuredResult:
+    """1/x: AB = 1 over AC = Q(10m) against BC = 1, read BD.
+
+    `band` is the half width of a measured x; it widens the hypotenuse.
+    A power of ten sets no triangle (AC would equal BC): its reciprocal
+    is a decade, banded by 1 over x's interval.
+    """
+    m, e = x.mantissa, x.exponent
+    ac_iv = Interval.around(m, shift10(band, -e)).scale10(1)   # ideal AC
+    if m == _TENTH:
+        return run.package(x.sign, _TENTH, 2 - e,
+                           Interval.point(_TENTH).div(ac_iv))
+    bd, iv = _quotient(run, _ONE, Interval.point(_ONE), shift10(m, 1),
+                       ac_iv.widen(run.h))
+    return run.package(x.sign, bd, 1 - e, iv)
 
 
 def _script_multiply(run: _Run, a: SignedScaled,

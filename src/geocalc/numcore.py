@@ -87,6 +87,9 @@ class Interval:
                         _UP.add(self.hi, other.hi))
 
     def div(self, other: "Interval") -> "Interval":
+        if other.lo <= 0:
+            raise DomainError("a divisor whose band reaches 0 leaves the "
+                              "quotient unbounded")
         return Interval(_DOWN.divide(self.lo, other.hi),
                         _UP.divide(self.hi, other.lo))
 

@@ -354,6 +354,22 @@ def test_device_refuses_a_band_wider_than_its_value(capsys, n, want):
         assert (code, out, err) == (2, "", want)
 
 
+@pytest.mark.parametrize("argv, want", [
+    # a power that reads a decade sets no triangle: its reciprocal is
+    # banded by 1 over the power's interval
+    (["10", "-3"], (0, "1.0000e-3 +/- 7.01e-7\n", "")),
+    (["0.1", "-2"], (0, "1.0000e2 +/- 6.01e-2\n", "")),
+    # x**23270 prints 8.3120e7004 +/- 8.32e7004: it may lie anywhere in
+    # (0, 2 * value], so its reciprocal has no upper bound
+    (["2.000000003970949296556378073", "-23270"],
+     (2, "", "error: DomainError: a divisor whose band reaches 0 leaves "
+             "the quotient unbounded\n")),
+], ids=["10^-3", "0.1^-2", "band reaches 0"])
+def test_device_negative_power_is_the_reciprocal_of_the_power(capsys, argv,
+                                                               want):
+    assert run(capsys, "pow", *argv, "--resolution", "1e-5") == want
+
+
 def test_device_cf_solver(capsys):
     code, out, _ = run(capsys, "solve-mn", "--x", "2", "--a", A_2_1971_181,
                        "--resolution", "1e-10")

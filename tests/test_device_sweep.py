@@ -7,7 +7,8 @@ decades -300..300 (-30..30 for pow), pow n drawn log-uniformly from
 from 1, so that t runs from near 0 to about 3e4.  To keep the sweep
 near half a second, the drawn depths are the shallow half of those
 ranges, |n| and the index up to about their square roots; the deepest
-pow runs come in as fixed cases at every rung.
+pow runs come in as fixed cases at every rung, and so do negative
+powers whose measured positive power reads a power of ten.
 
 Each run either keeps two properties, or ends in the device's refusal
 of a band wider than its value:
@@ -29,6 +30,10 @@ CTX = Context(prec=80, Emin=-10 ** 9, Emax=10 ** 9)
 ONE = Decimal(1)
 # the deepest pow runs, whose bands grow the most
 DEEP_POW = (["0.987654321098e-30", "9999"], ["-0.55e7", "-5000"])
+# negative powers whose positive power reads 0.1 * 10**k: recip would
+# set AC = BC, so the reciprocal is a decade with no triangle set
+DECADE_POW = [[x, str(n)] for x in ("1", "10", "0.1", "-100", "1e-5")
+              for n in (-1, -2, -3)] + [["1.0000001", "-1"]]
 
 
 def number(rng: random.Random, decades: int, sign: int = 0) -> str:
@@ -85,6 +90,19 @@ def truth(op: str, args: list) -> Decimal:
     return CTX.multiply(x, y) if op == "mul" else CTX.divide(x, y)
 
 
+def faults(op: str, args: list, got, model) -> list[str]:
+    """A band that misses the truth, and readings off their lengths."""
+    out = []
+    err = CTX.subtract(got.value.value(), truth(op, args)).copy_abs()
+    if err > got.half_width:
+        out.append(f"{op} {args}: off by {err:.3e}, band "
+                   f"{got.half_width:.3e}")
+    for (name, q), length in zip(got.readings, got.true_lengths):
+        if CTX.subtract(q, length).copy_abs() > model.half_step:
+            out.append(f"{op} {args}: reading {name} = {q} of {length}")
+    return out
+
+
 @pytest.mark.parametrize("resolution", RESOLUTION_LADDER, ids=str)
 def test_device_bands_hold_the_truth_over_the_domain(resolution):
     model = MeasurementModel(resolution=resolution)
@@ -101,12 +119,15 @@ def test_device_bands_hold_the_truth_over_the_domain(resolution):
         except Exception as exc:   # valid input must never raise
             bad.append(f"{op} {args}: {type(exc).__name__}: {exc}")
             continue
-        err = CTX.subtract(got.value.value(), truth(op, args)).copy_abs()
-        if err > got.half_width:
-            bad.append(f"{op} {args}: off by {err:.3e}, band "
-                       f"{got.half_width:.3e}")
-        for (name, q), length in zip(got.readings, got.true_lengths):
-            if CTX.subtract(q, length).copy_abs() > model.half_step:
-                bad.append(f"{op} {args}: reading {name} = {q} of {length}")
+        bad.extend(faults(op, args, got, model))
     assert not bad, "\n".join(bad)
     assert refused < ROUNDS
+
+
+@pytest.mark.parametrize("resolution", RESOLUTION_LADDER, ids=str)
+def test_decade_readings_have_a_reciprocal(resolution):
+    model = MeasurementModel(resolution=resolution)
+    bad = []
+    for args in DECADE_POW:
+        bad.extend(faults("pow", args, run_op("pow", args, model), model))
+    assert not bad, "\n".join(bad)

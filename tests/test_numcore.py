@@ -5,8 +5,8 @@ from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
 
 import pytest
 
-from geocalc import (DEFAULT_POLICY, ExponentOverflow, NoConvergence,
-                     ParseError, PrecisionPolicy, SignedScaled,
+from geocalc import (DEFAULT_POLICY, DomainError, ExponentOverflow,
+                     NoConvergence, ParseError, PrecisionPolicy, SignedScaled,
                      ZeroNotRepresentable,
                      normalize, oracle_eval, rel_diff, renormalized, shift10,
                      to_text)
@@ -395,3 +395,29 @@ def test_interval_pow_int_rounds_outward(digits, top):
         # x**n = m**n * 10**(-digits*n), each end = integer * 10**exponent
         assert (lo * 10 ** (a + digits * n) <= m ** n
                 <= hi * 10 ** (b + digits * n)), (m, n)
+
+
+def test_interval_div_refuses_a_divisor_that_reaches_zero():
+    # a divisor with lo <= 0 leaves the quotient unbounded; one with
+    # lo > 0 gives lo * b.hi <= a.lo and a.hi <= hi * b.lo, exactly
+    rng = random.Random(2929)
+
+    def end(sign):
+        return shift10(Decimal(sign * rng.randrange(1, 10 ** 12)),
+                       rng.randint(-40, 20))
+
+    for b in (Interval(Decimal(0), Decimal(2)),
+              Interval(Decimal("-5.0e-6"), Decimal("16.62"))):
+        with pytest.raises(DomainError):
+            Interval.point(Decimal(1)).div(b)
+    for _ in range(3000):
+        a = Interval(*sorted((end(1), end(1))))
+        lo = end(rng.choice((-1, 1))) if rng.random() < 0.9 else Decimal(0)
+        b = Interval(lo, lo + abs(end(1)))
+        if lo <= 0:
+            with pytest.raises(DomainError):
+                a.div(b)
+            continue
+        q = a.div(b)
+        assert _EXACT.multiply(q.lo, b.hi) <= a.lo
+        assert a.hi <= _EXACT.multiply(q.hi, b.lo)
