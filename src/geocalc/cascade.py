@@ -17,9 +17,8 @@ from functools import partial
 
 from .errors import DegenerateAngle, DomainError
 from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, MAX_ABS_EXPONENT,
-                      PrecisionPolicy, SignedScaled, bisect, check_power,
-                      check_same_sign, cosine_bracket, newton_window,
-                      renormalized, shift10)
+                      PrecisionPolicy, SignedScaled, check_power,
+                      check_same_sign, renormalized, search_cosine, shift10)
 from .trace import TraceRecorder, foot_label
 
 # A trace draws a power's cascade foot by foot up to this depth; past
@@ -222,16 +221,8 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
 
     With DE fixed at `small`, a trial cosine c puts the enclosing
     perpendicular at small/c**2; the bracket is monotone decreasing in c.
-    Both operands here share a decade, so the solution cosine is interior.
-    Like the root search, it also stops once the bracket is narrower than
-    rel_tol relative: the working precision can stall the bracket before
-    small/c**2 comes within the tolerance of `big`.  Newton's point
-    sqrt(small/big), rounded to ctx, is tried first and returned if side
-    accepts it.  When side rejects it, or rel_tol is below one working
-    unit (no point), the search bisects the bracket cut to a Newton
-    window around it (numcore.newton_window shows that side rejects
-    every cosine outside); above 1/2 there is no window and it bisects
-    the whole bracket.
+    Both operands here share a decade, so the solution cosine
+    sqrt(small/big) is interior: numcore.search_cosine with n = 2.
     """
     ctx_div, ctx_mul = ctx.divide, ctx.multiply
     tol = ctx_mul(rel_tol, big)
@@ -242,12 +233,9 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
             return 0
         return -1 if ab > big else 1  # cut too long: open the angle
 
-    square = ctx_div(small, big)
-    lo, hi = cosine_bracket(square, _TWO, ctx)
     draw = None if recorder is None else partial(recorder.rotate, "D")
-    c = bisect(side, lo, hi, ctx, "rotation",
-               lambda lo, hi: ctx.subtract(hi, lo) <= ctx_mul(rel_tol, lo),
-               newton_window(2, square, ctx, rel_tol), draw)[0]
+    c = search_cosine(side, 2, ctx_div(small, big), ctx, rel_tol, "rotation",
+                      draw)
     bd = ctx_div(small, c)
     if recorder is not None:
         recorder.measure("BD", bd)

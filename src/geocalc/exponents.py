@@ -160,6 +160,8 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
     """
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
+    if not (0 <= cf_tol < 1):
+        raise DomainError("cf_tol must be in [0, 1)")
     ctx = policy.oracle_ctx()
     u, v, terms = first_level(x, a, ctx)
     fuzz = Decimal(1).scaleb(20 - ctx.prec)

@@ -25,9 +25,10 @@ from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
                         first_level)
 from .numcore import (_DOWN, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
-                      DEFAULT_POLICY, OPS, Interval, PrecisionPolicy,
-                      SignedScaled, bisect, normalize, parse_decimal,
-                      parse_integer, renormalized, shift10, to_text)
+                      DEFAULT_POLICY, MAX_ABS_EXPONENT, OPS, Interval,
+                      PrecisionPolicy, SignedScaled, bisect, normalize,
+                      parse_decimal, parse_integer, renormalized, shift10,
+                      to_text)
 from .trace import foot_label, numbered_lines
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -293,16 +294,16 @@ def _rotate(run: _Run, side, window: tuple[Decimal, Decimal]):
 def _gmean_window(ed: Decimal, target: Decimal, h: Decimal, ctx: Context):
     """(below, above) outside which the rotating mean's side is known.
 
-    side(c) snaps x = ed / c**2, two roundings under ctx that move it by
-    less than 2u relative, u = 10**(1 - prec), and compares the reading
-    with target, which lies on the graduation grid.  The window is
-    sqrt(ed / (target -+ h)), outward, widened by 100u relative.
-    For c below it, ed / c**2 exceeds (target + h)(1 + 100u), so x
-    exceeds target + h and snaps a graduation above target: side < 0.
+    side(c) snaps x = ed / c**2, two half-even roundings under ctx that
+    move it by less than 1.1u relative, u = 10**(1 - prec), and compares
+    the reading with target, which lies on the graduation grid.  The
+    window is sqrt(ed / (target -+ h)), outward, widened by u relative,
+    which moves ed / c**2 by 2u, more than the roundings.  For c below
+    it, x exceeds target + h and snaps a graduation above: side < 0.
     For c above it, x falls short of target - h and snaps below: side > 0.
     """
     iv = Interval.point(ed).div(Interval.around(target, h)).sqrt()
-    iv = iv.widen(_UP.multiply(iv.hi, shift10(_ONE, 3 - ctx.prec)))
+    iv = iv.widen(_UP.multiply(iv.hi, shift10(_ONE, 1 - ctx.prec)))
     return iv.lo, iv.hi
 
 
@@ -384,6 +385,8 @@ def _root_window(target: Decimal, n: int, h: Decimal, ctx: Context):
 
 
 def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
+    if n > MAX_ABS_EXPONENT:   # each side call walks n arms
+        raise DomainError(f"root index above cap {MAX_ABS_EXPONENT}")
     ctx, h, model = run.ctx, run.h, run.model
     if n == 1:
         r = run.read("AB", x.mantissa)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING,
                      ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal)
@@ -190,12 +191,12 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     8*t*r/n.  Newton runs at prec + 12 digits, plus the digits of n so
     that one unit of r stays far inside the window.  Its float seed is
     1 + expm1(ln(target)/n) for a root above 1/2, which keeps the digits
-    of r - 1 at large n, and 10**(log10(target)/n) below.  From the second
-    step on, a correction that fails to halve the previous one means the
-    seed lies outside Newton's basin (n beyond about 10**16): then there
-    is no window.  Otherwise Newton stops once a correction is below a
-    quarter of the half-width, which leaves r far closer to the root than
-    the half-width.
+    of r - 1 at large n, and 10**(log10(target)/n) below; n past the
+    float range gets no window.  From the second step on, a correction
+    that fails to halve the previous one would mean the seed left
+    Newton's basin, and then there is no window.  Otherwise Newton stops
+    once a correction is below a quarter of the half-width, which leaves
+    r far closer to the root than the half-width.
 
     Every c outside the window misses by more than rel_tol, in the
     window's direction, for both objectives that use one:
@@ -221,7 +222,7 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     power that lands on the target, which can happen by accident at a
     point the halving would never reach.
     """
-    if rel_tol > _HALF:
+    if rel_tol > _HALF or n > sys.float_info.max:
         return None
     wctx = ctx.copy()
     wctx.prec = ctx.prec + 12 + len(str(n))
@@ -253,6 +254,23 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     below = wctx.subtract(r, half)
     wctx.rounding = ROUND_CEILING
     return below, wctx.add(r, half), ctx.plus(r) if rel_tol >= unit else None
+
+
+def search_cosine(side, n: int, target: Decimal, ctx: Context,
+                  rel_tol: Decimal, what: str, draw=None) -> Decimal:
+    """The engine's angle search, for an objective solved by c**n ==
+    target: side(c, i) is 0 when c meets it within rel_tol, > 0 when c
+    is too large, < 0 when too small.  Newton's point (newton_window) is
+    asked first and returned if side accepts it; otherwise bisect halves
+    the cosine bracket, cut to Newton's window if there is one, until
+    side accepts or the bracket is narrower than rel_tol relative, which
+    the working precision can reach before the tolerance.  draw(c, i)
+    sees the first midpoints, as in bisect."""
+    lo, hi = cosine_bracket(target, Decimal(n), ctx)
+    return bisect(side, lo, hi, ctx, what,
+                  lambda lo, hi: ctx.subtract(hi, lo)
+                  <= ctx.multiply(rel_tol, lo),
+                  newton_window(n, target, ctx, rel_tol), draw)[0]
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,8 @@ from functools import lru_cache, partial
 from .cascade import _mantissa_power, multiply, power
 from .errors import DomainError
 from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, MAX_ABS_EXPONENT,
-                      PrecisionPolicy, SignedScaled, bisect,
-                      check_rational_power, check_root, cosine_bracket,
-                      newton_window, renormalized, shift10)
+                      PrecisionPolicy, SignedScaled, check_rational_power,
+                      check_root, renormalized, search_cosine, shift10)
 from .trace import TraceRecorder
 
 _RESIDUE_CACHE_SIZE = 256
@@ -38,26 +37,17 @@ class RootQuery:
 
 def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
                     recorder: TraceRecorder | None = None) -> Decimal:
-    """Cosine c with c**n == target, 0 < target < 1: Newton's point if it
-    passes, else by bisection.
-
-    The search asks side first at Newton's root rounded to ctx
-    (numcore.newton_window) and returns it if |c**n - target| <=
-    rel_tol*target.  When side rejects the point, or rel_tol is below
-    one working unit (no point), it bisects the cosine bracket cut to
-    the window around the Newton root; at large n that cut is already
-    collapsed.  Without a window (n past Newton's basin, or rel_tol
-    above 1/2) it bisects the whole cosine bracket.  The bracket always
-    satisfies f(hi) >= target >= f(lo).
-    """
+    """Cosine c with c**n == target, 0 < target < 1, by
+    numcore.search_cosine: side accepts c when |c**n - target| <=
+    rel_tol*target."""
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
     if target.adjusted() < -15 * n:  # target < 10**(-15n)
         raise DomainError(f"index {n} root of {target} lies below the "
                           "cosine bracket's floor 1e-15")
-    ctx_pow, ctx_sub, ctx_mul = ctx.power, ctx.subtract, ctx.multiply
+    ctx_pow, ctx_sub = ctx.power, ctx.subtract
     nn = Decimal(n)
-    tol = ctx_mul(rel_tol, target)
+    tol = ctx.multiply(rel_tol, target)
 
     def side(c, i):
         p = ctx_pow(c, nn)
@@ -65,11 +55,8 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
             return 0
         return 1 if p > target else -1
 
-    lo, hi = cosine_bracket(target, nn, ctx)
     draw = None if recorder is None else partial(recorder.rotate, "C")
-    return bisect(side, lo, hi, ctx, "root",
-                  lambda lo, hi: ctx_sub(hi, lo) <= ctx_mul(rel_tol, lo),
-                  newton_window(n, target, ctx, rel_tol), draw)[0]
+    return search_cosine(side, n, target, ctx, rel_tol, "root", draw)
 
 
 @lru_cache(maxsize=_RESIDUE_CACHE_SIZE)

@@ -24,7 +24,7 @@ from itertools import count
 from geocalc import (RESOLUTION_LADDER, GeocalcError, MeasurementModel,
                      NoConvergence, PrecisionPolicy, TraceRecorder,
                      geometric_mean, normalize, solve_cos_power)
-from geocalc import cascade, mechsim, roots
+from geocalc import cascade, mechsim, numcore, roots
 from geocalc.numcore import _ONE, _TWO, bisect, shift10
 
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
@@ -109,7 +109,7 @@ def _outcome(search):
 def _run(monkeypatch, module, impl, search):
     roots._residue_cosine.cache_clear()  # no search hides in the cache
     calls = []
-    monkeypatch.setattr(module, "bisect", _recording(impl, calls))
+    monkeypatch.setattr(numcore, "bisect", _recording(impl, calls))
     return _outcome(search), calls
 
 

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import jsonschema
@@ -178,6 +179,59 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2 and "ZeroNotRepresentable" in err
     code, _, err = run(capsys, "root", "--digits", "6", "--", "-16", "4")
     assert code == 2 and "EvenRootOfNegative" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("root 2 2 --digits 0", "digits must be at least 1"),
+    ("euler 0", "n_steps must be at least 1"),
+    ("solve-n --x 2 --a 8 --max-n 0", "max_n must be at least 1"),
+    ("solve-n --x 1 --a 2", "base magnitude 1 cannot reach a target"),
+    ("solve-mn --x 2 --a 8 --cf-depth 0", "max_depth must be at least 1"),
+    ("ln 2 --cf-depth 0", "max_depth must be at least 1"),
+    # a tolerance below 0 closes no walk, one of 1 closes every walk
+    ("solve-mn --x 2 --a 8 --cf-tol -1", "cf_tol must be in [0, 1)"),
+    ("solve-mn --x 2 --a 8 --cf-tol 1", "cf_tol must be in [0, 1)"),
+    ("root 2 2 --tol 0", "rel_tol must be in (0, 1)"),
+    ("root 2 2 --tol 1", "rel_tol must be in (0, 1)"),
+    ("pow 2 3 --resolution 0",
+     "need 0 < resolution < 0.01, the shortest arm"),
+    ("pow 2 3 --resolution 0.5",
+     "need 0 < resolution < 0.01, the shortest arm"),
+    # an exact decade needs no triangle: its reciprocal has no band
+    ("recip 1000 --resolution 1e-5", None),
+])
+def test_typed_refusals(capsys, argv, want):
+    got = run(capsys, *argv.split())
+    if want is None:
+        assert got == (0, "1.0000e-3 +/- 0\n", "")
+    else:
+        assert got == (2, "", f"error: DomainError: {want}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["root", "0.5", str(10 ** 400)],
+    ["root", "5e7", str(10 ** 400), "--digits", "20"],
+    ["root", "0.5", str(2 * 10 ** 308)],
+    ["powfrac", "2", "3", str(10 ** 400)],
+], ids=["root 10^400", "root 10^400 digits 20", "root 2e308",
+        "powfrac 10^400"])
+def test_root_index_past_the_float_range(capsys, argv):
+    # Newton's float seed cannot hold the index: the search runs without
+    # its window and prints the oracle's digits
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv, "--backend", "oracle")[1]
+
+
+@pytest.mark.parametrize("n", [10 ** 6 + 1, 10 ** 17, 10 ** 50],
+                         ids=["10^6+1", "10^17", "10^50"])
+def test_device_root_index_above_the_cap(capsys, n):
+    # each side call walks n arms: refused before any arm is set
+    start = time.monotonic()
+    got = run(capsys, "root", "0.5", str(n), "--resolution", "1e-5")
+    assert time.monotonic() - start < 1
+    assert got == (2, "", "error: DomainError: root index above cap "
+                          "1000000\n")
 
 
 @pytest.mark.parametrize("argv, whose", [

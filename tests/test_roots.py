@@ -11,7 +11,7 @@ from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
                      TraceRecorder, antilog, geometric_mean, normalize,
                      nth_root, oracle_eval, power, rational_power, rel_diff,
                      solve_cos_power)
-from geocalc import cascade, roots
+from geocalc import numcore, roots
 from geocalc.numcore import (_NEG_INF, _ONE, _POS_INF, bisect,
                              cosine_bracket, newton_window, shift10)
 from geocalc.roots import _assert_root_between
@@ -219,8 +219,7 @@ def _searches(monkeypatch, run):
         result.append(bisect(counted, lo, hi, ctx, what, collapsed, window,
                              draw))
         return result[0]
-    monkeypatch.setattr(roots, "bisect", recording)
-    monkeypatch.setattr(cascade, "bisect", recording)
+    monkeypatch.setattr(numcore, "bisect", recording)
     run()
     return searches
 
@@ -319,13 +318,24 @@ def test_a_tolerance_below_one_unit_takes_no_shortcut(monkeypatch):
 
 
 def test_root_of_an_index_past_newtons_basin():
-    # past about 10**16 Newton's float seed may leave its basin, and then
-    # there is no window: the bracketed search alone must find the root
+    # the seed 1 + expm1(ln(target)/n) keeps Newton in its basin at this
+    # index too, so the search runs in its window
     x, n = normalize("0.1"), 9721136870520942972
     got = nth_root(RootQuery(x, n), POL)
     ctx = Context(prec=80)
     want = ctx.power(x.value(), ctx.divide(1, n))
     assert rel_diff(got.value(), want, ctx) <= POL.rel_tol
+
+
+@pytest.mark.parametrize("n", [10 ** 400, 2 * 10 ** 308],
+                         ids=["10^400", "2e308"])
+def test_root_of_an_index_past_the_float_range(n):
+    # the float seed cannot hold n, so there is no window: the bracketed
+    # search alone must find the root
+    x = normalize("0.5")
+    assert newton_window(n, x.mantissa, POL.ctx(), POL.rel_tol) is None
+    got = nth_root(RootQuery(x, n), POL)
+    assert rel(got, oracle_eval("root", (x, n), POL)) <= POL.rel_tol
 
 
 @pytest.mark.parametrize("text", ["0.9999999999999999", "0.99999999999999",
