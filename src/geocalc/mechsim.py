@@ -25,10 +25,10 @@ from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
                         first_level)
 from .numcore import (_DOWN, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
-                      DEFAULT_POLICY, MAX_ABS_EXPONENT, OPS, Interval,
-                      PrecisionPolicy, SignedScaled, bisect, normalize,
-                      parse_decimal, parse_integer, renormalized, shift10,
-                      to_text)
+                      COSINE_BRACKET, DEFAULT_POLICY, MAX_ABS_EXPONENT, OPS,
+                      Interval, PrecisionPolicy, SignedScaled, bisect,
+                      normalize, parse_decimal, parse_integer, renormalized,
+                      shift10, to_text)
 from .trace import foot_label, numbered_lines
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -284,11 +284,16 @@ def _script_divide(run: _Run, num: SignedScaled,
 
 
 def _rotate(run: _Run, side, window: tuple[Decimal, Decimal]):
-    """Bisect the apex cosine in [1e-6, 1 - 1e-6] down to one graduation,
-    asking side only inside the known-side window (below, above)."""
-    ctx, resolution = run.ctx, run.model.resolution
-    return bisect(side, Decimal("1e-6"), Decimal("0.999999"), ctx, "rotation",
-                  lambda lo, hi: ctx.subtract(hi, lo) < resolution, window)
+    """Bisect the apex cosine in COSINE_BRACKET, cut to the window
+    (below, above) as bisect cuts to Newton's, down to one graduation.
+    The cut bracket is not empty while h > 2e-15, as on the ladder:
+    root's below is at most r (1 + d)**-(n-1)/n with r < 1, gmean's
+    sqrt(1 - h/(target + h)) as ed <= target, both under 1 - 1e-15;
+    root's above is at least 0.1, gmean's sqrt(ed).  On a finer grid
+    an empty gmean cut ends collapsed at the top; its band still holds."""
+    ctx, res = run.ctx, run.model.resolution
+    return bisect(side, *COSINE_BRACKET, ctx, "rotation",
+                  lambda lo, hi: ctx.subtract(hi, lo) < res, (*window, None))
 
 
 def _gmean_window(ed: Decimal, target: Decimal, h: Decimal, ctx: Context):
@@ -325,14 +330,12 @@ def _script_gmean(run: _Run, a: SignedScaled,
             return 0
         return -1 if r > target else 1
 
-    c, lo, hi, accepted = _rotate(run, side,
-                                  _gmean_window(ed, target, h, ctx))
+    c, lo, hi, accepted = _rotate(run, side, _gmean_window(ed, target, h, ctx))
     ab_final = ctx.divide(ed, ctx.multiply(c, c))
     if accepted or quantize(ab_final) == target:
         ab_iv = Interval.around(big, _UP.multiply(_TWO, h))
     else:
-        ends = Interval(min(ab_final, ctx.divide(ed, ctx.multiply(hi, hi))),
-                        max(ab_final, ctx.divide(ed, ctx.multiply(lo, lo))))
+        ends = Interval.point(ed).div(Interval(lo, hi).pow_int(2))
         ab_iv = ends.hull(Interval.point(big)).widen(_UP.multiply(_TWO, h))
     bd = run.read("BD", ctx.divide(ed, c))
     iv = Interval.around(small, h).mul(ab_iv).sqrt().widen(h)

@@ -37,6 +37,8 @@ _TENTH = Decimal("0.1")
 _HALF = Decimal("0.5")
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
 _LN10, _LOG10_HALF = math.log(10), math.log10(0.5)
+# the cosine bracket [1e-15, 1 - 1e-15], each end rounded by no context
+COSINE_BRACKET = (Decimal("1e-15"), Decimal("0.999999999999999"))
 
 # Nothing rounds or clamps for lack of precision or exponent range
 # here: shift10 moves only the exponent, and to_text rounds a mantissa
@@ -130,8 +132,6 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
 
     Each step takes the midpoint c, stops if collapsed(lo, hi), then asks
     side(c, i), i = 0, 1, ...: 0 accepts c, > 0 sets hi = c, < 0 lo = c.
-    A known-side window (below, above) answers for side: c < below is
-    < 0 and c > above is > 0, so side is called only inside the window.
     No step cap: a midpoint that rounds onto an end raises NoConvergence.
     A midpoint can also round past an end, when lo + hi rounds across a
     decade; the search then goes on from the bracket that step leaves,
@@ -139,21 +139,20 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     draw(c, i), if given, sees the first _DRAWN midpoints that pass the
     collapse check, before they are decided.
 
-    Newton's window (below, above, point) from newton_window is also a
-    bracket, and point, unless None, a guess: before any midpoint,
+    A window (below, above, point) is a bracket, side < 0 below it and
+    > 0 above it, and point, unless None, a guess: before any midpoint,
     side(point, 0) is asked once, if lo < point < hi.  Where the search
     would take its first undrawn midpoint, at once untraced, or stop
     collapsed before that, it returns (point, lo, hi, True) if side
     accepted the point, and otherwise cuts [lo, hi] to [max(lo, below),
-    min(hi, above)] and halves on from there.  A drawn midpoint outside
-    the window leaves it inside the bracket, so traced and untraced
-    searches halve the same cut bracket unless side decided a drawn one.
+    min(hi, above)] and halves on from there.  Its edges decide a drawn
+    midpoint outside it, so a traced search halves the untraced one's
+    cut bracket unless side decided one of its drawn midpoints.
     """
     add, divide = ctx.add, ctx.divide
-    below, above, *point = window or (_NEG_INF, _POS_INF)
-    guess = point[0] if point else None
+    below, above, guess = window or (_NEG_INF, _POS_INF, None)
     hit = guess is not None and lo < guess < hi and not side(guess, 0)
-    cut = bool(point)  # Newton's window: cut to it once
+    cut = window is not None  # cut to the window once
     drawn = 0 if draw is None else _DRAWN
     i = 0
     while True:
@@ -178,10 +177,8 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
 
 def cosine_bracket(target: Decimal, n: Decimal, ctx: Context):
     """Bracket the cosine c**n == target: above 1 - 1e-15 only if it must."""
-    top = Decimal("0.999999999999999")  # 1 - 1e-15, rounded by no context
-    if target > ctx.power(top, n):
-        return top, _ONE
-    return Decimal("1e-15"), top
+    top = COSINE_BRACKET[1]
+    return (top, _ONE) if target > ctx.power(top, n) else COSINE_BRACKET
 
 
 def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):

@@ -3,16 +3,15 @@
 `_step_bisect` is the step loop `numcore.bisect` runs, written out on its
 own: one collapse check, window test and possible side call per halving,
 after Newton's point is tried first and, where the search would take its
-first undrawn midpoint, the bracket is cut to Newton's window.  The
-sweeps below run the root search and the rotating geometric mean on
-both and require the same result or exception type, and the same
-side(c, i) calls in the same order.  `_edgeless` is the same loop with
-the window's edges deciding no midpoint: every midpoint asks side.  The
-traced sweep holds a traced search to the one a traced search ran
-before bisect drew: no window edges, every midpoint asks side, and the
-first four draw a rotation; Newton's point is tried first and the
-bracket cut there too.  The device sweep runs each device rotation
-search with its window and with none.  The seeds are fixed.
+first undrawn midpoint, the bracket is cut to the window.  The sweeps
+below run the root search, the rotating geometric mean and the device's
+two rotation searches on both and require the same result or exception
+type, and the same side(c, i) calls in the same order.  `_edgeless` is
+the same loop with the window's edges deciding no midpoint: every
+midpoint asks side.  The traced sweep holds a traced search to the one a
+traced search ran before bisect drew: no window edges, every midpoint
+asks side, and the first four draw a rotation; Newton's point is tried
+first and the bracket cut there too.  The seeds are fixed.
 """
 
 import math
@@ -24,7 +23,7 @@ from itertools import count
 from geocalc import (RESOLUTION_LADDER, GeocalcError, MeasurementModel,
                      NoConvergence, PrecisionPolicy, TraceRecorder,
                      geometric_mean, normalize, solve_cos_power)
-from geocalc import cascade, mechsim, numcore, roots
+from geocalc import mechsim, numcore, roots
 from geocalc.numcore import _ONE, _TWO, bisect, shift10
 
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
@@ -37,7 +36,7 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
 
     Each step takes the midpoint c, stops if collapsed(lo, hi), then asks
     side(c, i), i = 0, 1, ...: 0 accepts c, > 0 sets hi = c, < 0 lo = c.
-    A known-side window (below, above) answers for side, if edges: c <
+    A window (below, above, point) answers for side, if edges: c <
     below is < 0 and c > above is > 0.  No step cap: a midpoint that
     rounds onto an end raises NoConvergence; a collapsed search returns
     its midpoint clamped to [lo, hi].  draw(c, i), if given, sees the
@@ -45,20 +44,18 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     what a traced side did before bisect drew: it drew its first four
     calls.
 
-    A window's third entry, Newton's point, is asked first, once, if it
-    is not None and lies inside (lo, hi).  At step 0 untraced, step 4
-    traced, or the first collapsed step before that, the search returns
-    the point if side accepted it, and otherwise cuts [lo, hi] to the
-    window's edges; a point accepted earlier replaces the midpoint a
-    drawn step ends on.
+    The window's point is asked first, once, if it is not None and lies
+    inside (lo, hi).  At step 0 untraced, step 4 traced, or the first
+    collapsed step before that, the search returns the point if side
+    accepted it, and otherwise cuts [lo, hi] to the window's edges; a
+    point accepted earlier replaces the midpoint a drawn step ends on.
     """
     add, divide = ctx.add, ctx.divide
-    below, above, *point = window or (_NEG_INF, _POS_INF)
+    below, above, point = window or (_NEG_INF, _POS_INF, None)
     accepted = None
-    if point and point[0] is not None and lo < point[0] < hi:
-        if not side(point[0], 0):
-            accepted = point[0]
-    cut = bool(point)
+    if point is not None and lo < point < hi and not side(point, 0):
+        accepted = point
+    cut = window is not None
     for i in count():
         done = collapsed is not None and collapsed(lo, hi)
         if cut and (done or i == (0 if draw is None else 4)):
@@ -106,7 +103,7 @@ def _outcome(search):
         return type(exc).__name__
 
 
-def _run(monkeypatch, module, impl, search):
+def _run(monkeypatch, impl, search):
     roots._residue_cosine.cache_clear()  # no search hides in the cache
     calls = []
     monkeypatch.setattr(numcore, "bisect", _recording(impl, calls))
@@ -154,8 +151,8 @@ def test_root_searches_match_the_step_loop(monkeypatch):
 
         def search():
             return solve_cos_power(n, target, ctx, rel_tol)
-        want = _run(monkeypatch, roots, _step_bisect, search)
-        got = _run(monkeypatch, roots, bisect, search)
+        want = _run(monkeypatch, _step_bisect, search)
+        got = _run(monkeypatch, bisect, search)
         assert got == want, (digits, n, str(rel_tol), target)
         cases += 1
     assert cases == ROOT_CASES
@@ -196,9 +193,9 @@ def test_rotate_means_match_the_step_loop(monkeypatch):
                 def search():
                     return geometric_mean(normalize(a), normalize(b), policy,
                                           method="rotate")
-                plain = _run(monkeypatch, cascade, _edgeless, search)
-                stepped = _run(monkeypatch, cascade, _step_bisect, search)
-                got = _run(monkeypatch, cascade, bisect, search)
+                plain = _run(monkeypatch, _edgeless, search)
+                stepped = _run(monkeypatch, _step_bisect, search)
+                got = _run(monkeypatch, bisect, search)
                 assert got == stepped, (digits, str(rel_tol), a, b)
                 assert got[0] == plain[0], (digits, str(rel_tol), a, b)
                 assert _is_subsequence(got[1], plain[1])
@@ -211,11 +208,10 @@ def _rotating_mean(a, b, policy, recorder=None):
                           recorder=recorder, method="rotate")
 
 
-def _traced(monkeypatch, module, impl, search):
+def _traced(monkeypatch, impl, search):
     """_run on search(recorder), plus the trace the recorder holds."""
     recorder = TraceRecorder()
-    outcome, calls = _run(monkeypatch, module, impl,
-                          lambda: search(recorder))
+    outcome, calls = _run(monkeypatch, impl, lambda: search(recorder))
     return outcome, calls, recorder.dumps()
 
 
@@ -233,19 +229,18 @@ def test_traced_searches_match_the_old_traced_path(monkeypatch):
     searches = []
     for digits, rel_tol, n, target in _root_cases(random.Random(1414)):
         ctx = PrecisionPolicy(digits).ctx()
-        searches.append((roots, partial(solve_cos_power, n, target, ctx,
-                                        rel_tol)))
+        searches.append(partial(solve_cos_power, n, target, ctx, rel_tol))
     rng = random.Random(1415)
     for digits in DIGITS:
         for rel_tol in _tolerances(digits):
             policy = PrecisionPolicy(digits, rel_tol)
-            searches += [(cascade, partial(_rotating_mean, a, b, policy))
+            searches += [partial(_rotating_mean, a, b, policy)
                          for a, b in _operand_pairs(rng, digits)]
     assert len(searches) == ROOT_CASES + len(DIGITS) * 7 * 7
-    for module, search in searches:
-        want = _traced(monkeypatch, module, _edgeless, search)
-        got = _traced(monkeypatch, module, bisect, search)
-        untraced = _run(monkeypatch, module, bisect, search)
+    for search in searches:
+        want = _traced(monkeypatch, _edgeless, search)
+        got = _traced(monkeypatch, bisect, search)
+        untraced = _run(monkeypatch, bisect, search)
         assert (got[0], got[2]) == (want[0], want[2]), search
         assert got[0] == untraced[0], search
         asked, asked_untraced = ([c for c, _ in calls]
@@ -257,17 +252,21 @@ def test_traced_searches_match_the_old_traced_path(monkeypatch):
 def test_collapse_at_every_step_after_window_and_side_decisions():
     """Collapse at every step index, with and without an earlier side call.
 
-    With the window above the bracket every midpoint sets lo, so the
-    bracket [1 - 2**-i, 1] collapses first at step k, each midpoint
-    decided by the window alone.  With a window around 0.75 the second
-    midpoint asks side.  A search that draws sees the step loop's first
-    min(4, k) midpoints and makes the same side calls.
+    Both windows lie inside the bracket [0, 1], and each search, traced
+    or not, makes the step loop's side calls and draws.  With the window
+    [0.75, 1] and a side that always sets lo, the search ends on
+    [1 - 2**-max(k, 2), 1] either way: untraced from the cut, traced
+    after its first midpoint 0.5, which the window decides.  With the
+    window [0.74, 0.76] around x = 0.755, the midpoint 0.75 asks side at
+    step 0 untraced, once the cut bracket is wider than 2**-k, and at
+    step 1 traced.  A traced search draws its first min(4, k) midpoints
+    and asks side at every cosine the untraced one asks at.
     """
     ctx = Context(prec=60)
-    windows = {"above": (Decimal(2), Decimal(3)),
-               "around 0.75": (Decimal("0.74"), Decimal("0.76"))}
-    x = Decimal("0.755")
-    for name, window in windows.items():
+    windows = {"top quarter": (Decimal("0.75"), _ONE, None, _TWO),
+               "around 0.755": (Decimal("0.74"), Decimal("0.76"), None,
+                                Decimal("0.755"))}
+    for name, (*window, x) in windows.items():
         for k in range(1, 48):
             width = ctx.power(_TWO, -k)  # exact at 60 digits
 
@@ -281,28 +280,34 @@ def test_collapse_at_every_step_after_window_and_side_decisions():
                 draw = None if draws is None else (
                     lambda c, i: draws.append((c, i)))
                 return impl(side, Decimal(0), _ONE, ctx, "test", collapsed,
-                            window, draw)
+                            tuple(window), draw)
 
-            old_calls, new_calls, drawn_calls = [], [], []
+            old_calls, new_calls, old_traced, traced = [], [], [], []
             old_draws, draws = [], []
-            want = search(_step_bisect, old_calls, old_draws)
+            want = search(_step_bisect, old_calls)
             assert search(bisect, new_calls) == want, (name, k)
-            assert search(bisect, drawn_calls, draws) == want, (name, k)
-            assert new_calls == drawn_calls == old_calls, (name, k)
+            want_traced = search(_step_bisect, old_traced, old_draws)
+            assert search(bisect, traced, draws) == want_traced, (name, k)
+            assert new_calls == old_calls and traced == old_traced, (name, k)
             assert draws == old_draws and len(draws) == min(4, k), (name, k)
-            if name == "above":
-                assert want[1] == ctx.subtract(_ONE, width) and not want[3]
-                assert not new_calls
+            asked = [c for c, _ in traced]
+            assert _is_subsequence([c for c, _ in new_calls], asked)
+            if name == "top quarter":
+                top = (ctx.subtract(_ONE, ctx.power(_TWO, -max(k, 2))), _ONE,
+                       False)
+                assert want[1:] == want_traced[1:] == top, k
+                assert Decimal("0.5") not in asked
                 assert draws == [(ctx.subtract(_ONE, ctx.power(_TWO, -1 - i)),
                                   i) for i in range(min(4, k))]
             else:
-                assert (Decimal("0.75"), 1) in new_calls or k < 2
+                assert (Decimal("0.75"), 0) in new_calls or k < 6
+                assert (Decimal("0.75"), 1) in traced or k < 2
 
 
-
-def _device_searches(monkeypatch, op, args, resolution, keep_window):
-    """run_op on the device, with every rotation search's (result or
-    exception type, side calls, side, window) in the order they ran."""
+def _device_searches(monkeypatch, impl, op, args, resolution):
+    """run_op on the device with impl as its bisect: the outcome, and
+    every rotation search's (result or exception type, side calls, side,
+    window) in the order they ran."""
     searches = []
 
     def run(side, lo, hi, ctx, what, collapsed, window):
@@ -312,8 +317,7 @@ def _device_searches(monkeypatch, op, args, resolution, keep_window):
             calls.append((str(c), i))
             return side(c, i)
         try:
-            got = bisect(logged, lo, hi, ctx, what, collapsed,
-                         window if keep_window else None)
+            got = impl(logged, lo, hi, ctx, what, collapsed, window)
         except GeocalcError as exc:
             searches.append((type(exc).__name__, calls, side, window))
             raise
@@ -335,8 +339,8 @@ def _device_cases(rng):
         return (f"{sign}0.{rng.randrange(10 ** 11, 10 ** 12)}"
                 f"e{rng.randint(-300, 300)}")
     every, coarsest = RESOLUTION_LADDER, RESOLUTION_LADDER[:1]
-    # solution cosines above the bracket's top 0.999999, a root of
-    # exactly 0.1, and a deep root
+    # solution cosines above 0.999999, a root of exactly 0.1, and a
+    # deep root
     cases = [("gmean", ["0.5", "0.5000001"], every),
              ("root", ["0.99999999", "3"], every),
              ("root", ["0.1e-29", "30"], every),
@@ -351,36 +355,36 @@ def _device_cases(rng):
     return cases
 
 
-def test_device_windows_change_no_rotation(monkeypatch):
-    """The device's gmean and root windows keep every rotation search.
+def test_device_searches_match_the_step_loop(monkeypatch):
+    """The device's gmean and root searches, cut to their windows.
 
-    Each search runs with its window and with none (every midpoint asks
-    side): the result, or the exception type, is the same, and the
-    windowed side calls are a subsequence of the plain ones.  Just
-    outside each finite edge, by one unit of the search context, side
-    gives the window's sign.  Root 0.1e-29 30 has the root 0.1 exactly,
-    so its lower edge is dropped.
+    Against the step loop, the outcome, each search's result or
+    exception type and its side calls are the same; against the step
+    loop without the window's edges, the results are the same and the
+    side calls a subsequence.  Just outside each finite edge, by one unit
+    of the search context, side gives the window's sign, so the cut
+    keeps every cosine side accepts.  Root 0.1e-29 30 has the root 0.1
+    exactly, so its lower edge is dropped.
     """
     ctx = PrecisionPolicy().oracle_ctx()
-    windowed_calls = plain_calls = 0
     for op, args, rungs in _device_cases(random.Random(2525)):
         for resolution in rungs:
-            plain = _device_searches(monkeypatch, op, args, resolution, False)
-            got = _device_searches(monkeypatch, op, args, resolution, True)
+            plain, stepped, got = (
+                _device_searches(monkeypatch, impl, op, args, resolution)
+                for impl in (_edgeless, _step_bisect, bisect))
             where = (op, args, str(resolution))
-            assert got[0] == plain[0], where
-            assert len(got[1]) == len(plain[1]) == 1, where
-            (result, calls, side, window), (want, want_calls, _, _) = (
-                got[1][0], plain[1][0])
-            assert result == want, where
-            assert _is_subsequence(calls, want_calls), where
-            windowed_calls += len(calls)
-            plain_calls += len(want_calls)
-            below, above = window
+            assert got[0] == stepped[0] == plain[0], where
+            assert len(got[1]) == len(stepped[1]) == len(plain[1]) == 1, where
+            (result, calls, side, window), want, edgeless = (
+                got[1][0], stepped[1][0], plain[1][0])
+            assert (result, calls) == want[:2], where
+            assert result == edgeless[0], where
+            assert _is_subsequence(calls, edgeless[1]), where
+            below, above, point = window
+            assert point is None, where
             if below.is_finite():
                 assert side(ctx.next_minus(below), 0) < 0, where
             if above.is_finite():
                 assert side(ctx.next_plus(above), 0) > 0, where
             if args == ["0.1e-29", "30"]:
                 assert not below.is_finite(), where
-    assert windowed_calls * 4 < plain_calls

@@ -382,7 +382,16 @@ def _truth80(op: str, args: list) -> Decimal:
         return ctx.power(x, Decimal(args[1]))
     if op == "root":
         return ctx.power(x, ctx.divide(ONE, Decimal(args[1])))
+    if op == "gmean":
+        return ctx.sqrt(ctx.multiply(x, Decimal(args[1])))
     return ctx.divide(ctx.ln(Decimal(args[1])), ctx.ln(x))
+
+
+# solution cosines above 0.999999: the rotation's bracket reaches past
+# them, so the band is under 2 graduations at every rung.  A bracket
+# topped at 1 - 1e-6 gave 4 501 and 10 000 graduations at 1e-10, and one
+# topped at 1 - resolution 2.25 for gmean at 1e-5.
+NEAR_ONE = [("gmean", ["0.5", "0.5000001"]), ("root", ["0.9999999999", "2"])]
 
 
 @pytest.mark.parametrize("op, args", [
@@ -394,14 +403,16 @@ def _truth80(op: str, args: list) -> Decimal:
     ("cf", ["2", _exponent_of("2", Decimal(2) / 3)]),
     ("cf", ["0.3", _exponent_of("0.3", Decimal("0.45"))]),
     ("cf", ["7.5", _exponent_of("7.5", Decimal("0.8125"))]),
-])
+] + NEAR_ONE)
 def test_device_branches_are_sound_at_every_rung(op, args):
-    # negative powers, first roots and swapped continued fractions
+    # rotations near cos C = 1, negative powers, first roots and swapped
+    # continued fractions
     truth = _truth80(op, args)
     for res in RESOLUTION_LADDER:
         got = run_op(op, args, MeasurementModel(resolution=res), POL)
         err = (got.value.value() - truth).copy_abs()
         assert err <= got.half_width, (op, args, res)
+        assert (op, args) not in NEAR_ONE or got.half_width < 2 * res, res
 
 
 # t = 3 + d with d just above the half step at each rung: the residual
