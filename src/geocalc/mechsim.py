@@ -24,9 +24,9 @@ from .errors import (ArmOutOfRange, DegenerateAngle, DomainError,
                      GeocalcError, ParseError)
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
                         first_level)
-from .numcore import (_DOWN, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO, _UP,
-                      COSINE_BRACKET, DEFAULT_POLICY, MAX_ABS_EXPONENT, OPS,
-                      Interval, PrecisionPolicy, SignedScaled, bisect,
+from .numcore import (_DOWN, _EXACT, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO,
+                      _UP, COSINE_BRACKET, DEFAULT_POLICY, MAX_ABS_EXPONENT,
+                      OPS, Interval, PrecisionPolicy, SignedScaled, bisect,
                       normalize, parse_decimal, parse_integer, renormalized,
                       shift10, to_text)
 from .trace import foot_label, numbered_lines
@@ -60,26 +60,25 @@ class MeasurementModel:
         if not (0 < self.resolution < ARM_MIN):
             raise DomainError(f"need 0 < resolution < {ARM_MIN}, the "
                               "shortest arm")
-        object.__setattr__(self, "_ratio", self.resolution.as_integer_ratio())
 
     def quantize(self, length: Decimal) -> Decimal:
         """Snap a nonnegative length to the nearest graduation.
 
-        Exact integer arithmetic: length / resolution is the ratio of two
-        integers, split by one divmod and rounded half to even.  A
-        finite-precision division here could double-round a length just
-        below a midpoint onto the wrong graduation.
+        One exact Decimal divmod splits |length| by the resolution into
+        a whole number of steps and a remainder, and the remainder
+        rounds the count half to even.  Every step runs under the
+        unbounded _EXACT context, never the caller's, and no rounded
+        quotient is formed: one could double-round a length just below
+        a midpoint onto the wrong graduation.
         """
         if length < 0:
             raise DomainError("lengths are nonnegative")
-        ln, ld = length.as_integer_ratio()
-        rn, rd = self._ratio
-        den = ld * rn
-        n, rem = divmod(ln * rd, den)
-        twice = 2 * rem
-        if twice > den or (twice == den and n & 1):
-            n += 1  # ties to even
-        return _UP.multiply(Decimal(n), self.resolution)
+        n, rem = _EXACT.divmod(length.copy_abs(), self.resolution)
+        twice = _EXACT.add(rem, rem)
+        if twice > self.resolution or (twice == self.resolution
+                                       and _EXACT.remainder(n, _TWO)):
+            n = _EXACT.add(n, _ONE)  # ties to even
+        return _UP.multiply(n, self.resolution)
 
     @property
     def half_step(self) -> Decimal:
@@ -400,17 +399,20 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
     quantize = model.quantize
 
     def chain(c: Decimal, with_log: bool):
-        # continuous rotation; only re-anchor readings quantize
-        p, j, d_since, anchors = _ONE, 0, 0, []
+        # continuous rotation; only re-anchor readings quantize.  Each
+        # arm's product is the previous arm's look-ahead test (bisect
+        # returns c rounded to ctx, so c is its own first arm): one
+        # multiply per arm, plus one after each re-anchor
+        p, j, d_since, anchors, nxt = _ONE, 0, 0, [], c
         for i in range(n):
-            p = ctx.multiply(p, c)
+            p, nxt = nxt, ctx.multiply(nxt, c)
             d_since += 1
-            if i + 1 < n and (ctx.multiply(p, c) < ARM_MIN
-                              or d_since == N_ARMS):
+            if i + 1 < n and (nxt < ARM_MIN or d_since == N_ARMS):
                 q = run.read(arm_id(d_since), p) if with_log else quantize(p)
                 anchors.append(q)
                 jj = _renorm_shift(q)
                 p, j, d_since = shift10(q, jj), j + jj, 0
+                nxt = ctx.multiply(p, c)
         return p, j, anchors
 
     def side(c, i):
@@ -542,7 +544,7 @@ def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
         u, v = w, u
     if tail is None:
         # stopped without resolving the level: cover its whole exponent
-        lvl = _corner_exponent(u_iv, v_iv, ctx)
+        lvl = _corner_exponent(u_iv, v_iv, run.policy.ctx())
         tail = Interval(max(_ONE, lvl.lo), lvl.hi)
     level = cf_interval(terms, tail)
     if level.hi == _POS_INF:

@@ -94,6 +94,28 @@ def test_quantize_ignores_the_callers_context():
         assert got == want
 
 
+def test_quantize_matches_rational_reference_off_the_ladder():
+    # lengths up to 10 put the step count past 28 digits, so a sum, tie
+    # test or increment under the caller's prec-5 context would trap
+    rng, exact, tiny = random.Random(6023), Context(prec=100), Decimal("1e-70")
+    for text in ("3e-7", "1.5e-6", "7e-12", "1e-30"):
+        res = Decimal(text)
+        m = MeasurementModel(resolution=res)
+        cases = [Decimal("-0"), Decimal("0E-80")]
+        cases += [Decimal(f"{rng.randrange(10 ** 60)}e-59")
+                  for _ in range(200)]
+        top = int(Fraction(10) / Fraction(res))
+        for k in (0, 1, 2, 3, top - 2, top - 1,
+                  *(rng.randrange(top) for _ in range(60))):
+            mid = exact.add(exact.multiply(k, res), exact.divide(res, 2))
+            cases += [mid, exact.subtract(mid, tiny), exact.add(mid, tiny)]
+        want = [str(fraction_quantize(x, res)) for x in cases]
+        with localcontext(Context(prec=5, rounding=ROUND_DOWN,
+                                  traps=[Inexact])):
+            got = [str(m.quantize(x)) for x in cases]
+        assert got == want, text
+
+
 def test_unit_length_is_on_grid_at_every_resolution():
     for res in RESOLUTION_LADDER:
         m = MeasurementModel(resolution=res)
@@ -460,18 +482,42 @@ def test_corner_exponent_spans_zero_to_unbounded_at_one():
 def test_corner_exponent_rounds_outward(policy):
     # the band holds the corner quotients ln w.hi / ln u.lo and
     # ln w.lo / ln u.hi, taken at 110 digits, for random u and w in (0, 1)
-    rng, ctx = random.Random(2929), policy.oracle_ctx()
+    # at oracle digits; the logs run at oracle digits and at the working
+    # digits that device cf passes
+    rng, digits = random.Random(2929), policy.oracle_ctx().prec
     ref = Context(prec=110)
 
     def interval():
-        lo, hi = sorted(Decimal(rng.randrange(1, 10 ** ctx.prec)).scaleb(
-            -ctx.prec) for _ in range(2))
+        lo, hi = sorted(Decimal(rng.randrange(1, 10 ** digits)).scaleb(
+            -digits) for _ in range(2))
         return numcore.Interval(lo, hi)
     for _ in range(500):
         u, w = interval(), interval()
-        got = mechsim._corner_exponent(u, w, ctx)
-        assert got.lo <= ref.divide(ref.ln(w.hi), ref.ln(u.lo)), (u, w)
-        assert got.hi >= ref.divide(ref.ln(w.lo), ref.ln(u.hi)), (u, w)
+        for ctx in (policy.oracle_ctx(), policy.ctx()):
+            got = mechsim._corner_exponent(u, w, ctx)
+            assert got.lo <= ref.divide(ref.ln(w.hi), ref.ln(u.lo)), (u, w)
+            assert got.hi >= ref.divide(ref.ln(w.lo), ref.ln(u.hi)), (u, w)
+
+
+@pytest.mark.parametrize("x, t", [("1.234567", Decimal(3) / 2),
+                                  ("1.7", Decimal(5) / 3),
+                                  ("1.05", Decimal(8) / 5)])
+def test_device_cf_corner_levels_hold_the_truth_at_15_digits(monkeypatch, x,
+                                                             t):
+    # the deepest level is banded by corner logs at the 15 working digits
+    policy, precs = PrecisionPolicy(15), []
+    corner = mechsim._corner_exponent
+
+    def spy(u, w, ctx):
+        precs.append(ctx.prec)
+        return corner(u, w, ctx)
+    monkeypatch.setattr(mechsim, "_corner_exponent", spy)
+    args = [x, _exponent_of(x, t)]
+    truth = _truth80("cf", args)
+    for res in RESOLUTION_LADDER:
+        got = run_op("cf", args, MeasurementModel(resolution=res), policy)
+        assert (got.value.value() - truth).copy_abs() <= got.half_width, res
+    assert set(precs) == {15}
 
 
 def test_device_cf_refuses_a_level_bounded_by_nothing(monkeypatch):
