@@ -21,7 +21,7 @@ from .exponents import (ContinuedFraction, evaluate_cf,
 from .mechsim import (DEFAULT_RESOLUTION, MeasuredResult, MeasurementModel,
                       RESOLUTION_LADDER, assemble, run_op, run_script)
 from .numcore import (DEFAULT_POLICY, PrecisionPolicy, SignedScaled,
-                      normalize, oracle_eval, parse_decimal, rel_diff,
+                      normalize, oracle_eval, parse_decimal,
                       renormalized, shift10, to_text)
 from .roots import RootQuery, nth_root, rational_power, solve_cos_power
 from .trace import (STEP_KINDS, TraceRecorder, TraceStep, foot_label,
@@ -43,7 +43,7 @@ __all__ = [
     "evaluate_cf", "foot_label", "geometric_mean", "internal_e",
     "multiply", "natural_log", "normalize", "nth_root", "oracle_eval",
     "parse_decimal", "parse_trace", "power", "rational_power",
-    "recover_exponent_via_logs", "recover_rational_exponent", "rel_diff",
+    "recover_exponent_via_logs", "recover_rational_exponent",
     "render_svg", "renormalized", "run_op", "run_script", "shift10",
     "solve_cos_power", "solve_integer_exponent", "to_text", "write_svg",
     "reciprocal",

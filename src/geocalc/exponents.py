@@ -2,9 +2,10 @@
 
 Integer exponents come from stepping a cascade until it meets the
 target.  Rational exponents m/n come from the Euclidean idea applied to
-exponents: find the largest N with x**N still short of a, divide out,
-and recurse on the residual with the roles of base and target swapped.
-The partial quotients form a continued fraction for m/n.
+exponents: find the largest N with x**N still short of a, by repeated
+squaring and one multiply per bit, divide out, and recurse on the
+residual with the roles of base and target swapped.  The partial
+quotients form a continued fraction for m/n.
 """
 
 from __future__ import annotations
@@ -63,29 +64,35 @@ def _floor_exponent(u: Decimal, v: Decimal, ctx: Context, fuzz: Decimal,
 
     Comparisons carry a relative fuzz so an exact boundary is treated as
     a hit.  Returns None when N would exceed `cap`.
+
+    Binary powering (Knuth, TAOCP vol. 2, 4.6.3): gallop by squaring,
+    keeping each u**(2**k) that still reaches v, then descend from the
+    top square with one multiply per bit; no power is raised anew.
+    Each square doubles its factor's relative error, so a chained u**n
+    is within about n + 2*log2(n) half-units of the exact power: below
+    10**(13 - prec) for n up to 2*10**12, twice natural_log's cap,
+    against a `fuzz` of 10**(20 - prec).  Every comparison therefore
+    decides as ctx.power(u, n) would, and an exact hit u**N == v still
+    sits a whole `fuzz` above the target.
     """
     vt = ctx.multiply(v, ctx.subtract(_ONE, fuzz))
-
-    def reaches(n: int) -> bool:
-        # u**n >= v, fuzzed
-        return ctx.power(u, Decimal(n)) >= vt
-
-    if not reaches(1):
+    squares = [ctx.plus(u)]  # squares[k] is u**(2**k)
+    if squares[0] < vt:
         return 0
-    hi = 1
-    while reaches(hi * 2):
-        hi *= 2
-        if hi > cap:
+    while True:
+        s = ctx.multiply(squares[-1], squares[-1])
+        if s < vt:
+            break
+        squares.append(s)
+        if 1 << (len(squares) - 1) > cap:
             return None
-    lo = hi  # reaches(lo) holds, reaches(hi*2) fails
-    hi = hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo <= cap else None
+    p = squares.pop()
+    n = 1 << len(squares)
+    for k in reversed(range(len(squares))):
+        q = ctx.multiply(p, squares[k])
+        if q >= vt:
+            n, p = n + (1 << k), q
+    return n if n <= cap else None
 
 
 def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,

@@ -494,10 +494,3 @@ def oracle_eval(op: str, args: tuple, policy: PrecisionPolicy = DEFAULT_POLICY) 
         check(*args)
     values = (a.value() if isinstance(a, SignedScaled) else a for a in args)
     return SignedScaled.from_decimal(formula(policy.oracle_ctx(), *values))
-
-
-def rel_diff(a: Decimal, b: Decimal, ctx: Context | None = None) -> Decimal:
-    """|a - b| / |b| under an oracle-sized default context."""
-    if ctx is None:
-        ctx = DEFAULT_POLICY.oracle_ctx()
-    return ctx.divide(ctx.subtract(a, b).copy_abs(), b.copy_abs())

@@ -2,6 +2,7 @@
 
 import contextlib
 import re
+from decimal import Context, Decimal
 
 import pytest
 
@@ -36,6 +37,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for name, status in ACCEPTANCE:
         terminalreporter.write_line(f"{name}: {status}")
+
+
+def rel_diff(a: Decimal, b: Decimal, ctx: Context) -> Decimal:
+    """|a - b| / |b| under `ctx`; the test modules import it from here."""
+    return ctx.divide(ctx.subtract(a, b).copy_abs(), b.copy_abs())
 
 
 _MARK_RE = re.compile(

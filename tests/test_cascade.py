@@ -10,8 +10,9 @@ from geocalc import (Cascade, Construction, DEFAULT_POLICY, DegenerateAngle,
                      PrecisionPolicy, SignMismatch,
                      TraceRecorder, VIRTUAL_DEPTH, build_cascade, divide,
                      geometric_mean, multiply, normalize, oracle_eval, power,
-                     reciprocal, rel_diff)
+                     reciprocal)
 from geocalc.trace import foot_label
+from conftest import rel_diff
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()

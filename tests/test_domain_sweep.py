@@ -15,8 +15,8 @@ import pytest
 
 from geocalc import (NoConvergence, PrecisionPolicy, RootQuery, divide,
                      geometric_mean, multiply, normalize, nth_root,
-                     oracle_eval, power, rational_power, reciprocal,
-                     rel_diff)
+                     oracle_eval, power, rational_power, reciprocal)
+from conftest import rel_diff
 
 SEED = 20260412
 DIGITS = (30, 50, 62)

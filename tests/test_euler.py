@@ -6,7 +6,8 @@ from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
 import pytest
 
 from geocalc import (DEFAULT_POLICY, DomainError, antilog, approximate_e,
-                     internal_e, multiply, natural_log, normalize, rel_diff)
+                     internal_e, multiply, natural_log, normalize)
+from conftest import rel_diff
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()

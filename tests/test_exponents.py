@@ -2,15 +2,17 @@
 
 import math
 import random
-from decimal import Context, Decimal
+from collections import Counter
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
 
 from geocalc import (ContinuedFraction, DEFAULT_POLICY, DomainError,
-                     NoIntegerExponent, evaluate_cf, normalize,
-                     recover_exponent_via_logs, recover_rational_exponent,
-                     solve_integer_exponent)
+                     NoIntegerExponent, PrecisionPolicy, evaluate_cf,
+                     normalize, recover_exponent_via_logs,
+                     recover_rational_exponent, solve_integer_exponent)
+from geocalc.exponents import _floor_exponent
 from geocalc.numcore import SignedScaled
 
 POL = DEFAULT_POLICY
@@ -152,3 +154,99 @@ def test_random_coprime_recovery_seeded():
         cf = recover_rational_exponent(normalize(base), a, policy=POL)
         assert evaluate_cf(cf) == Fraction(m, n), (base, m, n)
         done += 1
+
+
+def floor_by_powers(u: Decimal, v: Decimal, ctx: Context,
+                    fuzz: Decimal) -> int:
+    """Largest N with ctx.power(u, N) >= v*(1 - fuzz), each probe a fresh
+    power: gallop by doubling, then bisect."""
+    vt = ctx.multiply(v, ctx.subtract(1, fuzz))
+
+    def reaches(n: int) -> bool:
+        return ctx.power(u, Decimal(n)) >= vt
+
+    lo, hi = 0, 1
+    while reaches(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if reaches(mid) else (lo, mid)
+    return lo
+
+
+def test_floor_exponent_matches_power_by_power_reference():
+    # u over decades and within 1e-9 of 1; v = u**k exact at the working
+    # digits and nudged by 10**(10 - prec) either way, well inside the
+    # fuzz; caps just below, at and above N, and natural_log's 10**12.
+    # prec 30 is the oracle context of PrecisionPolicy(15).
+    rng = random.Random(3303)
+    pairs = 0
+    for prec in (60, 30):
+        ctx = PrecisionPolicy(prec // 2).oracle_ctx()
+        fuzz = Decimal(1).scaleb(20 - prec)
+        nudge = Decimal(1).scaleb(10 - prec)
+        for _ in range(340):
+            m = Decimal(rng.randrange(1, 10 ** 12)).scaleb(-12)
+            if rng.random() < 0.5:
+                u = ctx.multiply(m, Decimal(1).scaleb(-rng.randint(0, 40)))
+                k = rng.randint(0, 300)
+            else:
+                u = ctx.subtract(1, m.scaleb(-rng.randint(0, 9)))
+                k = int(10 ** rng.uniform(0, 6.5))
+            exact = ctx.power(u, k)
+            for v in (exact, ctx.multiply(exact, ctx.add(1, nudge)),
+                      ctx.multiply(exact, ctx.subtract(1, nudge))):
+                if v > 1:
+                    continue
+                n = floor_by_powers(u, v, ctx, fuzz)
+                for cap in {max(n - 1, 0), n, n + 1, 10 ** 12}:
+                    want = n if n <= cap else None
+                    got = _floor_exponent(u, v, ctx, fuzz, cap)
+                    assert got == want, (prec, u, v, cap)
+                pairs += 1
+    assert pairs >= 2000
+
+
+@pytest.mark.parametrize("x, a, policy, want", [
+    ("1.622521",
+     "13.4825799712363220243368839665079564217904530096376071739258",
+     POL, ContinuedFraction((5, 2, 1, 2), True)),
+    ("1.874101",
+     "23467736847222363865623063995.4845850846051463553636705705944",
+     PrecisionPolicy(15), ContinuedFraction((104,), False)),
+])
+def test_exact_recovery_residual_is_a_fresh_quotient(x, a, policy, want):
+    # With cf_tol = 0 these residuals w = v / u**n sit where a w taken
+    # from the walk's chained product instead of ctx.power would round
+    # across 1 and flip `terminated`.
+    got = recover_rational_exponent(normalize(x), normalize(a),
+                                    cf_tol=Decimal(0), max_depth=30,
+                                    policy=policy)
+    assert got == want
+
+
+class CountingContext(Context):
+    """A decimal context that counts its power and multiply calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = Counter()
+
+    def power(self, *args, **kwargs):
+        self.calls["power"] += 1
+        return super().power(*args, **kwargs)
+
+    def multiply(self, *args, **kwargs):
+        self.calls["multiply"] += 1
+        return super().multiply(*args, **kwargs)
+
+
+def test_floor_exponent_cost_is_logarithmic():
+    ctx = CountingContext(prec=60, rounding=ROUND_HALF_EVEN)
+    n = 1_000_003
+    u = Decimal("0.99999873")
+    v = Context(prec=60).power(u, n)
+    got = _floor_exponent(u, v, ctx, Decimal("1e-40"), 10 ** 12)
+    assert got == n
+    assert ctx.calls["power"] == 0
+    assert ctx.calls["multiply"] <= 2 * math.ceil(math.log2(n)) + 2

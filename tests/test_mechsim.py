@@ -15,10 +15,11 @@ from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
                      RESOLUTION_LADDER, RootQuery, assemble, divide,
                      geometric_mean, multiply, normalize, nth_root,
                      oracle_eval, power, rational_power,
-                     recover_rational_exponent, rel_diff, run_op, run_script,
+                     recover_rational_exponent, run_op, run_script,
                      shift10)
 from geocalc import mechsim, numcore
 from geocalc.mechsim import ARM_MIN, SCRIPTS, arm_id, parse_script_line
+from conftest import rel_diff
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()

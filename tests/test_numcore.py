@@ -8,9 +8,10 @@ import pytest
 from geocalc import (DEFAULT_POLICY, DomainError, ExponentOverflow,
                      NoConvergence, ParseError, PrecisionPolicy, SignedScaled,
                      ZeroNotRepresentable,
-                     normalize, oracle_eval, rel_diff, renormalized, shift10,
+                     normalize, oracle_eval, renormalized, shift10,
                      to_text)
 from geocalc.numcore import _EXACT, Interval, bisect
+from conftest import rel_diff
 
 
 def test_shift10_is_exact_exponent_surgery():
@@ -188,13 +189,6 @@ def test_oracle_eval_power_is_exact_for_small_cases():
     assert got.value() == Decimal("0.1296")
     got = oracle_eval("pow", (normalize("-2"), 3))
     assert got.value() == Decimal("-8")
-
-
-def test_rel_diff():
-    ctx = DEFAULT_POLICY.ctx()
-    assert rel_diff(Decimal("1"), Decimal("1"), ctx) == 0
-    d = rel_diff(Decimal("1.0001"), Decimal("1"), ctx)
-    assert Decimal("0.00009") < d < Decimal("0.00011")
 
 
 CTX = Context(prec=20)

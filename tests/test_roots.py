@@ -9,12 +9,13 @@ import pytest
 from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
                      GeocalcError, NoConvergence, PrecisionPolicy, RootQuery,
                      TraceRecorder, antilog, geometric_mean, normalize,
-                     nth_root, oracle_eval, power, rational_power, rel_diff,
+                     nth_root, oracle_eval, power, rational_power,
                      solve_cos_power)
 from geocalc import numcore, roots
 from geocalc.numcore import (_NEG_INF, _ONE, _POS_INF, bisect,
                              cosine_bracket, newton_window, shift10)
 from geocalc.roots import _assert_root_between
+from conftest import rel_diff
 
 POL = DEFAULT_POLICY
 ORACLE_CTX = POL.oracle_ctx()
