@@ -12,13 +12,14 @@ bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from functools import partial
 
 from .errors import DegenerateAngle, DomainError
-from .numcore import (_ONE, _TENTH, _TWO, DEFAULT_POLICY, MAX_ABS_EXPONENT,
-                      PrecisionPolicy, SignedScaled, check_power,
-                      check_same_sign, renormalized, search_cosine, shift10)
+from .numcore import (_EXACT, _ONE, _TENTH, _TWO, DEFAULT_POLICY,
+                      MAX_ABS_EXPONENT, PrecisionPolicy, SignedScaled,
+                      check_power, check_same_sign, renormalized,
+                      search_cosine, shift10)
 from .trace import TraceRecorder, foot_label
 
 # A trace draws a power's cascade foot by foot up to this depth; past
@@ -55,22 +56,36 @@ class Cascade:
     lengths: tuple[Decimal, ...]
 
     def validate(self, policy: PrecisionPolicy = DEFAULT_POLICY) -> bool:
-        """Check p_{i+1}/p_i == cos C and p_1^2 == AB * p_2 within tolerance."""
+        """Check p_{i+1}/p_i == cos C and p_1^2 == AB * p_2 within tolerance.
+
+        Each ratio is tested without a quotient: |p - prev*cos C| <=
+        ratio_tol*prev, with ratio_tol = 10*rel_tol*cos C, is p between
+        prev*(cos C - ratio_tol) and prev*(cos C + ratio_tol).  Those
+        products are exact (m- and n-digit factors have at most m + n
+        digits), and p enters only a comparison.  The edges cos C -/+
+        ratio_tol round outward to the oracle digits: that leaves them
+        exact for a cosine of up to the working digits at the default
+        rel_tol, and keeps a far smaller rel_tol from giving them as
+        many digits as its exponent.
+        """
         ctx = policy.oracle_ctx()
         c = self.construction
         tol = ctx.multiply(policy.rel_tol, 10)  # one guard digit
         ratio_tol = ctx.multiply(tol, c.cos_c)
-        prev = c.perpendicular
-        for p in self.lengths:
-            ratio = ctx.divide(p, prev)
-            if ctx.subtract(ratio, c.cos_c).copy_abs() > ratio_tol:
-                return False
-            prev = p
         if len(self.lengths) >= 2:
             lhs = ctx.multiply(self.lengths[0], self.lengths[0])
             rhs = ctx.multiply(c.perpendicular, self.lengths[1])
             if ctx.subtract(lhs, rhs).copy_abs() > ctx.multiply(tol, rhs):
                 return False
+        ctx.rounding = ROUND_FLOOR
+        below = ctx.subtract(c.cos_c, ratio_tol)
+        ctx.rounding = ROUND_CEILING
+        above = ctx.add(c.cos_c, ratio_tol)
+        mul, prev = _EXACT.multiply, c.perpendicular
+        for p in self.lengths:
+            if not mul(prev, below) <= p <= mul(prev, above):
+                return False
+            prev = p
         return True
 
 

@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING,
                      ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal)
+from functools import lru_cache
 
 from .errors import (DomainError, EvenRootOfNegative, ExponentOverflow,
                      NoConvergence, ParseError, SignMismatch,
@@ -276,7 +277,9 @@ class PrecisionPolicy:
     (oracle) context runs at twice the working digits.
 
     rel_tol defaults to 10**(1 - working_digits): one unit in the last
-    working mantissa place, relative.
+    working mantissa place, relative.  ctx() and oracle_ctx() hand out a
+    fresh copy of a context built once per precision on each call, so a
+    caller may change its precision, rounding, traps or flags freely.
     """
 
     working_digits: int = 30
@@ -293,12 +296,18 @@ class PrecisionPolicy:
             raise DomainError("rel_tol must be in (0, 1)")
 
     def ctx(self) -> Context:
-        return Context(prec=self.working_digits, rounding=ROUND_HALF_EVEN,
-                       Emin=-_EMAX, Emax=_EMAX)
+        return _context(self.working_digits).copy()
 
     def oracle_ctx(self) -> Context:
-        return Context(prec=2 * self.working_digits, rounding=ROUND_HALF_EVEN,
-                       Emin=-_EMAX, Emax=_EMAX)
+        return _context(2 * self.working_digits).copy()
+
+
+@lru_cache(maxsize=16)
+def _context(prec: int) -> Context:
+    """The template for PrecisionPolicy's contexts at prec digits: built
+    once, and only ever handed out as a copy."""
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN,
+                   Emin=-_EMAX, Emax=_EMAX)
 
 
 DEFAULT_POLICY = PrecisionPolicy()
@@ -330,9 +339,12 @@ class SignedScaled:
         return v.copy_negate() if self.sign < 0 else v
 
     def magnitude(self) -> "SignedScaled":
-        return SignedScaled(1, self.mantissa, self.exponent)
+        return self.with_sign(1)
 
     def with_sign(self, sign: int) -> "SignedScaled":
+        # frozen: a number that already has the sign is its own result
+        if sign == self.sign:
+            return self
         return SignedScaled(sign, self.mantissa, self.exponent)
 
     @property
@@ -372,6 +384,10 @@ def check_power(x: SignedScaled, n: int,
         raise DomainError("exponent must be nonzero")
     if abs(n) > max_abs_exponent:
         raise DomainError(f"|exponent| above cap {max_abs_exponent}")
+    # the estimate below never exceeds |n|*(|exponent| + 1), so up to
+    # the bound it cannot refuse
+    if abs(n) * (abs(x.exponent) + 1) <= EXPONENT_BOUND:
+        return
     # cheap estimate first, so a hopeless request fails before any
     # cascade work; SignedScaled checks the exact exponent of the result
     est = abs(n) * abs(x.exponent - 1 + math.log10(float(shift10(x.mantissa, 1))))

@@ -10,7 +10,7 @@ from geocalc import (Cascade, Construction, DEFAULT_POLICY, DegenerateAngle,
                      PrecisionPolicy, SignMismatch,
                      TraceRecorder, VIRTUAL_DEPTH, build_cascade, divide,
                      geometric_mean, multiply, normalize, oracle_eval, power,
-                     reciprocal)
+                     reciprocal, to_text)
 from geocalc.trace import foot_label
 from conftest import rel_diff
 
@@ -56,6 +56,56 @@ def test_validate_flags_a_corrupted_length():
         p2 = Decimal("0.6") * p1 * (1 - Decimal("0.9") * t)
     skew = Cascade(Construction(Decimal("0.6"), Decimal(1), 2), (p1, p2))
     assert not skew.validate(POL)
+
+
+def _moved(casc: Cascade, i: int, rel: Decimal) -> Cascade:
+    """casc with its i-th length moved by rel, relative, exactly."""
+    with localcontext(Context(prec=200)):
+        moved = casc.lengths[i] * (1 + rel)
+    return Cascade(casc.construction,
+                   casc.lengths[:i] + (moved,) + casc.lengths[i + 1:])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_validate_at_the_edge_of_one_ratio(sign):
+    # p3 moved by 0.9 of the ratio tolerance 10 * rel_tol = 1e-28,
+    # relative, keeps p3/p2 and p4/p3 inside it; by 1.1 it does not.
+    # p1 and p2 stay, so the mean-proportional check cannot decide.
+    t = sign * Decimal("1e-28")
+    casc = build_cascade(Construction(Decimal("0.6"), Decimal(1), 4), POL)
+    assert _moved(casc, 2, Decimal("0.9") * t).validate(POL)
+    assert not _moved(casc, 2, Decimal("1.1") * t).validate(POL)
+
+
+def test_validate_a_perpendicular_past_the_oracle_digits():
+    # a 64-digit perpendicular makes 76-digit exact lengths, past the
+    # 60-digit oracle context; the working-digit cascade passes too
+    perp = Decimal("0." + "1234567890" * 6 + "1234")
+    c = Construction(Decimal("0.987654321012"), perp, 5)
+    with localcontext(Context(prec=200)):
+        lengths = tuple(perp * c.cos_c ** i for i in range(1, 6))
+    exact = Cascade(c, lengths)
+    assert len(lengths[0].as_tuple().digits) == 76
+    assert exact.validate(POL)
+    assert build_cascade(c, POL).validate(POL)
+    t = Decimal("1e-28")
+    assert _moved(exact, 3, Decimal("0.9") * t).validate(POL)
+    assert _moved(exact, 3, Decimal("-0.9") * t).validate(POL)
+    assert not _moved(exact, 3, Decimal("1.1") * t).validate(POL)
+    assert not _moved(exact, 3, Decimal("-1.1") * t).validate(POL)
+    # a tolerance far below the oracle digits still takes exact lengths
+    assert exact.validate(PrecisionPolicy(rel_tol=Decimal("1e-1000000")))
+
+
+def test_validate_a_cosine_past_the_oracle_digits():
+    # a 70-digit cosine rounds at the oracle's 60 digits: the band's
+    # edges round outward, so exact lengths pass even at a tolerance
+    # far below one unit of those digits
+    c = Construction(Decimal("0." + "9876543210" * 7), Decimal(1), 3)
+    with localcontext(Context(prec=300)):
+        lengths = tuple(c.cos_c ** i for i in range(1, 4))
+    assert Cascade(c, lengths).validate(
+        PrecisionPolicy(rel_tol=Decimal("1e-100")))
 
 
 def test_cascade_trace_records_alternating_drops():
@@ -171,6 +221,14 @@ def test_multiply_sign_rules_exact():
     assert multiply(a.with_sign(-1), b, POL).sign == -1
     assert multiply(a, b.with_sign(-1), POL).sign == -1
     assert multiply(a.with_sign(-1), b.with_sign(-1), POL).sign == 1
+    # every sign pair prints the same digits, under its own sign
+    a = normalize("3.14159265358979323846")
+    b = normalize("2.71828182845904523536e-7")
+    for sa in (1, -1):
+        for sb in (1, -1):
+            text = to_text(multiply(a.with_sign(sa), b.with_sign(sb), POL), 30)
+            assert text == ("-" if sa != sb else "") + \
+                "8.53973422267356706545546229087e-7"
 
 
 def test_divide_methods_agree():

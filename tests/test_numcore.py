@@ -1,16 +1,19 @@
 """Scaled-decimal representation, parsing, and the reference evaluator."""
 
+import math
 import random
-from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
+from decimal import (Context, Decimal, DivisionByZero, Inexact, ROUND_DOWN,
+                     ROUND_HALF_EVEN, Rounded, localcontext)
 
 import pytest
 
 from geocalc import (DEFAULT_POLICY, DomainError, ExponentOverflow,
                      NoConvergence, ParseError, PrecisionPolicy, SignedScaled,
-                     ZeroNotRepresentable,
+                     ZeroNotRepresentable, approximate_e, multiply,
                      normalize, oracle_eval, renormalized, shift10,
                      to_text)
-from geocalc.numcore import _EXACT, Interval, bisect
+from geocalc.numcore import (_EXACT, EXPONENT_BOUND, Interval, bisect,
+                             check_power)
 from conftest import rel_diff
 
 
@@ -161,6 +164,85 @@ def test_policy_contexts():
     # huge exponents stay in range
     assert pol.ctx().Emax >= 10**16
     assert pol.ctx().Emin <= -10**16
+    # each call hands out its own context: what one caller changes, the
+    # next call does not see
+    for policy in (pol, PrecisionPolicy(working_digits=15)):
+        for make, prec in ((policy.ctx, policy.working_digits),
+                           (policy.oracle_ctx, 2 * policy.working_digits)):
+            used = make()
+            assert used is not make()
+            used.prec, used.rounding = 5, ROUND_DOWN
+            used.traps[Inexact] = True
+            used.traps[DivisionByZero] = False
+            used.flags[Rounded] = True
+            fresh = make()
+            assert (fresh.prec, fresh.rounding) == (prec, ROUND_HALF_EVEN)
+            assert not fresh.traps[Inexact] and fresh.traps[DivisionByZero]
+            assert not any(fresh.flags.values())
+            assert (fresh.Emin, fresh.Emax) == (pol.ctx().Emin,
+                                                pol.ctx().Emax)
+    # approximate_e raises its own context's precision to 42 digits here
+    x, y = normalize("1.602176634e-19"), normalize("6.02214076e23")
+    approximate_e(10 ** 12)
+    assert DEFAULT_POLICY.ctx().prec == 30
+    assert to_text(multiply(x, y), 30) == "9.64853321233100184000000000004e4"
+
+
+# (mantissa, exponent, n, passes) about EXPONENT_BOUND = 10**9:
+# check_power returns at once while |n|*(|exponent| + 1) is within the
+# bound, and past it refuses where the float estimate of the result's
+# exponent exceeds 1.01 times the bound
+POWER_EDGES = [
+    # |n|*(|e| + 1) = bound - 1, the bound itself, and bound + 1
+    ("0.999", 36, 27027027, True),
+    ("0.1", 36, 27027027, True),
+    ("0.999", 999, 10 ** 6, True),
+    ("0.1", 999, 10 ** 6, True),
+    ("0.999", 1000, 999001, True),
+    ("0.5", 1000, 999001, True),
+    ("0.1", 0, EXPONENT_BOUND + 1, True),     # the estimate is |n| * 1
+    ("0.5", 0, 2 * EXPONENT_BOUND, True),     # |n| * log10(2)
+    ("0.1", 0, 2 * EXPONENT_BOUND, False),
+    # the estimate's own edge: |n| * 99 and |n| * 101 about 1.01e9
+    ("0.1", 100, 10202020, True),
+    ("0.1", 100, 10202021, False),
+    ("0.1", -100, 10 ** 7, True),
+    ("0.1", -100, 10 ** 7 + 1, False),
+    ("0.999999", 1000, 10 ** 6 + 10 ** 4, True),
+    ("0.999999", 1000, 10 ** 6 + 10 ** 4 + 1, False),
+]
+
+
+def _estimate_refuses(x: SignedScaled, n: int) -> bool:
+    """The float estimate that check_power falls back to."""
+    est = abs(n) * abs(x.exponent - 1
+                       + math.log10(float(shift10(x.mantissa, 1))))
+    return est > EXPONENT_BOUND * 1.01
+
+
+@pytest.mark.parametrize("mantissa,exponent,n,passes", POWER_EDGES)
+def test_check_power_returns_early_only_where_the_estimate_passes(
+        mantissa, exponent, n, passes):
+    for e in (exponent, -exponent):
+        for k in (n, -n):
+            x = SignedScaled(1, Decimal(mantissa), e)
+            if e == exponent:
+                assert _estimate_refuses(x, k) is not passes
+            if _estimate_refuses(x, k):
+                with pytest.raises(ExponentOverflow):
+                    check_power(x, k, 2 * EXPONENT_BOUND)
+            else:
+                check_power(x, k, 2 * EXPONENT_BOUND)
+
+
+def test_sign_helpers_reuse_a_number_that_already_has_the_sign():
+    x = normalize("-3.75e-4")
+    assert x.with_sign(-1) is x
+    pos = x.magnitude()
+    assert pos is not x and pos == SignedScaled(1, x.mantissa, x.exponent)
+    assert pos.magnitude() is pos and pos.with_sign(1) is pos
+    neg = pos.with_sign(-1)
+    assert neg is not pos and neg == x
 
 
 FROZEN = {
