@@ -444,17 +444,36 @@ def _script_root(run: _Run, x: SignedScaled, n: int) -> MeasuredResult:
 
 # --- exponent recovery on the device ------------------------------------
 
+def _ln_top(ln_lo: Decimal, iv: Interval, ctx: Context) -> Decimal:
+    """An upper bound on ln iv.hi from ln_lo, ln iv.lo rounded half even
+    under ctx: ln hi = ln lo + ln(hi / lo), each log stepped one unit of
+    ctx up, the ratio and the sum rounded up.  ln is increasing, so each
+    step only raises the bound.  On a narrow band the ratio is near 1,
+    where ln is cheap."""
+    return _UP.add(ctx.next_plus(ln_lo),
+                   ctx.next_plus(ctx.ln(_UP.divide(iv.hi, iv.lo))))
+
+
 def _corner_exponent(u_iv: Interval, w_iv: Interval, ctx: Context) -> Interval:
     """Interval of ln w / ln u for u in u_iv and w in w_iv, with u.lo and
     w.lo in (0, 1).  It starts at 0 when w reaches 1 and is unbounded
-    above when u reaches 1.  Each correctly rounded (negative) ln steps
-    one unit of ctx outward, and the quotients round outward."""
-    lo = (Decimal(0) if w_iv.hi >= 1
-          else _DOWN.divide(ctx.next_plus(ctx.ln(w_iv.hi)),
-                            ctx.next_minus(ctx.ln(u_iv.lo))))
-    hi = (_POS_INF if u_iv.hi >= 1
-          else _UP.divide(ctx.next_minus(ctx.ln(w_iv.lo)),
-                          ctx.next_plus(ctx.ln(u_iv.hi))))
+    above when u reaches 1; such a side takes no log of its band's top.
+
+    One correctly rounded ln per band, at its lower end, stepped one unit
+    of ctx down, bounds ln u.lo and ln w.lo from below; `_ln_top` bounds
+    ln w.hi and ln u.hi from above.  All four are negative, so the
+    quotients, rounded outward, hold every ln w / ln u.  An upper bound
+    that reaches 0 bounds nothing (the top's log cancels against the
+    ratio's on a band far wider than the device's): that side is then 0
+    or unbounded as if the band reached 1.
+    """
+    lo, hi = Decimal(0), _POS_INF
+    if w_iv.hi < 1 or u_iv.hi < 1:
+        ln_u, ln_w = ctx.ln(u_iv.lo), ctx.ln(w_iv.lo)
+        if w_iv.hi < 1 and (top := _ln_top(ln_w, w_iv, ctx)) < 0:
+            lo = _DOWN.divide(top, ctx.next_minus(ln_u))
+        if u_iv.hi < 1 and (top := _ln_top(ln_u, u_iv, ctx)) < 0:
+            hi = _UP.divide(ctx.next_minus(ln_w), top)
     return Interval(lo, hi)
 
 
@@ -468,6 +487,12 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: Interval, v: Decimal):
     the crossing lies past the step budget or past a reading below 0.1:
     re-anchoring there would need a decade shift, and the caller bands
     the level by corner exponents instead.
+
+    The chain interval of arm d of a stage is the anchor's interval
+    times u_iv**d, widened by a half step.  Only two are ever read, the
+    one a stage re-anchors on and the one the walk returns, so each arm
+    keeps its operands and the interval is formed for those two alone:
+    at most one pow_int per stage, plus one for the result.
     """
     ctx, h, model = run.ctx, run.h, run.model
     state = assemble(u_set, _ONE, _ONE, model, run.policy)
@@ -475,7 +500,7 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: Interval, v: Decimal):
     anchor = state.perp_ab
     cur_iv = Interval.point(anchor)
     n = 0
-    prev = None                   # (n, reading, interval, true length)
+    prev = None      # (n, reading, anchor interval, d, true length)
     while True:
         d, p = 0, anchor
         while d < N_ARMS:
@@ -488,14 +513,15 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: Interval, v: Decimal):
             d, p = d + 1, nxt
             n += 1
             q = model.quantize(p)
-            iv = cur_iv.mul(u_iv.pow_int(d)).widen(h)
             if q < v:
                 if prev is None:
                     return None
-                run.read(arm_id(max(1, d - 1)), prev[3])
+                n_prev, q_prev, base, d_prev, p_prev = prev
+                run.read(arm_id(max(1, d - 1)), p_prev)
                 run.read(arm_id(d), p)
-                return prev[:3]
-            prev = (n, q, iv, p)
+                return n_prev, q_prev, base.mul(
+                    u_iv.pow_int(d_prev)).widen(h)
+            prev = (n, q, cur_iv, d, p)
             if n >= _LEVEL_STEP_CAP:
                 return None
         # stage exhausted without crossing: re-anchor on the last read,
@@ -503,7 +529,7 @@ def _cf_level_steps(run: _Run, u_set: Decimal, u_iv: Interval, v: Decimal):
         run.read(arm_id(d), p)
         if q < _TENTH:
             return None
-        anchor, cur_iv = q, iv
+        anchor, cur_iv = q, cur_iv.mul(u_iv.pow_int(d)).widen(h)
 
 
 def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
@@ -533,10 +559,12 @@ def _script_cf(run: _Run, x: SignedScaled, a: SignedScaled) -> MeasuredResult:
             if w_lo >= 1:
                 tail = Interval.point(Decimal(n_steps))
             else:
-                # the next term is at least floor(1 / r_hi), and at least 1
-                r_hi = ctx.divide(ctx.ln(w_lo), ctx.ln(u_iv.hi))
-                t_hi = ctx.divide(_ONE, Decimal(max(
-                    1, int(ctx.divide(_ONE, r_hi)))))
+                # the next term is at least floor(1 / r_hi), and at least
+                # 1; r_hi bounds ln w / ln u from above, and 1 / r_hi is
+                # rounded down before the floor
+                r_hi = _corner_exponent(u_iv, Interval.point(w_lo), ctx).hi
+                t_hi = _UP.divide(_ONE, max(
+                    1, int(_DOWN.divide(_ONE, r_hi))))
                 tail = Interval(Decimal(n_steps), _UP.add(n_steps, t_hi))
             break
         terms.append(n_steps)

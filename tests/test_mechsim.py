@@ -1,11 +1,14 @@
 """Simulated telescopic-arm device: quantization, scripts, error bounds."""
 
+import importlib
 import io
+import itertools
 import math
 import random
 from decimal import (Context, Decimal, Inexact, ROUND_CEILING, ROUND_DOWN,
                      localcontext)
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +346,80 @@ def test_cf_level_stops_at_a_reading_below_a_tenth():
         assert err <= got.half_width, res
 
 
+def _eager_level_steps(run, u_set, u_iv, v):
+    """Reference walk for `_cf_level_steps`: a chain interval at every
+    arm.  Returns its result and the number of stages walked."""
+    ctx, h, model = run.ctx, run.h, run.model
+    state = mechsim.assemble(u_set, ONE, ONE, model, run.policy)
+    anchor, cur_iv, n, prev, stages = (state.perp_ab,
+                                       numcore.Interval.point(state.perp_ab),
+                                       0, None, 1)
+    while True:
+        d, p = 0, anchor
+        while d < mechsim.N_ARMS:
+            nxt = ctx.multiply(p, state.cos_c)
+            if nxt < ARM_MIN:
+                assert d, "arm collapsed"
+                break
+            d, p, n = d + 1, nxt, n + 1
+            q = model.quantize(p)
+            iv = cur_iv.mul(u_iv.pow_int(d)).widen(h)
+            if q < v:
+                if prev is None:
+                    return None, stages
+                run.read(arm_id(max(1, d - 1)), prev[3])
+                run.read(arm_id(d), p)
+                return prev[:3], stages
+            prev = (n, q, iv, p)
+            if n >= mechsim._LEVEL_STEP_CAP:
+                return None, stages
+        run.read(arm_id(d), p)
+        if q < Decimal("0.1"):
+            return None, stages
+        anchor, cur_iv, stages = q, iv, stages + 1
+
+
+def test_cf_walk_forms_chain_intervals_only_where_read(monkeypatch):
+    # the walk returns and logs what a walk with an interval at every arm
+    # does, over device-ladder's cf lines at every rung and two long
+    # walks, one re-anchoring ~700 times and one stopped at the step cap;
+    # it takes at most one pow_int per stage plus one for its result
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    device = importlib.import_module("device")
+    lines = [(spec[2], spec[3]) for seed in range(1, 6)
+             for spec in device.specs(seed) if spec[1] == "cf"]
+    runs = [(line, res) for line in lines for res in RESOLUTION_LADDER]
+    runs += [(("1.0001", "2"), Decimal("1e-10")),
+             (("1.00002", "2"), DEFAULT_RESOLUTION)]
+    walk, pow_int = mechsim._cf_level_steps, numcore.Interval.pow_int
+    calls, levels = [0], []
+
+    def counted(iv, n):
+        calls[0] += 1
+        return pow_int(iv, n)
+
+    def both(run, u_set, u_iv, v):
+        ref = mechsim._Run(run.model, run.policy)
+        want, stages = _eager_level_steps(ref, u_set, u_iv, v)
+        start, calls[0] = len(run.readings), 0
+        got = walk(run, u_set, u_iv, v)
+        assert got == want
+        assert run.readings[start:] == ref.readings
+        assert run.trues[start:] == ref.trues
+        assert calls[0] <= stages + 1, (calls[0], stages)
+        levels.append((stages, got))
+        return got
+
+    monkeypatch.setattr(numcore.Interval, "pow_int", counted)
+    monkeypatch.setattr(mechsim, "_cf_level_steps", both)
+    for (x, a), res in runs:
+        run_op("cf", [x, a], MeasurementModel(resolution=res), POL)
+    assert len(lines) == 40 and len(levels) > 2 * len(runs)
+    assert max(stages for stages, got in levels if got) > 600
+    assert max(stages for stages, got in levels if got is None) >= 1000
+
+
 def test_half_width_tightens_down_the_ladder():
     script = "pow 0.87 6"
     widths = []
@@ -445,8 +522,13 @@ CF_TAIL = dict(zip(RESOLUTION_LADDER, ("1e-4", "1e-5", "3e-6", "1e-9")))
 
 @pytest.mark.parametrize("x", ["2", "0.5", "1.5"])
 def test_device_cf_tail_bound_is_sound_at_every_rung(monkeypatch, x):
-    def corner(*_):
-        raise AssertionError("the level was banded by corner exponents")
+    corner_exponent = mechsim._corner_exponent
+
+    def corner(u, w, ctx):
+        # the tail bound takes r_hi at the point residual, at oracle digits
+        if w.lo != w.hi or ctx.prec != POL.oracle_ctx().prec:
+            raise AssertionError("the level was banded by corner exponents")
+        return corner_exponent(u, w, ctx)
 
     monkeypatch.setattr(mechsim, "_corner_exponent", corner)
     for res, d in CF_TAIL.items():
@@ -454,6 +536,32 @@ def test_device_cf_tail_bound_is_sound_at_every_rung(monkeypatch, x):
         got = run_op("cf", args, MeasurementModel(resolution=res), POL)
         err = (got.value.value() - _truth80("cf", args)).copy_abs()
         assert err <= got.half_width, (args, res)
+
+
+def test_device_cf_tail_r_hi_bounds_the_exact_ratio(monkeypatch):
+    # r_hi bounds ln w_lo / ln u from above for every u in the level's
+    # cosine band, on 230 tail levels over every rung; a half-even
+    # quotient of half-even logs falls below the exact ratio on 118
+    ref, seen = Context(prec=110), []
+    corner_exponent = mechsim._corner_exponent
+
+    def spy(u, w, ctx):
+        got = corner_exponent(u, w, ctx)
+        if w.lo == w.hi and ctx.prec == POL.oracle_ctx().prec:
+            seen.append((u.hi, w.lo, got.hi))
+        return got
+
+    monkeypatch.setattr(mechsim, "_corner_exponent", spy)
+    for x, k, (res, d), f in itertools.product(
+            ("2", "0.5", "1.5", "0.9", "1.05", "1.25", "0.75", "0.95", "1.1",
+             "0.8"), (1, 2, 3, 5), CF_TAIL.items(), ("1", "1.5")):
+        args = [x, _exponent_of(x, k + Decimal(d) * Decimal(f))]
+        got = run_op("cf", args, MeasurementModel(resolution=res), POL)
+        err = (got.value.value() - _truth80("cf", args)).copy_abs()
+        assert err <= got.half_width, (args, res)
+    assert len(seen) >= 200, "the tail bound took no outward r_hi"
+    for u_hi, w_lo, r_hi in seen:
+        assert r_hi >= ref.divide(ref.ln(w_lo), ref.ln(u_hi)), (u_hi, w_lo)
 
 
 def test_cf_level_with_a_cosine_band_reaching_one_is_sound():
@@ -479,6 +587,18 @@ def test_corner_exponent_spans_zero_to_unbounded_at_one():
     assert got.lo == 0 and got.hi == Decimal("Infinity")
 
 
+def test_corner_exponent_is_sound_where_a_top_log_cancels():
+    # from 0.5 to 1 - 1e-40, ln lo + ln(hi / lo) at 30 digits cannot tell
+    # ln hi = -1e-40 from 0: that side is unbounded for u, 0 for w
+    iv, ctx = numcore.Interval, POL.ctx()
+    near_one = iv(Decimal("0.5"), Decimal("0." + "9" * 40))
+    other = iv(Decimal("0.1"), Decimal("0.2"))
+    got = mechsim._corner_exponent(near_one, other, ctx)
+    assert got.lo > 0 and got.hi == Decimal("Infinity")
+    got = mechsim._corner_exponent(other, near_one, ctx)
+    assert got.lo == 0 and got.hi > 0
+
+
 @pytest.mark.parametrize("policy", [POL, PrecisionPolicy(15)])
 def test_corner_exponent_rounds_outward(policy):
     # the band holds the corner quotients ln w.hi / ln u.lo and
@@ -498,6 +618,36 @@ def test_corner_exponent_rounds_outward(policy):
             got = mechsim._corner_exponent(u, w, ctx)
             assert got.lo <= ref.divide(ref.ln(w.hi), ref.ln(u.lo)), (u, w)
             assert got.hi >= ref.divide(ref.ln(w.lo), ref.ln(u.hi)), (u, w)
+
+
+@pytest.mark.parametrize("policy", [POL, PrecisionPolicy(15)])
+def test_corner_exponent_is_tight_on_narrow_bands(policy):
+    # device bands are narrow: u and w of relative width 1e-12 to 1e-3,
+    # and points, at oracle digits.  The band holds the corner quotients
+    # taken at 110 digits, and each end lies within 6 units of ctx of
+    # them, relative (4.2 is the most seen); a bound on ln(1 + d) as
+    # loose as d, which is off by d**2 / 2, shows here
+    rng, digits = random.Random(3131), policy.oracle_ctx().prec
+    ref, cut = Context(prec=110), Context(prec=digits)
+
+    def band():
+        lo = Decimal(rng.randrange(2, 98) * 10 ** (digits - 2)
+                     + rng.randrange(10 ** (digits - 2))).scaleb(
+                         -digits - rng.choice((0, 0, 0, 1, 4)))
+        if rng.random() < 0.2:
+            return numcore.Interval(lo, lo)
+        width = Decimal(10) ** Decimal(rng.uniform(-12, -3))
+        return numcore.Interval(lo, cut.multiply(lo, 1 + width))
+    for _ in range(400):
+        u, w = band(), band()
+        q_lo = ref.divide(ref.ln(w.hi), ref.ln(u.lo))
+        q_hi = ref.divide(ref.ln(w.lo), ref.ln(u.hi))
+        for ctx in (policy.oracle_ctx(), policy.ctx()):
+            got = mechsim._corner_exponent(u, w, ctx)
+            assert got.lo <= q_lo and got.hi >= q_hi, (u, w, ctx.prec)
+            units = Decimal(6).scaleb(1 - ctx.prec)
+            assert q_lo - got.lo <= ref.multiply(units, q_lo), (u, w)
+            assert got.hi - q_hi <= ref.multiply(units, q_hi), (u, w)
 
 
 @pytest.mark.parametrize("x, t", [("1.234567", Decimal(3) / 2),
