@@ -92,42 +92,33 @@ class Cascade:
 def build_cascade(construction: Construction,
                   policy: PrecisionPolicy = DEFAULT_POLICY,
                   recorder: TraceRecorder | None = None) -> Cascade:
-    """Drop `depth` successive perpendiculars and record each length."""
-    ctx = policy.ctx()
-    c = construction
-    if recorder is not None:
-        recorder.angle(c.cos_c)
-    lengths = []
-    prev, prev_label = c.perpendicular, "B"
-    onto_hyp = True
-    for i in range(1, c.depth + 1):
-        p = ctx.multiply(prev, c.cos_c)
+    """Drop `depth` successive perpendiculars and record each length; a
+    recorder draws the drops after the multiply loop, at those lengths."""
+    mul, cos_c = policy.ctx().multiply, construction.cos_c
+    p, lengths = construction.perpendicular, []
+    for _ in range(construction.depth):
+        p = mul(p, cos_c)
         lengths.append(p)
-        if recorder is not None:
+    if recorder is not None:
+        recorder.angle(cos_c)
+        prev = "B"
+        for i, length in enumerate(lengths, 1):
             foot = foot_label(i)
-            recorder.drop(prev_label, "CA" if onto_hyp else "CX", foot, p)
-            prev_label = foot
-        prev = p
-        onto_hyp = not onto_hyp
-    if recorder is not None:
-        recorder.measure(f"{prev_label}-perpendicular", lengths[-1])
-    return Cascade(construction=c, lengths=tuple(lengths))
+            recorder.drop(prev, "CX" if i % 2 == 0 else "CA", foot, length)
+            prev = foot
+        recorder.measure(f"{prev}-perpendicular", p)
+    return Cascade(construction=construction, lengths=tuple(lengths))
 
 
-def _mantissa_power(m: Decimal, n: int, policy: PrecisionPolicy,
-                    recorder: TraceRecorder | None) -> Decimal:
-    """m**n for 0 < m < 1 as one ctx.power at the working digits.
-
-    The cascade is only drawn: with a recorder attached, build_cascade
-    drops its feet at their literal lengths, up to VIRTUAL_DEPTH of them.
-    """
-    if recorder is not None:
-        if n <= VIRTUAL_DEPTH:
-            build_cascade(Construction(m, _ONE, n), policy, recorder)
-        else:
-            recorder.angle(m)
-            recorder.measure("virtual-cascade", Decimal(n))
-    return policy.ctx().power(m, Decimal(n))
+def draw_power(m: Decimal, n: int, policy: PrecisionPolicy,
+               recorder: TraceRecorder):
+    """Draw m**n's cascade, 0 < m < 1: foot by foot up to VIRTUAL_DEPTH,
+    past it only its angle and depth.  Callers take m**n from ctx.power."""
+    if n <= VIRTUAL_DEPTH:
+        build_cascade(Construction(m, _ONE, n), policy, recorder)
+    else:
+        recorder.angle(m)
+        recorder.measure("virtual-cascade", Decimal(n))
 
 
 def power(x: SignedScaled, n: int,
@@ -144,7 +135,9 @@ def power(x: SignedScaled, n: int,
     if x.is_power_of_ten:
         # exact decade: 0.1**n needs no geometry
         return SignedScaled(sign, _TENTH, (x.exponent - 1) * n + 1)
-    mant = _mantissa_power(x.mantissa, n, policy, recorder)
+    if recorder is not None:
+        draw_power(x.mantissa, n, policy, recorder)
+    mant = policy.ctx().power(x.mantissa, Decimal(n))
     return renormalized(sign, mant, x.exponent * n)
 
 

@@ -58,40 +58,40 @@ def evaluate_cf(cf: ContinuedFraction) -> Fraction:
     return Fraction(num, den)
 
 
-def _floor_exponent(u: Decimal, v: Decimal, ctx: Context, fuzz: Decimal,
+def _floor_exponent(u: Decimal, vt: Decimal, ctx: Context,
                     cap: int) -> int | None:
-    """Largest N >= 0 with u**N >= v, for 0 < u < 1 and 0 < v <= 1.
-
-    Comparisons carry a relative fuzz so an exact boundary is treated as
-    a hit.  Returns None when N would exceed `cap`.
+    """Largest N >= 0 with u**N >= vt, for 0 < u < 1 and 0 < vt <= 1.
+    vt is the target fuzzed to v*(1 - fuzz), so an exact boundary is a
+    hit; the walk forms it once, shared with the residual check before
+    it.  Returns None when N would exceed `cap`.
 
     Binary powering (Knuth, TAOCP vol. 2, 4.6.3): gallop by squaring,
-    keeping each u**(2**k) that still reaches v, then descend from the
-    top square with one multiply per bit; no power is raised anew.
+    keeping each u**k, k = 2**j, that still reaches vt, then descend from
+    the top square with one multiply per bit; no power is raised anew.
     Each square doubles its factor's relative error, so a chained u**n
     is within about n + 2*log2(n) half-units of the exact power: below
     10**(13 - prec) for n up to 2*10**12, twice natural_log's cap,
     against a `fuzz` of 10**(20 - prec).  Every comparison therefore
     decides as ctx.power(u, n) would, and an exact hit u**N == v still
-    sits a whole `fuzz` above the target.
+    sits a whole `fuzz` above vt.
     """
-    vt = ctx.multiply(v, ctx.subtract(_ONE, fuzz))
-    squares = [ctx.plus(u)]  # squares[k] is u**(2**k)
-    if squares[0] < vt:
+    mul = ctx.multiply
+    p = ctx.plus(u)
+    if p < vt:
         return 0
+    squares, n = [], 1  # p is u**n; squares holds each (u**k, k) below
     while True:
-        s = ctx.multiply(squares[-1], squares[-1])
-        if s < vt:
+        q = mul(p, p)
+        if q < vt:
             break
-        squares.append(s)
-        if 1 << (len(squares) - 1) > cap:
+        squares.append((p, n))
+        p, n = q, n + n
+        if n > cap:
             return None
-    p = squares.pop()
-    n = 1 << len(squares)
-    for k in reversed(range(len(squares))):
-        q = ctx.multiply(p, squares[k])
+    for s, k in reversed(squares):
+        q = mul(p, s)
         if q >= vt:
-            n, p = n + (1 << k), q
+            n, p = n + k, q
     return n if n <= cap else None
 
 
@@ -113,8 +113,8 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
     if not (0 < v <= 1):
         raise NoIntegerExponent(
             "target is on the wrong side of 1 for this base")
-    fuzz = Decimal(1).scaleb(20 - ctx.prec)
-    floor_n = _floor_exponent(u, v, ctx, fuzz, max(max_n * 2, 8))
+    vt = ctx.multiply(v, ctx.subtract(_ONE, Decimal(1).scaleb(20 - ctx.prec)))
+    floor_n = _floor_exponent(u, vt, ctx, max(max_n * 2, 8))
     candidates = []
     if floor_n is not None:
         candidates = [n for n in (floor_n, floor_n + 1) if 1 <= n <= max_n]
@@ -163,7 +163,10 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
     """Continued fraction of the exponent t with x**t == a.
 
     Requires x and a on the same side of 1 (positive exponent).  When
-    the exponent is below 1 the listing starts with a 0 term.
+    the exponent is below 1 the listing starts with a 0 term.  Each
+    level's u*(1 - fuzz) floors the residual w = v/u**n and is the next
+    level's threshold.  A unit term divides by ctx.plus(u), which is
+    ctx.power(u, 1) bit for bit: w rounds as a fresh power's quotient.
     """
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
@@ -171,25 +174,28 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
         raise DomainError("cf_tol must be in [0, 1)")
     ctx = policy.oracle_ctx()
     u, v, terms = first_level(x, a, ctx)
-    fuzz = Decimal(1).scaleb(20 - ctx.prec)
+    keep = ctx.subtract(_ONE, Decimal(1).scaleb(20 - ctx.prec))  # 1 - fuzz
+    vt = ctx.multiply(v, keep)
     terminated = False
     while len(terms) < max_depth:
-        n = _floor_exponent(u, v, ctx, fuzz, max_term)
+        n = _floor_exponent(u, vt, ctx, max_term)
         if n is None:
             break
         if n == 0:
             raise DomainError("internal: residual ordering violated")
         terms.append(n)
-        w = ctx.divide(v, ctx.power(u, Decimal(n)))
+        w = ctx.divide(v, ctx.plus(u) if n == 1 else ctx.power(u, Decimal(n)))
         if w > 1:  # fuzzed boundary: clamp
             w = _ONE
         if ctx.subtract(w, _ONE).copy_abs() <= cf_tol:
             terminated = True
             break
-        # residual stays between the old base and 1
-        if w < ctx.multiply(u, ctx.subtract(_ONE, fuzz)):
+        vt = ctx.multiply(u, keep)  # the old base: w's floor, next target
+        if w < vt:
             raise DomainError("internal: residual left its interval")
         u, v = w, u
+    if not terms:
+        raise DomainError(f"exponent's leading term above cap {max_term}")
     if terminated and len(terms) > 1 and terms[-1] == 1:
         # canonical form: fold a trailing 1 into the previous term
         terms[-2] += 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from functools import lru_cache, partial
 
-from .cascade import _mantissa_power, multiply, power
+from .cascade import draw_power, multiply, power
 from .errors import DomainError
 from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, MAX_ABS_EXPONENT,
                       PrecisionPolicy, SignedScaled, check_rational_power,
@@ -78,7 +78,7 @@ def nth_root(query: RootQuery,
     c_m = solve_cos_power(n, x.mantissa, ctx, policy.rel_tol, recorder)
     if recorder is not None:
         # verification cascade at the accepted angle
-        _mantissa_power(c_m, n, policy, recorder)
+        draw_power(c_m, n, policy, recorder)
         recorder.measure("cosine", c_m)
     if r:
         mant = ctx.divide(c_m, _residue_cosine(n, r, policy))

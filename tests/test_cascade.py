@@ -119,6 +119,17 @@ def test_cascade_trace_records_alternating_drops():
     assert ontos == ["CA", "CX", "CA"]
     feet = [foot for _, _, foot, _ in (s.values for s in rec.steps[1:4])]
     assert feet == ["D", "E", "F"]
+    # traced and untraced runs compute the same lengths, and each drop is
+    # drawn at its own length, past the lettered feet too
+    for c in (Construction(Decimal("0.6"), Decimal(1), 3),
+              Construction(Decimal("0.987654321012"), Decimal("1.5"), 12)):
+        rec = TraceRecorder()
+        traced = build_cascade(c, POL, rec)
+        assert traced == build_cascade(c, POL)
+        drops = [s.values for s in rec.steps if s.kind == "drop-perpendicular"]
+        assert [d[-1] for d in drops] == [str(p) for p in traced.lengths]
+        assert rec.steps[-1].values == (
+            f"{foot_label(c.depth)}-perpendicular", str(traced.lengths[-1]))
 
 
 def test_power_small_exact_cases():

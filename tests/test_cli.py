@@ -191,6 +191,9 @@ def test_domain_errors_exit_two(capsys):
     # a tolerance below 0 closes no walk, one of 1 closes every walk
     ("solve-mn --x 2 --a 8 --cf-tol -1", "cf_tol must be in [0, 1)"),
     ("solve-mn --x 2 --a 8 --cf-tol 1", "cf_tol must be in [0, 1)"),
+    # t is about 6.9e8: the walk's first term passes MAX_TERM
+    ("solve-mn --x 1.000001 --a 1e300",
+     "exponent's leading term above cap 1000000"),
     ("root 2 2 --tol 0", "rel_tol must be in (0, 1)"),
     ("root 2 2 --tol 1", "rel_tol must be in (0, 1)"),
     ("pow 2 3 --resolution 0",

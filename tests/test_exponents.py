@@ -201,7 +201,8 @@ def test_floor_exponent_matches_power_by_power_reference():
                 n = floor_by_powers(u, v, ctx, fuzz)
                 for cap in {max(n - 1, 0), n, n + 1, 10 ** 12}:
                     want = n if n <= cap else None
-                    got = _floor_exponent(u, v, ctx, fuzz, cap)
+                    got = _floor_exponent(
+                        u, ctx.multiply(v, ctx.subtract(1, fuzz)), ctx, cap)
                     assert got == want, (prec, u, v, cap)
                 pairs += 1
     assert pairs >= 2000
@@ -246,7 +247,40 @@ def test_floor_exponent_cost_is_logarithmic():
     n = 1_000_003
     u = Decimal("0.99999873")
     v = Context(prec=60).power(u, n)
-    got = _floor_exponent(u, v, ctx, Decimal("1e-40"), 10 ** 12)
+    got = _floor_exponent(
+        u, ctx.multiply(v, ctx.subtract(1, Decimal("1e-40"))), ctx, 10 ** 12)
     assert got == n
     assert ctx.calls["power"] == 0
     assert ctx.calls["multiply"] <= 2 * math.ceil(math.log2(n)) + 2
+
+
+@pytest.mark.parametrize("x, a, depth, want", [
+    ("2", oracle_power("2", 1971, 181), 16, (10, 1, 8, 20)),
+    ("3", normalize("4.72880438783741494789428334041600536683971642425484"),
+     8, (1, 2, 2, 2, 2, 2, 2, 2)),
+    ("1.622521", normalize(
+        "13.4825799712363220243368839665079564217904530096376071739258"),
+     16, (5, 2, 1, 2)),
+], ids=["1971/181", "sqrt 2", "5 2 1 2"])
+def test_recovery_raises_no_power_for_a_unit_term(monkeypatch, x, a, depth,
+                                                  want):
+    # u**1 is u rounded once: the residual takes ctx.plus, not ctx.power
+    ctx = CountingContext(prec=60, rounding=ROUND_HALF_EVEN)
+    monkeypatch.setattr(PrecisionPolicy, "oracle_ctx", lambda self: ctx)
+    cf = recover_rational_exponent(normalize(x), a, max_depth=depth,
+                                   policy=POL)
+    assert cf.terms == want
+    assert ctx.calls["power"] == sum(t > 1 for t in cf.terms)
+
+
+@pytest.mark.parametrize("prec", [30, 60])
+def test_power_to_one_is_plus(prec):
+    # bit for bit, with the coefficient and exponent of each result, for
+    # operands of fewer and of more digits than the context holds
+    rng = random.Random(3636 + prec)
+    ctx = Context(prec=prec, rounding=ROUND_HALF_EVEN)
+    for _ in range(4000):
+        digits = rng.randint(5, 120)
+        u = Decimal(rng.randrange(10 ** (digits - 1), 10 ** digits)).scaleb(
+            rng.randint(-40, 5) - digits)
+        assert ctx.power(u, Decimal(1)).as_tuple() == ctx.plus(u).as_tuple()
