@@ -63,10 +63,8 @@ class Cascade:
         prev*(cos C - ratio_tol) and prev*(cos C + ratio_tol).  Those
         products are exact (m- and n-digit factors have at most m + n
         digits), and p enters only a comparison.  The edges cos C -/+
-        ratio_tol round outward to the oracle digits: that leaves them
-        exact for a cosine of up to the working digits at the default
-        rel_tol, and keeps a far smaller rel_tol from giving them as
-        many digits as its exponent.
+        ratio_tol round outward to the oracle digits, which leaves them
+        exact for a cosine of up to the working digits.
         """
         ctx = policy.oracle_ctx()
         c = self.construction
@@ -216,24 +214,24 @@ def geometric_mean(a: SignedScaled, b: SignedScaled,
             recorder.drop("D", "CX", "E", small)
             recorder.measure("BD", bd)
     elif method == "rotate":
-        bd = _rotate_to_mean(big, small, ctx, policy.rel_tol, recorder)
+        bd = _rotate_to_mean(big, small, ctx, recorder)
     else:
         raise DomainError(f"unknown geometric mean method {method!r}")
     return renormalized(sign, bd, half)
 
 
 def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
-                    rel_tol: Decimal,
                     recorder: TraceRecorder | None) -> Decimal:
     """Search the apex cosine until the implied hypotenuse cut equals `big`.
 
     With DE fixed at `small`, a trial cosine c puts the enclosing
     perpendicular at small/c**2; the bracket is monotone decreasing in c.
     Both operands here share a decade, so the solution cosine
-    sqrt(small/big) is interior: numcore.search_cosine with n = 2.
+    sqrt(small/big) is interior: numcore.search_cosine with n = 2, side
+    accepting a cut within one unit of ctx of `big`.
     """
     ctx_div, ctx_mul = ctx.divide, ctx.multiply
-    tol = ctx_mul(rel_tol, big)
+    tol = ctx_mul(shift10(_ONE, 1 - ctx.prec), big)
 
     def side(c, i):
         ab = ctx_div(small, ctx_mul(c, c))
@@ -242,8 +240,7 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
         return -1 if ab > big else 1  # cut too long: open the angle
 
     draw = None if recorder is None else partial(recorder.rotate, "D")
-    c = search_cosine(side, 2, ctx_div(small, big), ctx, rel_tol, "rotation",
-                      draw)
+    c = search_cosine(side, 2, ctx_div(small, big), ctx, "rotation", draw)
     bd = ctx_div(small, c)
     if recorder is not None:
         recorder.measure("BD", bd)

@@ -19,8 +19,8 @@ from .errors import GeocalcError
 from .euler import antilog, approximate_e, natural_log
 from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, evaluate_cf,
                         recover_rational_exponent, solve_integer_exponent)
-from .mechsim import (DEFAULT_RESOLUTION, SCRIPTS, MeasurementModel,
-                      run_op as device_op, run_script)
+from .mechsim import (ARM_MIN, DEFAULT_RESOLUTION, RESOLUTION_MIN, SCRIPTS,
+                      MeasurementModel, run_op as device_op, run_script)
 from .numcore import (DEFAULT_POLICY, OPS, PrecisionPolicy, SignedScaled,
                       normalize, oracle_eval, parse_decimal, parse_integer,
                       renormalized, to_text)
@@ -66,8 +66,7 @@ _decimal, _integer = _literal(parse_decimal), _literal(parse_integer)
 
 def _policy(args) -> PrecisionPolicy:
     return PrecisionPolicy(
-        working_digits=max(DEFAULT_POLICY.working_digits, args.digits + 10),
-        rel_tol=args.tol)
+        working_digits=max(DEFAULT_POLICY.working_digits, args.digits + 10))
 
 
 def _fmt_decimal(d: Decimal, digits: int) -> str:
@@ -110,10 +109,11 @@ def _recorder_for(args) -> TraceRecorder | None:
 
 
 def _device_result(args, op: str, inputs: list[str]) -> str:
+    """Device op `op` on the inputs, reported under the subcommand's name."""
     if getattr(args, "backend", "construction") == "oracle":
         raise _UsageError("device mode implies the construction backend")
     model = MeasurementModel(resolution=args.resolution)
-    return _emit_measured(args, op, inputs,
+    return _emit_measured(args, args.command, inputs,
                           device_op(op, inputs, model, _policy(args)))
 
 
@@ -223,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--digits", type=_integer, default=5,
                         help="significant digits to display (default 5)")
-    common.add_argument("--tol", type=_decimal, default=None,
-                        help="relative tolerance for searches")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON object instead of plain text")
 
@@ -238,9 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--diagram", metavar="PATH", default=None,
                        help="render the construction to an SVG at PATH")
 
+    graduation = (f"graduation size in metres, {RESOLUTION_MIN:e} <= "
+                  f"resolution < {ARM_MIN}")
     res = _Parser(add_help=False)
     res.add_argument("--resolution", type=_decimal, default=None,
-                     help="graduation size in metres; enables device mode")
+                     help=f"{graduation}; enables device mode")
 
     parser = _Parser(prog="geocalc",
                      description="scaled-decimal geometric calculator")
@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="run a device measurement script")
     p.add_argument("script", help="script path, or - for stdin")
-    p.add_argument("--resolution", type=_decimal, default=DEFAULT_RESOLUTION)
+    p.add_argument("--resolution", type=_decimal, default=DEFAULT_RESOLUTION,
+                   help=graduation)
     p.set_defaults(func=_h_simulate)
 
     p = sub.add_parser("diagram", parents=[common],

@@ -90,8 +90,6 @@ def natural_log(a: SignedScaled, depth: int = DEFAULT_MAX_DEPTH,
     cf = recover_rational_exponent(e, a, max_depth=depth, policy=policy,
                                    max_term=10 ** 12)
     val = evaluate_cf(cf)
-    if val == 0:
-        raise DomainError("log recovery truncated to zero")
     ctx = policy.ctx()
     return ctx.divide(Decimal(val.numerator), Decimal(val.denominator))
 

@@ -196,6 +196,10 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
         u, v = w, u
     if not terms:
         raise DomainError(f"exponent's leading term above cap {max_term}")
+    if terms == [0]:  # t < 1, and the walk stopped before its next term
+        raise DomainError(f"depth {max_depth} ends at the exponent's leading 0"
+                          if max_depth == 1 else "exponent's term after the "
+                          f"leading 0 above cap {max_term}")
     if terminated and len(terms) > 1 and terms[-1] == 1:
         # canonical form: fold a trailing 1 into the previous term
         terms[-2] += 1
@@ -219,8 +223,6 @@ def recover_exponent_via_logs(x: SignedScaled, a: SignedScaled,
     q_cf = recover_rational_exponent(e, x, policy=policy)
     p = evaluate_cf(p_cf)
     q = evaluate_cf(q_cf)
-    if q == 0:
-        raise DomainError("log of the base truncated to zero")
     ctx = policy.ctx()
     ratio = ctx.divide(Decimal(p.numerator * q.denominator),
                        Decimal(p.denominator * q.numerator))

@@ -41,6 +41,9 @@ RESOLUTION_LADDER = (Decimal("1e-5"), Decimal("5e-7"),
 
 N_ARMS = 10                   # telescopic perpendiculars on the device
 ARM_MIN, ARM_MAX = Decimal("0.01"), Decimal("2.0")   # their range, metres
+# the finest graduation: on a finer one a rotation's known-side window
+# can lie above COSINE_BRACKET's top (see _rotate)
+RESOLUTION_MIN = Decimal("4e-15")
 _LEVEL_STEP_CAP = 10 ** 4
 
 
@@ -60,6 +63,9 @@ class MeasurementModel:
         if not (0 < self.resolution < ARM_MIN):
             raise DomainError(f"need 0 < resolution < {ARM_MIN}, the "
                               "shortest arm")
+        if self.resolution < RESOLUTION_MIN:
+            raise DomainError(f"need resolution >= {RESOLUTION_MIN:e}, the "
+                              "finest the rotation bracket supports")
 
     def quantize(self, length: Decimal) -> Decimal:
         """Snap a nonnegative length to the nearest graduation.
@@ -285,11 +291,12 @@ def _script_divide(run: _Run, num: SignedScaled,
 def _rotate(run: _Run, side, window: tuple[Decimal, Decimal]):
     """Bisect the apex cosine in COSINE_BRACKET, cut to the window
     (below, above) as bisect cuts to Newton's, down to one graduation.
-    The cut bracket is not empty while h > 2e-15, as on the ladder:
-    root's below is at most r (1 + d)**-(n-1)/n with r < 1, gmean's
-    sqrt(1 - h/(target + h)) as ed <= target, both under 1 - 1e-15;
-    root's above is at least 0.1, gmean's sqrt(ed).  On a finer grid
-    an empty gmean cut ends collapsed at the top; its band still holds."""
+    The cut bracket is not empty for h >= 2e-15, as MeasurementModel
+    requires.  Root's below is at most r (1 + d)**-(n-1)/n with r < 1,
+    and its above at least 0.1.  Gmean's below, sqrt(ed/(target + h))
+    with ed <= target <= 1 on the grid, lies under 1 - 1e-15 unless ed
+    and target both read 1, where the ideal cosine is 1 itself; its
+    above is at least sqrt(ed)."""
     ctx, res = run.ctx, run.model.resolution
     return bisect(side, *COSINE_BRACKET, ctx, "rotation",
                   lambda lo, hi: ctx.subtract(hi, lo) < res, (*window, None))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING,
                      ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal)
 from functools import lru_cache
@@ -35,7 +35,6 @@ EXPONENT_BOUND = 10 ** 9
 _ONE = Decimal(1)
 _TWO = Decimal(2)
 _TENTH = Decimal("0.1")
-_HALF = Decimal("0.5")
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
 _LN10, _LOG10_HALF = math.log(10), math.log10(0.5)
 # the cosine bracket [1e-15, 1 - 1e-15], each end rounded by no context
@@ -182,12 +181,12 @@ def cosine_bracket(target: Decimal, n: Decimal, ctx: Context):
     return (top, _ONE) if target > ctx.power(top, n) else COSINE_BRACKET
 
 
-def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
+def newton_window(n: int, target: Decimal, ctx: Context):
     """(below, above, point) around the root r of r**n == target, or None.
 
-    With t = max(rel_tol, u), u = 10**(1 - prec), the half-width is
-    8*t*r/n.  Newton runs at prec + 12 digits, plus the digits of n so
-    that one unit of r stays far inside the window.  Its float seed is
+    With u = 10**(1 - prec), one unit of ctx, the half-width is 8*u*r/n.
+    Newton runs at prec + 12 digits, plus the digits of n so that one
+    unit of r stays far inside the window.  Its float seed is
     1 + expm1(ln(target)/n) for a root above 1/2, which keeps the digits
     of r - 1 at large n, and 10**(log10(target)/n) below; n past the
     float range gets no window.  From the second step on, a correction
@@ -196,31 +195,26 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     once a correction is below a quarter of the half-width, which leaves
     r far closer to the root than the half-width.
 
-    Every c outside the window misses by more than rel_tol, in the
-    window's direction, for both objectives that use one:
-    - the root search's c**n against target: c > r(1 + 8t/n) gives
-      c**n > target(1 + 8t), and c < r(1 - 8t/n) gives c**n <
-      target*e**(-8t);
+    Every c outside the window misses by more than u, in the window's
+    direction, for both objectives that use one:
+    - the root search's c**n against target: c > r(1 + 8u/n) gives
+      c**n > target(1 + 8u), and c < r(1 - 8u/n) gives c**n <
+      target*e**(-8u);
     - the rotating mean's small/c**2 against big, with n = 2 and target
-      small/big rounded (which moves r by u/4): c > r(1 + 4t) gives
-      small/c**2 < big/(1 + 8t), and c < r(1 - 4t) gives more than
-      big(1 + 8t).
-    For t <= 1/2 each miss exceeds the tolerance by more than 3t up to
-    t = 0.1 and by more than 0.25 beyond, relative: more than the few
-    units u that the power, or the product c*c and the quotient, round
-    by.  So side would return the window's sign.  A looser rel_tol gets
-    no window: near 1, side accepts midpoints outside it.  The edges are
-    rounded outward to ctx, so side < 0 at below and > 0 at above, and
-    [below, above] is a bracket that bisect can cut to.
+      small/big rounded (which moves r by u/4): c > r(1 + 4u) gives
+      small/c**2 < big/(1 + 8u), and c < r(1 - 4u) gives more than
+      big(1 + 8u).
+    Each miss exceeds the tolerance u by more than 3u, relative: more
+    than the few units that the power, or the product c*c and the
+    quotient, round by.  So side would return the window's sign.  The
+    edges are rounded outward to ctx, so side < 0 at below and > 0 at
+    above, and [below, above] is a bracket that bisect can cut to.
 
     The third entry, point, is r rounded under ctx, for bisect to try
     before any midpoint: r lies far inside the window, so side almost
-    always accepts it and the search ends on one side call.  It is None
-    when rel_tol is below one unit u: side then accepts only a rounded
-    power that lands on the target, which can happen by accident at a
-    point the halving would never reach.
+    always accepts it and the search ends on one side call.
     """
-    if rel_tol > _HALF or n > sys.float_info.max:
+    if n > sys.float_info.max:
         return None
     wctx = ctx.copy()
     wctx.prec = ctx.prec + 12 + len(str(n))
@@ -233,8 +227,7 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     else:
         r = wctx.create_decimal_from_float(10 ** (log10 / n))
     nn, n1 = Decimal(n), Decimal(n - 1)
-    unit = shift10(_ONE, 1 - ctx.prec)
-    scale = div(mul(8, max(rel_tol, unit)), nn)  # half-width / r
+    scale = div(mul(8, shift10(_ONE, 1 - ctx.prec)), nn)  # half-width / r
     quarter, prev = div(scale, 4), None
     while True:
         q = wctx.power(r, n1)
@@ -251,49 +244,47 @@ def newton_window(n: int, target: Decimal, ctx: Context, rel_tol: Decimal):
     wctx.prec, wctx.rounding = ctx.prec, ROUND_FLOOR
     below = wctx.subtract(r, half)
     wctx.rounding = ROUND_CEILING
-    return below, wctx.add(r, half), ctx.plus(r) if rel_tol >= unit else None
+    return below, wctx.add(r, half), ctx.plus(r)
 
 
-def search_cosine(side, n: int, target: Decimal, ctx: Context,
-                  rel_tol: Decimal, what: str, draw=None) -> Decimal:
+def search_cosine(side, n: int, target: Decimal, ctx: Context, what: str,
+                  draw=None) -> Decimal:
     """The engine's angle search, for an objective solved by c**n ==
-    target: side(c, i) is 0 when c meets it within rel_tol, > 0 when c
-    is too large, < 0 when too small.  Newton's point (newton_window) is
-    asked first and returned if side accepts it; otherwise bisect halves
-    the cosine bracket, cut to Newton's window if there is one, until
-    side accepts or the bracket is narrower than rel_tol relative, which
-    the working precision can reach before the tolerance.  draw(c, i)
-    sees the first midpoints, as in bisect."""
+    target: side(c, i) is 0 when c meets it within one unit of ctx,
+    u = 10**(1 - prec), > 0 when c is too large, < 0 when too small.
+    Newton's point (newton_window) is asked first and returned if side
+    accepts it; otherwise bisect halves the cosine bracket, cut to
+    Newton's window if there is one, until side accepts or the bracket
+    is narrower than u relative.  draw(c, i) sees the first midpoints,
+    as in bisect."""
     lo, hi = cosine_bracket(target, Decimal(n), ctx)
+    unit = shift10(_ONE, 1 - ctx.prec)
     return bisect(side, lo, hi, ctx, what,
                   lambda lo, hi: ctx.subtract(hi, lo)
-                  <= ctx.multiply(rel_tol, lo),
-                  newton_window(n, target, ctx, rel_tol), draw)[0]
+                  <= ctx.multiply(unit, lo),
+                  newton_window(n, target, ctx), draw)[0]
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Working precision plus the default tolerance; the reference
-    (oracle) context runs at twice the working digits.
+    """Working precision; the reference (oracle) context runs at twice
+    the working digits.
 
-    rel_tol defaults to 10**(1 - working_digits): one unit in the last
-    working mantissa place, relative.  ctx() and oracle_ctx() hand out a
+    rel_tol, set from working_digits, is 10**(1 - working_digits): one
+    unit in the last working mantissa place, relative, which is the
+    tolerance of every engine search.  ctx() and oracle_ctx() hand out a
     fresh copy of a context built once per precision on each call, so a
     caller may change its precision, rounding, traps or flags freely.
     """
 
     working_digits: int = 30
-    rel_tol: Decimal | None = None
+    rel_tol: Decimal = field(init=False)
 
     def __post_init__(self):
         if self.working_digits < 15:
             raise DomainError("working_digits must be at least 15")
-        if self.rel_tol is None:
-            object.__setattr__(
-                self, "rel_tol", Decimal(1).scaleb(1 - self.working_digits)
-            )
-        elif not (0 < self.rel_tol < 1):
-            raise DomainError("rel_tol must be in (0, 1)")
+        object.__setattr__(self, "rel_tol",
+                           shift10(_ONE, 1 - self.working_digits))
 
     def ctx(self) -> Context:
         return _context(self.working_digits).copy()

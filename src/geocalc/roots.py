@@ -35,11 +35,11 @@ class RootQuery:
         check_root(self.radicand, self.index)
 
 
-def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
+def solve_cos_power(n: int, target: Decimal, ctx: Context,
                     recorder: TraceRecorder | None = None) -> Decimal:
     """Cosine c with c**n == target, 0 < target < 1, by
     numcore.search_cosine: side accepts c when |c**n - target| <=
-    rel_tol*target."""
+    u*target, u = 10**(1 - prec) one unit of ctx."""
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
     if target.adjusted() < -15 * n:  # target < 10**(-15n)
@@ -47,7 +47,7 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
                           "cosine bracket's floor 1e-15")
     ctx_pow, ctx_sub = ctx.power, ctx.subtract
     nn = Decimal(n)
-    tol = ctx.multiply(rel_tol, target)
+    tol = ctx.multiply(shift10(_ONE, 1 - ctx.prec), target)
 
     def side(c, i):
         p = ctx_pow(c, nn)
@@ -56,13 +56,13 @@ def solve_cos_power(n: int, target: Decimal, ctx: Context, rel_tol: Decimal,
         return 1 if p > target else -1
 
     draw = None if recorder is None else partial(recorder.rotate, "C")
-    return search_cosine(side, n, target, ctx, rel_tol, "root", draw)
+    return search_cosine(side, n, target, ctx, "root", draw)
 
 
 @lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
 def _residue_cosine(n: int, r: int, policy: PrecisionPolicy) -> Decimal:
     """The untraced cosine c with c**n == 10**-r, so 10**(r/n) = 1/c."""
-    return solve_cos_power(n, shift10(_ONE, -r), policy.ctx(), policy.rel_tol)
+    return solve_cos_power(n, shift10(_ONE, -r), policy.ctx())
 
 
 def nth_root(query: RootQuery,
@@ -75,7 +75,7 @@ def nth_root(query: RootQuery,
         return x  # n == 1 or |x| == 1: the root is x itself
     ctx = policy.ctx()
     k, r = divmod(x.exponent, n)
-    c_m = solve_cos_power(n, x.mantissa, ctx, policy.rel_tol, recorder)
+    c_m = solve_cos_power(n, x.mantissa, ctx, recorder)
     if recorder is not None:
         # verification cascade at the accepted angle
         draw_power(c_m, n, policy, recorder)

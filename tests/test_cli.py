@@ -130,6 +130,14 @@ def test_device_mode_reports_half_width(capsys):
     assert (code, out) == (0, "2.1000e-1 +/- 5.01e-6\n")
 
 
+def test_device_json_names_the_subcommand(capsys):
+    # solve-mn runs the device's cf script, and reports as solve-mn
+    (p,) = run_json(capsys, "solve-mn", "--x", "2", "--a", "8",
+                    "--resolution", "1e-5")
+    assert p == {"error_bound": "4.33e-5", "inputs": ["2", "8"],
+                 "op": "solve-mn", "result": "3.0000e0"}
+
+
 def test_oracle_backend_agrees(capsys):
     _, direct, _ = run(capsys, "root", "5.972e24", "4", "--digits", "6")
     _, oracle, _ = run(capsys, "root", "5.972e24", "4", "--digits", "6",
@@ -194,12 +202,19 @@ def test_domain_errors_exit_two(capsys):
     # t is about 6.9e8: the walk's first term passes MAX_TERM
     ("solve-mn --x 1.000001 --a 1e300",
      "exponent's leading term above cap 1000000"),
-    ("root 2 2 --tol 0", "rel_tol must be in (0, 1)"),
-    ("root 2 2 --tol 1", "rel_tol must be in (0, 1)"),
+    # t < 1, and the walk stops before the term after its leading 0:
+    # t is about 1.44e-7, so that term passes MAX_TERM; or depth 1
+    ("solve-mn --x 2 --a 1.0000001",
+     "exponent's term after the leading 0 above cap 1000000"),
+    ("solve-mn --x 2 --a 1.5 --cf-depth 1",
+     "depth 1 ends at the exponent's leading 0"),
     ("pow 2 3 --resolution 0",
      "need 0 < resolution < 0.01, the shortest arm"),
     ("pow 2 3 --resolution 0.5",
      "need 0 < resolution < 0.01, the shortest arm"),
+    # past the floor a rotation's window can lie above the bracket top
+    ("gmean 0.5 0.50000000000000000001 --resolution 1e-20",
+     "need resolution >= 4e-15, the finest the rotation bracket supports"),
     # an exact decade needs no triangle: its reciprocal has no band
     ("recip 1000 --resolution 1e-5", None),
 ])
@@ -457,16 +472,11 @@ def test_device_cf_solver_below_a_tenth(capsys):
     assert (code, out, err) == (0, "1.5000e0 +/- 5.01e-5\n", "")
 
 
-def test_root_search_cap_is_an_error(capsys):
-    code, out, err = run(capsys, "root", "0.5", "3", "--tol", "1e-40")
-    assert (code, out) == (2, "") and "NoConvergence" in err
-
-
-def test_loose_tolerance_root_is_not_a_domain_error(capsys):
-    code, out, err = run(capsys, "root", "1.51916535023", "11", "--tol", "0.3")
-    assert (code, err) == (0, "")
-    true = Decimal("1.0387464430699557")   # 1.51916535023 ** (1/11)
-    assert abs(Decimal(out) - true) <= Decimal("0.3") * true
+def test_tolerance_is_not_an_option(capsys):
+    # every search runs to one unit of the working digits
+    code, out, err = run(capsys, "root", "2", "2", "--tol", "1e-5")
+    assert (code, out) == (1, "")
+    assert err == "usage error: unrecognized arguments: --tol 1e-5\n"
 
 
 def test_searches_run_past_two_hundred_halvings(capsys):
@@ -539,6 +549,8 @@ BAD_LITERALS = ["nan", "inf", "-Infinity", "1_0e-6", "x", "\u0661e-5",
 @pytest.mark.parametrize("where", ["--tol", "--cf-tol", "--resolution",
                                    "antilog", "resolution="])
 def test_one_literal_grammar(capsys, monkeypatch, where, literal):
+    # --tol is no longer an option: it stays a usage error, whatever the
+    # literal, like a bad literal for an option that exists
     if where == "antilog":
         argv, want = ["antilog", "--", literal], (2, "ParseError")
     elif where == "resolution=":

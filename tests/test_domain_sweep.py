@@ -2,28 +2,28 @@
 
 Seeded below, it draws operands with decimal exponents -300..300 for the
 seven engine ops and C5's alternative div, recip and gmean methods, at
-30, 50 and 62 working digits and at three tolerances.  Two properties
-are checked: valid input never raises, except a NoConvergence that the
-tolerance explains, and every result agrees with oracle_eval within the
-op's multiple of rel_tol.
+30, 50 and 62 working digits, three seed streams each.  Two properties
+are checked: valid input never raises, and every result agrees with
+oracle_eval within the op's multiple of rel_tol, one working unit.
 """
 
 import random
-from decimal import Decimal
 
 import pytest
 
-from geocalc import (NoConvergence, PrecisionPolicy, RootQuery, divide,
-                     geometric_mean, multiply, normalize, nth_root,
-                     oracle_eval, power, rational_power, reciprocal)
+from geocalc import (PrecisionPolicy, RootQuery, divide, geometric_mean,
+                     multiply, normalize, nth_root, oracle_eval, power,
+                     rational_power, reciprocal)
 from conftest import rel_diff
 
 SEED = 20260412
 DIGITS = (30, 50, 62)
-TOLS = (None, Decimal("1e-5"), Decimal("0.3"))  # None: the default
+# Seed streams, named for the tolerances the sweep drew them at when a
+# policy's tolerance could be set; every draw now runs at one unit.
+STREAMS = ("None", "0.00001", "0.3")
 POW_DEPTHS = (9999, 10 ** 4, 10 ** 4 + 1, -3, -40)
 ROOT_INDICES = range(2, 41)
-DRAWS = 10   # operands per op and method at each digits/tolerance pair
+DRAWS = 10   # operands per op and method at each digits/stream pair
 
 # Allowed distance from oracle_eval, in units of rel_tol.  A positive
 # power is one rounding; a negative one raises the reciprocal's
@@ -48,7 +48,7 @@ def number(rng: random.Random, digits: int, sign: int = 0) -> str:
 
 
 def cases(rng: random.Random, digits: int):
-    """(label, oracle op, oracle args, call) for one digits/tolerance pair."""
+    """(label, oracle op, oracle args, call) for one digits/stream pair."""
     nz = normalize
     for _ in range(DRAWS):
         a, b = nz(number(rng, digits)), nz(number(rng, digits))
@@ -90,22 +90,16 @@ def units(label: str, args: tuple) -> int:
     return TOL_UNITS[op]
 
 
-@pytest.mark.parametrize("tol", TOLS, ids=("default", "1e-5", "0.3"))
+@pytest.mark.parametrize("stream", STREAMS, ids=("default", "1e-5", "0.3"))
 @pytest.mark.parametrize("digits", DIGITS)
-def test_engine_agrees_with_the_oracle_over_the_domain(digits, tol):
-    policy = PrecisionPolicy(working_digits=digits, rel_tol=tol)
+def test_engine_agrees_with_the_oracle_over_the_domain(digits, stream):
+    policy = PrecisionPolicy(working_digits=digits)
     ctx = policy.oracle_ctx()
-    rng = random.Random(f"{SEED}:{digits}:{tol}")
+    rng = random.Random(f"{SEED}:{digits}:{stream}")
     bad = []
     for label, op, args, call in cases(rng, digits):
         try:
             got = call(policy)
-        except NoConvergence as exc:
-            # only a tolerance finer than the working digits can resolve
-            # may stall a search; none of TOLS is
-            if policy.rel_tol >= Decimal(1).scaleb(1 - digits):
-                bad.append(f"{label} {args}: {exc}")
-            continue
         except Exception as exc:   # valid input must never raise
             bad.append(f"{label} {args}: {type(exc).__name__}: {exc}")
             continue

@@ -21,7 +21,8 @@ from geocalc import (ArmOutOfRange, DEFAULT_POLICY, DEFAULT_RESOLUTION,
                      recover_rational_exponent, run_op, run_script,
                      shift10)
 from geocalc import mechsim, numcore
-from geocalc.mechsim import ARM_MIN, SCRIPTS, arm_id, parse_script_line
+from geocalc.mechsim import (ARM_MIN, RESOLUTION_MIN, SCRIPTS, arm_id,
+                             parse_script_line)
 from conftest import rel_diff
 
 POL = DEFAULT_POLICY
@@ -99,10 +100,11 @@ def test_quantize_ignores_the_callers_context():
 
 
 def test_quantize_matches_rational_reference_off_the_ladder():
-    # lengths up to 10 put the step count past 28 digits, so a sum, tie
-    # test or increment under the caller's prec-5 context would trap
+    # lengths up to 10 put the step count past 5 digits, up to 16 at the
+    # floor 4e-15, so a sum, tie test or increment under the caller's
+    # prec-5 context would trap
     rng, exact, tiny = random.Random(6023), Context(prec=100), Decimal("1e-70")
-    for text in ("3e-7", "1.5e-6", "7e-12", "1e-30"):
+    for text in ("3e-7", "1.5e-6", "7e-12", "4e-15"):
         res = Decimal(text)
         m = MeasurementModel(resolution=res)
         cases = [Decimal("-0"), Decimal("0E-80")]
@@ -418,6 +420,23 @@ def test_cf_walk_forms_chain_intervals_only_where_read(monkeypatch):
     assert len(lines) == 40 and len(levels) > 2 * len(runs)
     assert max(stages for stages, got in levels if got) > 600
     assert max(stages for stages, got in levels if got is None) >= 1000
+
+
+@pytest.mark.parametrize("op, args", [
+    ("gmean", ["0.5", "0.50000000000000000001"]),
+    ("gmean", ["0.999999999999996", "0.999999999999992"]),
+    ("gmean", ["0.999999999999999", "0.9999999999999995"]),
+    ("root", ["0.99999999999999", "2"]),
+    ("root", ["0.999999999999999999999", "3"]),
+])
+def test_resolution_floor_keeps_bands_near_one_graduation(op, args):
+    # below the floor a cosine above the bracket top 1 - 1e-15 ended the
+    # search collapsed at the top: gmean 0.5 0.50000000000000000001 at
+    # 1e-20 printed a band of 5.01e-16, about 10**4 graduations
+    got = run_op(op, args, MeasurementModel(resolution=RESOLUTION_MIN), POL)
+    truth = oracle_for(op, args)
+    assert abs(got.value.value() - truth) <= got.half_width
+    assert got.half_width < 2 * RESOLUTION_MIN
 
 
 def test_half_width_tightens_down_the_ladder():

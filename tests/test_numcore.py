@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 from decimal import (Context, Decimal, DivisionByZero, Inexact, ROUND_DOWN,
                      ROUND_HALF_EVEN, Rounded, localcontext)
 
@@ -153,6 +154,15 @@ def test_to_text_round_trips_through_normalize():
         v = normalize(text)
         again = normalize(to_text(v, 15))
         assert again == v
+
+
+def test_policy_sets_only_its_working_digits():
+    # the search tolerance is one unit of the working digits, read only
+    assert [f.name for f in fields(PrecisionPolicy) if f.init] == [
+        "working_digits"]
+    assert PrecisionPolicy(40).rel_tol == Decimal("1e-39")
+    with pytest.raises(TypeError):
+        PrecisionPolicy(rel_tol=Decimal("1e-5"))
 
 
 def test_policy_contexts():

@@ -7,7 +7,7 @@ from decimal import Context, Decimal
 import pytest
 
 from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
-                     GeocalcError, NoConvergence, PrecisionPolicy, RootQuery,
+                     GeocalcError, PrecisionPolicy, RootQuery,
                      TraceRecorder, antilog, geometric_mean, normalize,
                      nth_root, oracle_eval, power, rational_power,
                      solve_cos_power)
@@ -69,8 +69,7 @@ def test_root_exponent_residue_paths():
         assert rel(got, want) <= Decimal("1e-20")
 
 
-@pytest.mark.parametrize("policy", [POL,
-                                    PrecisionPolicy(40, Decimal("1e-30"))])
+@pytest.mark.parametrize("policy", [POL, PrecisionPolicy(40)])
 def test_residue_cosine_is_a_fresh_search(policy):
     # the cached residue cosine, on its first call and on a repeat, is
     # what the search on 10**-r returns afresh
@@ -78,7 +77,7 @@ def test_residue_cosine_is_a_fresh_search(policy):
     ctx = policy.ctx()
     for n in range(2, 41):
         for r in range(1, n):
-            want = solve_cos_power(n, shift10(_ONE, -r), ctx, policy.rel_tol)
+            want = solve_cos_power(n, shift10(_ONE, -r), ctx)
             assert roots._residue_cosine(n, r, policy) == want, (n, r)
             assert roots._residue_cosine(n, r, policy) == want, (n, r)
 
@@ -111,7 +110,7 @@ def test_root_trace_ends_with_cosine_measure():
 
 def test_solve_cos_power_matches_oracle():
     target = Decimal("0.4")
-    c = solve_cos_power(5, target, POL.ctx(), POL.rel_tol)
+    c = solve_cos_power(5, target, POL.ctx())
     want = ORACLE_CTX.power(target, ORACLE_CTX.divide(Decimal(1), Decimal(5)))
     assert rel_diff(c, want, ORACLE_CTX) <= Decimal("1e-25")
 
@@ -122,22 +121,22 @@ def test_solve_cos_power_rejects_a_root_below_the_bracket_floor(n, target):
     # the root lies below 1e-15, the bottom of the cosine bracket, which
     # the search used to return as if it were the root
     with pytest.raises(DomainError, match="floor"):
-        solve_cos_power(n, Decimal(target), POL.ctx(), POL.rel_tol)
+        solve_cos_power(n, Decimal(target), POL.ctx())
 
 
 def test_solve_cos_power_reaches_the_bracket_floor():
-    c = solve_cos_power(2, Decimal("1e-30"), POL.ctx(), POL.rel_tol)
+    c = solve_cos_power(2, Decimal("1e-30"), POL.ctx())
     assert rel_diff(c, Decimal("1e-15"), ORACLE_CTX) <= POL.rel_tol
 
 
-def _reference_solve_cos_power(n, target, ctx, rel_tol):
+def _reference_solve_cos_power(n, target, ctx):
     """The root search without the Newton window's edges: Newton's point
     first, then a power at every midpoint of the bracket cut to the
     window."""
     if not (0 < target < 1):
         raise DomainError("bisection target must be in (0, 1)")
-    nn = Decimal(n)
-    tol = ctx.multiply(rel_tol, target)
+    nn, unit = Decimal(n), shift10(_ONE, 1 - ctx.prec)
+    tol = ctx.multiply(unit, target)
 
     def side(c, i):
         p = ctx.power(c, nn)
@@ -146,18 +145,18 @@ def _reference_solve_cos_power(n, target, ctx, rel_tol):
         return 1 if p > target else -1
 
     lo, hi = cosine_bracket(target, nn, ctx)
-    window = newton_window(n, target, ctx, rel_tol)
+    window = newton_window(n, target, ctx)
     if window:
         lo, hi = max(lo, window[0]), min(hi, window[1])
     return bisect(side, lo, hi, ctx, "root",
                   lambda lo, hi: ctx.subtract(hi, lo)
-                  <= ctx.multiply(rel_tol, lo),
+                  <= ctx.multiply(unit, lo),
                   window and (_NEG_INF, _POS_INF) + window[2:])[0]
 
 
-def _search_outcome(search, n, target, ctx, rel_tol):
+def _search_outcome(search, n, target, ctx):
     try:
-        return str(search(n, target, ctx, rel_tol))
+        return str(search(n, target, ctx))
     except GeocalcError as exc:
         return type(exc).__name__
 
@@ -167,12 +166,9 @@ def test_newton_window_leaves_every_search_bit_identical():
     cases = 0
     for digits in (30, 50, 62):
         ctx = PrecisionPolicy(digits).ctx()
-        tols = [Decimal(1).scaleb(1 - digits), Decimal("1e-5"),
-                Decimal("1e-12"), Decimal("0.3"), Decimal("0.9"),
-                Decimal(1).scaleb(-digits - 3)]
         for n in (1, 2, 3, 5, 7, 9, 11, 12, 40, 300, 12345, 99991,
                   999999937):
-            for rel_tol in tols:
+            for _ in range(6):  # rounds of targets, from one seeded rng
                 targets = [Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
                            for _ in range(2)]
                 targets += [Decimal("0." + "9" * rng.randint(1, digits + 2))
@@ -181,25 +177,33 @@ def test_newton_window_leaves_every_search_bit_identical():
                     targets.append(shift10(_ONE, -rng.randint(1, n - 1)))
                 for target in targets:
                     want = _search_outcome(_reference_solve_cos_power, n,
-                                           target, ctx, rel_tol)
-                    got = _search_outcome(solve_cos_power, n, target, ctx,
-                                          rel_tol)
-                    assert got == want, (digits, n, str(rel_tol), str(target))
+                                           target, ctx)
+                    got = _search_outcome(solve_cos_power, n, target, ctx)
+                    assert got == want, (digits, n, str(target))
                     cases += 1
     assert cases == 3 * 6 * (13 * 5 - 1)
 
 
-def test_loose_tolerance_search_gets_no_window():
-    # at rel_tol 0.9999 side accepts 0.75**40 ~ 1e-5 for a target of
-    # 0.0814, a midpoint below the window r(1 - 8*rel_tol/40) ~ 0.751
-    ctx = POL.ctx()
-    target = Decimal("0.0814425175230")
-    for rel_tol in (Decimal("0.9999"), Decimal("0.99999")):
-        assert newton_window(40, target, ctx, rel_tol) is None
-        assert (solve_cos_power(40, target, ctx, rel_tol)
-                == _reference_solve_cos_power(40, target, ctx, rel_tol)
-                == Decimal("0.7499999999999995"))
-    assert newton_window(40, target, ctx, Decimal("0.5")) is not None
+def test_newton_window_carries_a_point_with_every_window():
+    # the point is r rounded under ctx; at small n it lies inside the
+    # window, at large n the window can be narrower than one unit
+    rng = random.Random(1316)
+    windows = 0
+    for digits in (15, 30, 62):
+        ctx = PrecisionPolicy(digits).ctx()
+        for n in (1, 2, 3, 12, 40, 12345, 999999937, 10 ** 300):
+            for _ in range(10):
+                target = Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
+                window = newton_window(n, target, ctx)
+                if window is None:
+                    continue
+                below, above, point = window
+                assert point is not None and ctx.plus(point) == point
+                assert below <= above
+                if n <= 12:
+                    assert below < point < above
+                windows += 1
+    assert windows == 3 * 8 * 10
 
 
 def _searches(monkeypatch, run):
@@ -291,33 +295,6 @@ def test_searches_past_newtons_point_end_in_its_window(monkeypatch):
         assert (lo, hi) == window[:2]
 
 
-def test_a_tolerance_below_one_unit_takes_no_shortcut(monkeypatch):
-    # side would accept only a power that rounds onto the target, which
-    # can happen at a point the halving never reaches: the window carries
-    # no point, and the search asks side first at the midpoint of the
-    # bracket cut to the window
-    ctx, tight = POL.ctx(), POL.rel_tol / 10
-    cases = []
-
-    def tight_searches():
-        rng = random.Random(2627)
-        for _ in range(40):
-            target = Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
-            cases.append((rng.randint(2, 12), target))
-            try:
-                solve_cos_power(*cases[-1], ctx, tight)
-            except NoConvergence:
-                pass
-    searches = _searches(monkeypatch, tight_searches)
-    assert len(searches) == 40
-    for (n, target), (side, window, calls, result) in zip(cases, searches):
-        below, above, point = window
-        lo, hi = cosine_bracket(target, Decimal(n), ctx)
-        lo, hi = max(lo, below), min(hi, above)
-        assert point is None and calls[0] == ctx.divide(ctx.add(lo, hi), 2)
-        assert not result or side(result[0][0], 0) == 0
-
-
 def test_root_of_an_index_past_newtons_basin():
     # the seed 1 + expm1(ln(target)/n) keeps Newton in its basin at this
     # index too, so the search runs in its window
@@ -334,7 +311,7 @@ def test_root_of_an_index_past_the_float_range(n):
     # the float seed cannot hold n, so there is no window: the bracketed
     # search alone must find the root
     x = normalize("0.5")
-    assert newton_window(n, x.mantissa, POL.ctx(), POL.rel_tol) is None
+    assert newton_window(n, x.mantissa, POL.ctx()) is None
     got = nth_root(RootQuery(x, n), POL)
     assert rel(got, oracle_eval("root", (x, n), POL)) <= POL.rel_tol
 
@@ -366,22 +343,11 @@ def test_root_rounding_onto_one_is_not_a_domain_error(text):
     assert rel(got, oracle_eval("root", (x, 11), POL)) <= POL.rel_tol
 
 
-def test_loose_tolerance_root_may_leave_the_interval():
-    # at rel_tol 0.3 both cosine searches stop at 0.8125, so the root is
-    # 1, just outside (1, x) but well within the tolerance of 1.0388...
-    x = normalize("1.51916535023")
-    loose = PrecisionPolicy(rel_tol=Decimal("0.3"))
-    got = nth_root(RootQuery(x, 11), loose)
-    assert rel(got, oracle_eval("root", (x, 11), POL)) <= loose.rel_tol
-
-
 def test_root_far_outside_the_interval_is_rejected():
     x = normalize("1.51916535023")
-    loose = PrecisionPolicy(rel_tol=Decimal("0.3"))
-    for forged, policy in (("0.99", POL), ("1.52", POL), ("0.5", loose),
-                           ("3", loose)):
+    for forged in ("0.99", "1.52", "0.5", "3"):
         with pytest.raises(DomainError, match="monotonicity interval"):
-            _assert_root_between(x, normalize(forged), policy)
+            _assert_root_between(x, normalize(forged), POL)
     _assert_root_between(x, normalize("1.0388"), POL)
 
 
