@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, ROUND_CEILING
+from decimal import Decimal
 
 from .cascade import divide, geometric_mean, multiply, power, reciprocal
 from .diagram import write_svg
@@ -22,8 +22,8 @@ from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, evaluate_cf,
 from .mechsim import (ARM_MIN, DEFAULT_RESOLUTION, RESOLUTION_MIN, SCRIPTS,
                       MeasurementModel, run_op as device_op, run_script)
 from .numcore import (DEFAULT_POLICY, OPS, PrecisionPolicy, SignedScaled,
-                      normalize, oracle_eval, parse_decimal, parse_integer,
-                      renormalized, to_text)
+                      fmt_bound, normalize, oracle_eval, parse_decimal,
+                      parse_integer, to_text)
 from .roots import RootQuery, nth_root, rational_power
 from .trace import TraceRecorder
 
@@ -73,15 +73,6 @@ def _fmt_decimal(d: Decimal, digits: int) -> str:
     return "0" if d == 0 else to_text(SignedScaled.from_decimal(d), digits)
 
 
-def _fmt_bound(d: Decimal) -> str:
-    """A nonnegative bound to 3 digits, rounded up so it stays a bound."""
-    if d == 0:
-        return "0"
-    v = SignedScaled.from_decimal(d)
-    up = v.mantissa.quantize(Decimal("0.001"), rounding=ROUND_CEILING)
-    return to_text(renormalized(1, up, v.exponent), 3)
-
-
 def _emit(args, op: str, inputs: list[str], result: str,
           plain: str | None = None, **extra) -> str:
     """The --json payload (less extras that are None), else plain or result."""
@@ -94,7 +85,7 @@ def _emit(args, op: str, inputs: list[str], result: str,
 
 def _emit_measured(args, op: str, inputs: list[str], res) -> str:
     """A device measurement as `value +/- bound`."""
-    value, bound = to_text(res.value, args.digits), _fmt_bound(res.half_width)
+    value, bound = to_text(res.value, args.digits), fmt_bound(res.half_width)
     return _emit(args, op, inputs, value, f"{value} +/- {bound}",
                  error_bound=bound)
 
@@ -157,8 +148,7 @@ def _h_engine(args):
 
 
 def _h_ln(args):
-    d = natural_log(normalize(args.a), depth=args.cf_depth,
-                    policy=_policy(args))
+    d = natural_log(normalize(args.a), policy=_policy(args))
     return _emit(args, "ln", [args.a], _fmt_decimal(d, args.digits))
 
 
@@ -170,7 +160,7 @@ def _h_antilog(args):
 def _h_euler(args):
     approx = approximate_e(args.n, policy=_policy(args))
     text = _fmt_decimal(approx.value, args.digits)
-    bound = _fmt_bound(approx.error_bound)
+    bound = fmt_bound(approx.error_bound)
     return _emit(args, "euler", [str(args.n)], text,
                  f"{text} (error < {bound})", error_bound=bound)
 
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ln", parents=[common],
                        help="natural logarithm")
     p.add_argument("a")
-    p.add_argument("--cf-depth", type=_integer, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=_h_ln)
 
     p = sub.add_parser("antilog", parents=[common],

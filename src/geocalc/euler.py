@@ -16,8 +16,7 @@ from functools import lru_cache
 
 from .cascade import multiply, power, reciprocal
 from .errors import DomainError
-from .exponents import (DEFAULT_MAX_DEPTH, evaluate_cf,
-                        recover_rational_exponent)
+from .exponents import evaluate_cf, recover_rational_exponent
 from .numcore import _ONE, DEFAULT_POLICY, PrecisionPolicy, SignedScaled
 from .roots import rational_power
 
@@ -33,22 +32,18 @@ def _e_ref(digits: int) -> Decimal:
 
 @dataclass(frozen=True)
 class EulerApprox:
-    """One rung of the (1+1/n)**n ladder with its error bound."""
+    """One rung of the (1+1/n)**n ladder with its error bound;
+    approximate_e checks that n_steps >= 1 and that value < e."""
 
     n_steps: int
     value: Decimal
     error_bound: Decimal
 
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise DomainError("n_steps must be at least 1")
-        if not self.value < _e_ref(len(self.value.as_tuple().digits)):
-            raise DomainError("approximation must stay below e")
-
 
 def approximate_e(n_steps: int,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> EulerApprox:
-    """(1 + 1/n)**n via the cascade with cos C = n/(n+1)."""
+    """(1 + 1/n)**n via the cascade with cos C = n/(n+1), with the bound
+    e/(2n).  Refuses n_steps < 1, and a value not below e."""
     if n_steps < 1:
         raise DomainError("n_steps must be at least 1")
     # Rounding n/(n+1) costs about n * 10**-p relative after the n-th
@@ -61,7 +56,10 @@ def approximate_e(n_steps: int,
     cos_c = ctx.divide(n, ctx.add(n, _ONE))
     p_n = ctx.power(cos_c, n)
     value = ctx.divide(_ONE, p_n)
-    bound = ctx.divide(_e_ref(ctx.prec), Decimal(2 * n_steps))
+    e = _e_ref(ctx.prec)
+    if not value < e:
+        raise DomainError("approximation must stay below e")
+    bound = ctx.divide(e, Decimal(2 * n_steps))
     return EulerApprox(n_steps=n_steps, value=value, error_bound=bound)
 
 
@@ -72,40 +70,41 @@ def internal_e(policy: PrecisionPolicy = DEFAULT_POLICY) -> SignedScaled:
         approximate_e(INTERNAL_E_STEPS, policy).value)
 
 
-def natural_log(a: SignedScaled, depth: int = DEFAULT_MAX_DEPTH,
+def natural_log(a: SignedScaled,
                 policy: PrecisionPolicy = DEFAULT_POLICY) -> Decimal:
     """ln(a) relative to the internal Euler base (bias below 2e-8).
 
-    Returns a plain Decimal: a logarithm, unlike a cascade length, can
-    legitimately be zero.
+    The exponent walk runs to DEFAULT_MAX_DEPTH terms, each at most
+    10**17, so a value closer to 1 than about 10**-17 is refused: its
+    term after the leading 0 passes the cap.  Returns a plain Decimal: a
+    logarithm, unlike a cascade length, can legitimately be zero.
     """
     if a.sign < 0:
         raise DomainError("logarithm of a negative value")
     if a.is_unit:
         return Decimal(0)
     if a.value() < 1:
-        inv = reciprocal(a, policy=policy)
-        return natural_log(inv, depth=depth, policy=policy).copy_negate()
-    e = internal_e(policy)
-    cf = recover_rational_exponent(e, a, max_depth=depth, policy=policy,
-                                   max_term=10 ** 12)
+        return natural_log(reciprocal(a, policy=policy),
+                           policy=policy).copy_negate()
+    cf = recover_rational_exponent(internal_e(policy), a, policy=policy,
+                                   max_term=10 ** 17)
     val = evaluate_cf(cf)
     ctx = policy.ctx()
     return ctx.divide(Decimal(val.numerator), Decimal(val.denominator))
 
 
-def antilog(t, policy: PrecisionPolicy = DEFAULT_POLICY) -> SignedScaled:
-    """exp(t) for a Decimal or SignedScaled exponent, via the internal base."""
-    td = t.value() if isinstance(t, SignedScaled) else Decimal(t)
-    if td == 0:
+def antilog(t: Decimal,
+            policy: PrecisionPolicy = DEFAULT_POLICY) -> SignedScaled:
+    """exp(t) for a Decimal exponent, via the internal base."""
+    if t == 0:
         return SignedScaled(1, Decimal("0.1"), 1)
-    if td < 0:
-        pos = antilog(td.copy_negate(), policy=policy)
+    if t < 0:
+        pos = antilog(t.copy_negate(), policy=policy)
         return reciprocal(pos, policy=policy)
     e = internal_e(policy)
     ctx = policy.ctx()
-    whole = int(td)
-    frac = ctx.subtract(td, Decimal(whole))
+    whole = int(t)
+    frac = ctx.subtract(t, Decimal(whole))
     if frac == 0:
         return power(e, whole, policy=policy)
     # cap the convergent denominator so the root index stays tractable;

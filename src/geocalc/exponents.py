@@ -69,11 +69,11 @@ def _floor_exponent(u: Decimal, vt: Decimal, ctx: Context,
     keeping each u**k, k = 2**j, that still reaches vt, then descend from
     the top square with one multiply per bit; no power is raised anew.
     Each square doubles its factor's relative error, so a chained u**n
-    is within about n + 2*log2(n) half-units of the exact power: below
-    10**(13 - prec) for n up to 2*10**12, twice natural_log's cap,
-    against a `fuzz` of 10**(20 - prec).  Every comparison therefore
-    decides as ctx.power(u, n) would, and an exact hit u**N == v still
-    sits a whole `fuzz` above vt.
+    is within about n + 2*log2(n) half-units of the exact power: about
+    10**(18 - prec) for n up to 2*10**17, twice natural_log's cap, a
+    factor of 100 below a `fuzz` of 10**(20 - prec) at any precision.
+    Every comparison therefore decides as ctx.power(u, n) would, and an
+    exact hit u**N == v still sits a whole `fuzz` above vt.
     """
     mul = ctx.multiply
     p = ctx.plus(u)

@@ -27,8 +27,8 @@ from .exponents import (DEFAULT_CF_TOL, DEFAULT_MAX_DEPTH, cf_interval,
 from .numcore import (_DOWN, _EXACT, _NEG_INF, _ONE, _POS_INF, _TENTH, _TWO,
                       _UP, COSINE_BRACKET, DEFAULT_POLICY, MAX_ABS_EXPONENT,
                       OPS, Interval, PrecisionPolicy, SignedScaled, bisect,
-                      normalize, parse_decimal, parse_integer, renormalized,
-                      shift10, to_text)
+                      fmt_bound, normalize, parse_decimal, parse_integer,
+                      renormalized, shift10, to_text)
 from .trace import foot_label, numbered_lines
 
 DEFAULT_RESOLUTION = Decimal("1e-5")
@@ -162,12 +162,11 @@ class _Run:
         Refuses a band wider than its value, which says nothing of it."""
         half = iv.half_width_about(mantissa)
         value = renormalized(sign, mantissa, exponent)
+        half_width = shift10(half, exponent).copy_abs()
         if half > mantissa:
-            band = to_text(renormalized(1, half, exponent), 3)
-            raise DomainError(f"the band +/- {band} is wider than the value "
-                              f"{to_text(value, 5)}")
-        return MeasuredResult(value=value,
-                              half_width=shift10(half, exponent).copy_abs(),
+            raise DomainError(f"the band +/- {fmt_bound(half_width)} is wider "
+                              f"than the value {to_text(value, 5)}")
+        return MeasuredResult(value=value, half_width=half_width,
                               readings=tuple(self.readings),
                               true_lengths=tuple(self.trues))
 
@@ -629,19 +628,18 @@ def run_op(op: str, args: list[str], model: MeasurementModel,
     return script(_Run(model, policy), *operands)
 
 
-def run_script(script, model: MeasurementModel | None = None,
+def run_script(script: str, model: MeasurementModel | None = None,
                policy: PrecisionPolicy = DEFAULT_POLICY
                ) -> list[MeasuredResult]:
-    """Run a measurement script: one operation per line.
+    """Run a measurement script's text: one operation per line.
 
     Lines are `op arg... [resolution=R]`; blank lines and # comments
     are skipped.  A resolution field swaps the graduation for that line.
     An error keeps its type and is prefixed with its 1-based line number.
     """
-    lines = script.splitlines() if isinstance(script, str) else script
     base = model if model is not None else MeasurementModel()
     out = []
-    for number, line in numbered_lines(lines):
+    for number, line in numbered_lines(script.splitlines()):
         try:
             op, args, resolution = parse_script_line(line)
             m = base if resolution is None else replace(

@@ -453,6 +453,15 @@ def to_text(v: SignedScaled, digits: int) -> str:
     return f"{sign}{body}e{exponent - 1}"
 
 
+def fmt_bound(d: Decimal) -> str:
+    """A nonnegative bound to 3 digits, rounded up so it stays a bound."""
+    if d == 0:
+        return "0"
+    v = SignedScaled.from_decimal(d)
+    up = v.mantissa.quantize(Decimal("0.001"), rounding=ROUND_CEILING)
+    return to_text(renormalized(1, up, v.exponent), 3)
+
+
 def _root_power(ctx: Context, x: Decimal, m: int, n: int) -> Decimal:
     """x**(m/n), negative only when x < 0 and m is odd.  n = 1 raises to
     Decimal(m) exactly; n > 1 raises to the rounded quotient m/n at ten

@@ -12,14 +12,14 @@ import os
 import subprocess
 import sys
 import time
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import jsonschema
 import pytest
 
 import geocalc
-from geocalc import (MeasurementModel, RESOLUTION_LADDER, approximate_e, cli,
-                     run_op)
+from geocalc import (MeasurementModel, RESOLUTION_LADDER, SignedScaled,
+                     approximate_e, cli, mechsim, run_op, shift10, to_text)
 from geocalc.mechsim import _LEVEL_STEP_CAP, N_ARMS, SCRIPTS
 from geocalc.numcore import OPS
 
@@ -85,6 +85,17 @@ def test_ln_and_antilog(capsys):
     assert (code, out) == (0, "5.0172799e0\n")
     code, out, _ = run(capsys, "antilog", "2.5", "--digits", "8")
     assert (code, out) == (0, "1.2182494e1\n")
+
+
+@pytest.mark.parametrize("k", range(13, 18))
+@pytest.mark.parametrize("side", ["1+", "1-"])
+def test_ln_near_one(capsys, k, side):
+    # the term after the walk's leading 0 is about 10**k, under ln's cap
+    a = Decimal(1) + (1 if side == "1+" else -1) * Decimal(1).scaleb(-k)
+    want = Context(prec=40).ln(a)
+    code, out, err = run(capsys, "ln", str(a), "--digits", "8")
+    assert (code, err) == (0, "")
+    assert out == to_text(SignedScaled.from_decimal(want), 8) + "\n"
 
 
 def test_euler_reports_bound(capsys):
@@ -171,8 +182,9 @@ def test_usage_errors_exit_one(capsys):
                   "--diagram", "out.svg"],
                  ["pow", "2", "3", "--resolution", "1e-5",
                   "--emit-trace", "t.trace"],
-                 # ln has no --cf-tol; the device's walk takes neither
+                 # ln takes neither walk flag, nor does the device's walk
                  ["ln", "151", "--cf-tol", "0.5"],
+                 ["ln", "151", "--cf-depth", "3"],
                  ["solve-mn", "--x", "2", "--a", "11.3137084989847603904",
                   "--resolution", "1e-5", "--cf-depth", "1"],
                  ["solve-mn", "--x", "2", "--a", "11.3137084989847603904",
@@ -195,7 +207,6 @@ def test_domain_errors_exit_two(capsys):
     ("solve-n --x 2 --a 8 --max-n 0", "max_n must be at least 1"),
     ("solve-n --x 1 --a 2", "base magnitude 1 cannot reach a target"),
     ("solve-mn --x 2 --a 8 --cf-depth 0", "max_depth must be at least 1"),
-    ("ln 2 --cf-depth 0", "max_depth must be at least 1"),
     # a tolerance below 0 closes no walk, one of 1 closes every walk
     ("solve-mn --x 2 --a 8 --cf-tol -1", "cf_tol must be in [0, 1)"),
     ("solve-mn --x 2 --a 8 --cf-tol 1", "cf_tol must be in [0, 1)"),
@@ -208,6 +219,9 @@ def test_domain_errors_exit_two(capsys):
      "exponent's term after the leading 0 above cap 1000000"),
     ("solve-mn --x 2 --a 1.5 --cf-depth 1",
      "depth 1 ends at the exponent's leading 0"),
+    # ln(1 + 1e-18) is about 1e-18: the term after ln's 0 passes its cap
+    ("ln 1.000000000000000001",
+     "exponent's term after the leading 0 above cap 100000000000000000"),
     ("pow 2 3 --resolution 0",
      "need 0 < resolution < 0.01, the shortest arm"),
     ("pow 2 3 --resolution 0.5",
@@ -414,7 +428,7 @@ def test_trace_emission_and_diagram_subcommand(capsys, tmp_path):
 @pytest.mark.parametrize("n, want", [
     ("50000", "error: DomainError: the band +/- 8.55e15051 is wider than "
               "the value 2.4860e15051\n"),
-    ("-20000", "error: DomainError: the band +/- 1.20e-6020 is wider than "
+    ("-20000", "error: DomainError: the band +/- 1.21e-6020 is wider than "
                "the value 2.7624e-6021\n"),
     ("20000", None),
 ], ids=["50000", "-20000", "20000"])
@@ -576,7 +590,7 @@ INTEGER_FIELDS = {
     "powfrac n": ["powfrac", "2", "3", "{}"],
     "--digits": ["pow", "3", "2", "--digits", "{}"],
     "--max-n": ["solve-n", "--x", "2", "--a", "8", "--max-n", "{}"],
-    "--cf-depth": ["ln", "2", "--cf-depth", "{}"],
+    "--cf-depth": ["solve-mn", "--x", "2", "--a", "8", "--cf-depth", "{}"],
     "euler n": ["euler", "{}"],
     "device pow n": ["pow", "3", "{}", "--resolution", "1e-5"],
 }
@@ -602,7 +616,7 @@ DEVICE_CASES = [("pow", ["0.87", "6"]), ("mul", ["0.3", "0.7"]),
                 ("recip", ["8"]), ("root", ["95.51", "4"])]
 
 
-def test_printed_bounds_are_never_below_the_raw_bound(capsys):
+def test_printed_bounds_are_never_below_the_raw_bound(capsys, monkeypatch):
     for n in (7, 1000000, 1357123):
         _, out, _ = run(capsys, "euler", str(n))
         printed = Decimal(out.split("(error < ")[1].rstrip(")\n"))
@@ -613,6 +627,18 @@ def test_printed_bounds_are_never_below_the_raw_bound(capsys):
             _, out, _ = run(capsys, op, *args, "--resolution", str(res))
             printed = Decimal(out.split(" +/- ")[1])
             assert printed >= run_op(op, args, model).half_width, (op, res)
+    # a refused band: the raw band is read where the device packages it
+    raw, package = [], mechsim._Run.package
+
+    def spy(run_, sign, mantissa, exponent, iv):
+        raw.append(shift10(iv.half_width_about(mantissa), exponent))
+        return package(run_, sign, mantissa, exponent, iv)
+    monkeypatch.setattr(mechsim._Run, "package", spy)
+    for n in ("50000", "-20000"):
+        code, _, err = run(capsys, "pow", "2", n, "--resolution", "1e-5")
+        assert code == 2 and "is wider than the value" in err
+        printed = Decimal(err.split(" +/- ")[1].split()[0])
+        assert printed >= raw[-1], n
 
 
 def test_cli_import_leaves_out_the_network_stack():
