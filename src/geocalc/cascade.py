@@ -123,20 +123,29 @@ def power(x: SignedScaled, n: int,
           policy: PrecisionPolicy = DEFAULT_POLICY,
           recorder: TraceRecorder | None = None,
           max_abs_exponent: int = MAX_ABS_EXPONENT) -> SignedScaled:
-    """x**n for integer n != 0 via a depth-|n| cascade."""
+    """x**n for integer n != 0: check_power's rule, a reciprocal first
+    when n < 0, then the depth-|n| cascade of _cascade_power."""
     check_power(x, n, max_abs_exponent)
     if n < 0:
         inv = reciprocal(x, policy=policy, recorder=recorder)
         return power(inv, -n, policy=policy, recorder=recorder,
                      max_abs_exponent=max_abs_exponent)
     sign = -1 if (x.sign < 0 and n % 2) else 1
-    if x.is_power_of_ten:
-        # exact decade: 0.1**n needs no geometry
-        return SignedScaled(sign, _TENTH, (x.exponent - 1) * n + 1)
+    return _cascade_power(sign, x.mantissa, x.exponent, n, policy, recorder)
+
+
+def _cascade_power(sign: int, m: Decimal, exponent: int, n: int,
+                   policy: PrecisionPolicy,
+                   recorder: TraceRecorder | None) -> SignedScaled:
+    """sign * (m * 10**exponent)**n for n >= 1 and m in [0.1, 1), with no
+    rule check: a decade 0.1**n needs no geometry, any other m is the
+    cosine of a depth-n cascade whose value is one ctx.power.  Range is
+    SignedScaled's to refuse."""
+    if m == _TENTH:
+        return SignedScaled(sign, _TENTH, (exponent - 1) * n + 1)
     if recorder is not None:
-        draw_power(x.mantissa, n, policy, recorder)
-    mant = policy.ctx().power(x.mantissa, Decimal(n))
-    return renormalized(sign, mant, x.exponent * n)
+        draw_power(m, n, policy, recorder)
+    return renormalized(sign, policy.ctx().power(m, Decimal(n)), exponent * n)
 
 
 def reciprocal(x: SignedScaled,
@@ -192,13 +201,21 @@ def geometric_mean(a: SignedScaled, b: SignedScaled,
                    policy: PrecisionPolicy = DEFAULT_POLICY,
                    recorder: TraceRecorder | None = None,
                    method: str = "bisect") -> SignedScaled:
-    """sqrt(a*b); both operands negative gives the negative mean."""
+    """sqrt(a*b): check_same_sign's rule, then _mean's construction under
+    the operands' sign; both negative gives the negative mean."""
     check_same_sign(a, b)
-    sign = a.sign
+    return renormalized(a.sign, *_mean(a, b, policy, recorder, method))
+
+
+def _mean(a: SignedScaled, b: SignedScaled, policy: PrecisionPolicy,
+          recorder: TraceRecorder | None,
+          method: str = "bisect") -> tuple[Decimal, int]:
+    """sqrt(|a|*|b|) as (raw mantissa, half-exponent), signs unread: the
+    mean is mantissa * 10**half-exponent, the mantissa in [0.01, 1)."""
     m1, m2, half = _parity_adjust(a, b)
     if m1 == m2:
         # equal mantissas: the mean is the operand scale itself
-        return renormalized(sign, m1, half)
+        return m1, half
     ctx = policy.ctx()
     big, small = (m1, m2) if m1 > m2 else (m2, m1)
     if method == "bisect":
@@ -217,7 +234,7 @@ def geometric_mean(a: SignedScaled, b: SignedScaled,
         bd = _rotate_to_mean(big, small, ctx, recorder)
     else:
         raise DomainError(f"unknown geometric mean method {method!r}")
-    return renormalized(sign, bd, half)
+    return bd, half
 
 
 def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
@@ -250,12 +267,13 @@ def _rotate_to_mean(big: Decimal, small: Decimal, ctx: Context,
 def multiply(a: SignedScaled, b: SignedScaled,
              policy: PrecisionPolicy = DEFAULT_POLICY,
              recorder: TraceRecorder | None = None) -> SignedScaled:
-    """a*b: square of the geometric mean of the magnitudes."""
-    sign = a.sign * b.sign
-    gm = geometric_mean(a.magnitude(), b.magnitude(), policy=policy,
-                        recorder=recorder)
-    sq = power(gm, 2, policy=policy, recorder=recorder)
-    return sq.with_sign(sign)
+    """a*b: the square of the geometric mean of |a| and |b|.  The mean's
+    mantissa, shifted into [0.1, 1), is the cosine of the depth-2 cascade
+    directly, and the product is the one SignedScaled built."""
+    bd, half = _mean(a, b, policy, recorder)
+    shift = bd.adjusted() + 1
+    return _cascade_power(a.sign * b.sign, shift10(bd, -shift), half + shift,
+                          2, policy, recorder)
 
 
 def divide(num: SignedScaled, den: SignedScaled,

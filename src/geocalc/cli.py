@@ -182,7 +182,8 @@ def _h_solve_mn(args):
         DEFAULT_MAX_DEPTH if args.cf_depth is None else args.cf_depth,
         DEFAULT_CF_TOL if args.cf_tol is None else args.cf_tol, _policy(args))
     frac = evaluate_cf(cf)
-    result = f"{frac.numerator}/{frac.denominator}"
+    # str(Decimal(n)), unlike str(n), has no length limit
+    result = f"{Decimal(frac.numerator)}/{Decimal(frac.denominator)}"
     return _emit(args, "solve-mn", [args.x, args.a], result,
                  f"{cf.to_text()} = {result}", cf=cf.to_text())
 

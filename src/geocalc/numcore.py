@@ -329,15 +329,6 @@ class SignedScaled:
         v = shift10(self.mantissa, self.exponent)
         return v.copy_negate() if self.sign < 0 else v
 
-    def magnitude(self) -> "SignedScaled":
-        return self.with_sign(1)
-
-    def with_sign(self, sign: int) -> "SignedScaled":
-        # frozen: a number that already has the sign is its own result
-        if sign == self.sign:
-            return self
-        return SignedScaled(sign, self.mantissa, self.exponent)
-
     @property
     def is_unit(self) -> bool:
         """True when the magnitude is exactly 1."""
@@ -440,14 +431,14 @@ def to_text(v: SignedScaled, digits: int) -> str:
     """Render as d.ddd...e<k>, round-half-even to `digits` significant digits."""
     if digits < 1:
         raise DomainError("digits must be at least 1")
-    q = _EXACT.quantize(v.mantissa, Decimal(1).scaleb(-digits))
+    q = _EXACT.quantize(v.mantissa, shift10(_ONE, -digits))
     exponent = v.exponent
+    # q is 0.ddd... with `digits` digits, or 1.000... when 0.9999...
+    # rounds up a decade; str() has no int()'s length limit
+    text = str(q)
     if q == _ONE:
-        # 0.9999... rounded up a decade
-        q = _TENTH
-        exponent += 1
-    digits_str = str(int(shift10(q, digits)))  # integer string, `digits` long
-    head, tail = digits_str[0], digits_str[1:]
+        text, exponent = "0.1" + text[2:-1], exponent + 1
+    head, tail = text[2], text[3:]
     body = f"{head}.{tail}" if tail else head
     sign = "-" if v.sign < 0 else ""
     return f"{sign}{body}e{exponent - 1}"

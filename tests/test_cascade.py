@@ -6,10 +6,11 @@ from decimal import Context, Decimal, localcontext
 import pytest
 
 from geocalc import (Cascade, Construction, DEFAULT_POLICY, DegenerateAngle,
-                     DomainError, ExponentOverflow, SignMismatch,
+                     DomainError, ExponentOverflow, GeocalcError,
+                     PrecisionPolicy, SignMismatch, SignedScaled,
                      TraceRecorder, VIRTUAL_DEPTH, build_cascade, divide,
                      geometric_mean, multiply, normalize, oracle_eval, power,
-                     reciprocal, to_text)
+                     reciprocal, shift10, to_text)
 from geocalc.trace import foot_label
 from conftest import rel_diff
 
@@ -222,19 +223,82 @@ def test_reciprocal_trace_has_unit_hypotenuse_shape():
 
 
 def test_multiply_sign_rules_exact():
-    a, b = normalize("0.37"), normalize("8.1")
-    assert multiply(a, b, POL).sign == 1
-    assert multiply(a.with_sign(-1), b, POL).sign == -1
-    assert multiply(a, b.with_sign(-1), POL).sign == -1
-    assert multiply(a.with_sign(-1), b.with_sign(-1), POL).sign == 1
     # every sign pair prints the same digits, under its own sign
-    a = normalize("3.14159265358979323846")
-    b = normalize("2.71828182845904523536e-7")
-    for sa in (1, -1):
-        for sb in (1, -1):
-            text = to_text(multiply(a.with_sign(sa), b.with_sign(sb), POL), 30)
-            assert text == ("-" if sa != sb else "") + \
-                "8.53973422267356706545546229087e-7"
+    for sa in ("", "-"):
+        for sb in ("", "-"):
+            sign = "-" if sa != sb else ""
+            got = multiply(normalize(sa + "0.37"), normalize(sb + "8.1"), POL)
+            assert got.sign == (-1 if sign else 1)
+            got = multiply(normalize(sa + "3.14159265358979323846"),
+                           normalize(sb + "2.71828182845904523536e-7"), POL)
+            assert to_text(got, 30) == \
+                sign + "8.53973422267356706545546229087e-7"
+
+
+def _signed(sign, x):
+    return SignedScaled(sign, x.mantissa, x.exponent)
+
+
+def _square_of_mean(a, b, policy, recorder):
+    """multiply as two public calls: the mean of the magnitudes, squared
+    by power, under the product's sign."""
+    gm = geometric_mean(_signed(1, a), _signed(1, b), policy,
+                        recorder=recorder)
+    return _signed(a.sign * b.sign, power(gm, 2, policy, recorder=recorder))
+
+
+def _outcome(f, a, b, policy):
+    rec = TraceRecorder()
+    try:
+        return repr(f(a, b, policy, recorder=rec)), rec.dumps()
+    except GeocalcError as e:
+        # a refused op writes no trace, so only the refusal is compared
+        return type(e), str(e)
+
+
+def _sweep_operand(rng):
+    digits = rng.choice((12, 30))
+    m = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    if rng.random() < 0.1:
+        m = 10 ** (digits - 1)  # a power of ten
+    k = rng.choice((rng.randint(-10 ** 9, 10 ** 9),
+                    rng.randint(-10, 10),
+                    rng.choice((1, -1)) * (5 * 10 ** 8 + rng.randint(-3, 3))))
+    return SignedScaled(rng.choice((1, -1)), shift10(Decimal(m), -digits), k)
+
+
+@pytest.mark.parametrize("working_digits", [15, 30, 55])
+def test_multiply_is_the_square_of_the_mean(working_digits):
+    # value, trace and refusal equal the two-call composition over
+    # decades on both sides of +-5e8, where the square leaves the range
+    policy = PrecisionPolicy(working_digits=working_digits)
+    rng = random.Random(3900 + working_digits)
+    refused = 0
+    for i in range(1000):
+        a, b = _sweep_operand(rng), _sweep_operand(rng)
+        if i % 4 == 1:
+            b = SignedScaled(b.sign, a.mantissa, b.exponent)  # equal mantissas
+        if i % 4 == 2:
+            b = SignedScaled(b.sign, b.mantissa, b.exponent | 1)
+            a = SignedScaled(a.sign, a.mantissa, a.exponent & ~1)  # odd sum
+        want = _outcome(_square_of_mean, a, b, policy)
+        assert _outcome(multiply, a, b, policy) == want, (a, b)
+        refused += want[0] is ExponentOverflow
+    assert 50 < refused < 500
+
+
+def test_multiply_builds_one_number(monkeypatch):
+    # the product is the only SignedScaled a multiply constructs
+    built = []
+    check = SignedScaled.__post_init__
+    monkeypatch.setattr(SignedScaled, "__post_init__",
+                        lambda self: built.append(check(self)))
+    for a, b in (("0.37", "8.1"), ("-2", "18"), ("-3", "-3"), ("10", "-1e5"),
+                 ("5.972e24", "7.348e22")):
+        x, y = normalize(a), normalize(b)
+        built.clear()
+        multiply(x, y, POL)
+        assert len(built) == 1, (a, b)
 
 
 def test_divide_methods_agree():

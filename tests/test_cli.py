@@ -510,6 +510,29 @@ def test_digits_past_the_default_decimal_context(capsys):
     assert (code, out, err) == (0, "1.2500000000000000000000000000e-1\n", "")
 
 
+@pytest.mark.parametrize("device", [[], ["--resolution", "1e-5"]],
+                         ids=["engine", "device"])
+def test_digits_past_the_int_string_limit(capsys, device):
+    # 4301 digits is one past what int() -> str() converts
+    code, out, err = run(capsys, "pow", "2", "3", "--digits", "4301", *device)
+    assert (code, err) == (0, "")
+    assert out.startswith("8." + "0" * 4300 + "e0")
+
+
+def test_solve_mn_prints_a_fraction_past_the_int_string_limit(
+        capsys, monkeypatch):
+    # 400 terms of 10**11 give a numerator and denominator of about 4 400
+    # digits each: a deep walk at high --digits reaches such a convergent
+    cf = geocalc.ContinuedFraction((1,) + (10 ** 11,) * 400, False)
+    monkeypatch.setattr(cli, "recover_rational_exponent", lambda *a: cf)
+    code, out, err = run(capsys, "solve-mn", "--x", "2", "--a", "3")
+    assert (code, err) == (0, "")
+    num, den = out.split(" = ")[1].split("/")
+    frac = geocalc.evaluate_cf(cf)
+    assert Decimal(num) == frac.numerator > 10 ** 4300
+    assert Decimal(den) == frac.denominator
+
+
 # x, a that solve-mn refuses in exponents.first_level on both backends
 CF_REFUSALS = {("-2", "8"): "exponent recovery needs positive values",
                ("1", "8"): "exponent recovery is degenerate at 1",

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from dataclasses import fields
 from decimal import (Context, Decimal, DivisionByZero, Inexact, ROUND_DOWN,
                      ROUND_HALF_EVEN, Rounded, localcontext)
@@ -101,8 +102,8 @@ def test_scaled_exponent_stays_within_the_bound():
 def test_value_round_trip_is_exact():
     v = normalize("-1.602176634e-19")
     assert v.value() == Decimal("-1.602176634e-19")
-    assert v.magnitude().value() == Decimal("1.602176634e-19")
-    assert v.with_sign(1).value() == Decimal("1.602176634e-19")
+    pos = SignedScaled(1, v.mantissa, v.exponent)
+    assert pos.value() == Decimal("1.602176634e-19")
 
 
 def test_renormalized_accepts_any_positive_mantissa():
@@ -142,6 +143,20 @@ def test_from_decimal_matches_normalize():
 ])
 def test_to_text_formats(text, digits, want):
     assert to_text(normalize(text), digits) == want
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 20000, 1000030])
+def test_to_text_past_the_int_string_limit(digits):
+    # the digit string is built with no int() -> str() round trip, which
+    # refuses more than 4300 digits, and the rounding quantum 10**-digits
+    # by no context whose exponent floor would cap it near 10**-1000026
+    for text, sign, figures, exponent in (
+            ("8", "", "8", 0), ("-0.37", "-", "37", -1),
+            ("9.9999e4", "", "99999", 4),
+            ("9" * (digits + 1), "", "1", digits + 1)):  # up a decade
+        want = (f"{sign}{figures[0]}.{figures[1:]}"
+                + "0" * (digits - len(figures)) + f"e{exponent}")
+        assert to_text(normalize(text), digits) == want
 
 
 def test_to_text_round_trips_through_normalize():
@@ -243,16 +258,6 @@ def test_check_power_returns_early_only_where_the_estimate_passes(
                     check_power(x, k, 2 * EXPONENT_BOUND)
             else:
                 check_power(x, k, 2 * EXPONENT_BOUND)
-
-
-def test_sign_helpers_reuse_a_number_that_already_has_the_sign():
-    x = normalize("-3.75e-4")
-    assert x.with_sign(-1) is x
-    pos = x.magnitude()
-    assert pos is not x and pos == SignedScaled(1, x.mantissa, x.exponent)
-    assert pos.magnitude() is pos and pos.with_sign(1) is pos
-    neg = pos.with_sign(-1)
-    assert neg is not pos and neg == x
 
 
 FROZEN = {
@@ -454,6 +459,53 @@ def test_interval_pow_int_rounds_outward(digits, top):
         # x**n = m**n * 10**(-digits*n), each end = integer * 10**exponent
         assert (lo * 10 ** (a + digits * n) <= m ** n
                 <= hi * 10 ** (b + digits * n)), (m, n)
+
+
+@pytest.mark.parametrize("digits", [60, 5])
+def test_interval_ops_enclose_the_exact_result(digits):
+    # each end against the exact Fraction result: an end rounded once
+    # lies within one 60-digit unit outside it, and pow_int's ends,
+    # rounded once per multiply, still enclose it
+    rng = random.Random(3131 + digits)
+    down, up = Context(prec=60), Context(prec=60)
+
+    def number():
+        return shift10(Decimal(rng.randrange(10 ** (digits - 1),
+                                             10 ** digits)),
+                       rng.randint(-digits - 20, 20))
+
+    def interval():
+        return Interval(*sorted((number(), number())))
+
+    def encloses(iv, lo, hi, once=True):
+        assert Fraction(iv.lo) <= lo and hi <= Fraction(iv.hi)
+        if once:
+            assert Fraction(up.next_plus(iv.lo)) > lo
+            assert Fraction(down.next_minus(iv.hi)) < hi
+
+    for _ in range(400):
+        a, b, x, h, k = interval(), interval(), number(), number(), \
+            rng.randint(-50, 50)
+        (alo, ahi), (blo, bhi) = map(Fraction, (a.lo, a.hi)), \
+            map(Fraction, (b.lo, b.hi))
+        encloses(Interval.around(x, h), Fraction(x) - Fraction(h),
+                 Fraction(x) + Fraction(h))
+        encloses(a.widen(h), alo - Fraction(h), ahi + Fraction(h))
+        scaled = a.scale10(k)
+        assert (Fraction(scaled.lo), Fraction(scaled.hi)) == (
+            alo * Fraction(10) ** k, ahi * Fraction(10) ** k)
+        encloses(a.add(b), alo + blo, ahi + bhi)
+        encloses(a.mul(b), alo * blo, ahi * bhi)
+        encloses(a.div(b), alo / bhi, ahi / blo)
+        n = rng.randint(2, 40)
+        encloses(a.pow_int(n), alo ** n, ahi ** n, once=False)
+        hull = a.hull(b)
+        assert (Fraction(hull.lo), Fraction(hull.hi)) == (min(alo, blo),
+                                                          max(ahi, bhi))
+        c = number()
+        width = a.half_width_about(c)
+        exact = max(Fraction(c) - alo, ahi - Fraction(c))
+        assert Fraction(down.next_minus(width)) < exact <= Fraction(width)
 
 
 def test_interval_div_refuses_a_divisor_that_reaches_zero():
