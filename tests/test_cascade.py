@@ -270,7 +270,7 @@ def _sweep_operand(rng):
 @pytest.mark.parametrize("working_digits", [15, 30, 55])
 def test_multiply_is_the_square_of_the_mean(working_digits):
     # value, trace and refusal equal the two-call composition over
-    # decades on both sides of +-5e8, where the square leaves the range
+    # exponents on both sides of +-5e8, where the square leaves the range
     policy = PrecisionPolicy(working_digits=working_digits)
     rng = random.Random(3900 + working_digits)
     refused = 0
