@@ -17,9 +17,8 @@ from functools import partial
 
 from .errors import DegenerateAngle, DomainError
 from .numcore import (_EXACT, _ONE, _TENTH, _TWO, DEFAULT_POLICY,
-                      MAX_ABS_EXPONENT, PrecisionPolicy, SignedScaled,
-                      check_power, check_same_sign, renormalized,
-                      search_cosine, shift10)
+                      PrecisionPolicy, SignedScaled, check_power,
+                      check_same_sign, renormalized, search_cosine, shift10)
 from .trace import TraceRecorder, foot_label
 
 # A trace draws a power's cascade foot by foot up to this depth; past
@@ -121,15 +120,12 @@ def draw_power(m: Decimal, n: int, policy: PrecisionPolicy,
 
 def power(x: SignedScaled, n: int,
           policy: PrecisionPolicy = DEFAULT_POLICY,
-          recorder: TraceRecorder | None = None,
-          max_abs_exponent: int = MAX_ABS_EXPONENT) -> SignedScaled:
-    """x**n for integer n != 0: check_power's rule, a reciprocal first
-    when n < 0, then the depth-|n| cascade of _cascade_power."""
-    check_power(x, n, max_abs_exponent)
+          recorder: TraceRecorder | None = None) -> SignedScaled:
+    """x**n for integer n != 0: check_power's rule, once, a reciprocal
+    first when n < 0, then the depth-|n| cascade of _cascade_power."""
+    check_power(x, n)
     if n < 0:
-        inv = reciprocal(x, policy=policy, recorder=recorder)
-        return power(inv, -n, policy=policy, recorder=recorder,
-                     max_abs_exponent=max_abs_exponent)
+        x, n = reciprocal(x, policy=policy, recorder=recorder), -n
     sign = -1 if (x.sign < 0 and n % 2) else 1
     return _cascade_power(sign, x.mantissa, x.exponent, n, policy, recorder)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from decimal import Decimal
 
@@ -47,6 +48,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # numcore's literal grammar after a minus is an operand: argparse's
+        # own matcher reads -1.6e-19 as an option
+        self._negative_number_matcher = re.compile(
+            r"-(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -4,7 +4,7 @@ A cascade with cos C = n/(n+1) and unit perpendicular has depth-n length
 (n/(n+1))**n = 1/(1+1/n)**n, so its reciprocal walks the classic
 compound-interest approach to e from below.  Natural logs are exponent
 recoveries against that internal base; antilog runs the recovery
-backwards through a rational power.
+backwards, raising a root of that base by one cascade.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .cascade import multiply, power, reciprocal
+from .cascade import _cascade_power, multiply, power, reciprocal
 from .errors import DomainError
 from .exponents import evaluate_cf, recover_rational_exponent
-from .numcore import _ONE, DEFAULT_POLICY, PrecisionPolicy, SignedScaled
-from .roots import rational_power
+from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, PrecisionPolicy,
+                      SignedScaled)
+from .roots import RootQuery, nth_root
 
 INTERNAL_E_STEPS = 10 ** 8
 _CONVERGENT_DEN_CAP = 10 ** 9
@@ -97,7 +98,7 @@ def antilog(t: Decimal,
             policy: PrecisionPolicy = DEFAULT_POLICY) -> SignedScaled:
     """exp(t) for a Decimal exponent, via the internal base."""
     if t == 0:
-        return SignedScaled(1, Decimal("0.1"), 1)
+        return SignedScaled(1, _TENTH, 1)
     if t < 0:
         pos = antilog(t.copy_negate(), policy=policy)
         return reciprocal(pos, policy=policy)
@@ -110,9 +111,12 @@ def antilog(t: Decimal,
     # cap the convergent denominator so the root index stays tractable;
     # the replacement error is below 1e-9 relative
     approx = Fraction(frac).limit_denominator(_CONVERGENT_DEN_CAP)
-    part = rational_power(e, approx.numerator, approx.denominator,
-                          policy=policy, strategy="split",
-                          max_abs_exponent=_CONVERGENT_DEN_CAP)
+    p, q = approx.numerator, approx.denominator
+    part = SignedScaled(1, _TENTH, 1)  # p = 0: frac rounded to 0
+    if p:
+        # e**(p/q), 0 < p <= q: e's qth root raised to p by one cascade
+        root = nth_root(RootQuery(e, q), policy=policy)
+        part = _cascade_power(1, root.mantissa, root.exponent, p, policy, None)
     if whole == 0:
         return part
     return multiply(power(e, whole, policy=policy), part, policy=policy)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError, NoIntegerExponent
 from .numcore import (_ONE, DEFAULT_POLICY, Interval, PrecisionPolicy,
-                      SignedScaled)
+                      SignedScaled, shift10)
 
 MAX_TERM = 10 ** 6
 DEFAULT_MATCH_TOL = Decimal("1e-9")
@@ -113,7 +113,7 @@ def solve_integer_exponent(x: SignedScaled, a: SignedScaled, max_n: int,
     if not (0 < v <= 1):
         raise NoIntegerExponent(
             "target is on the wrong side of 1 for this base")
-    vt = ctx.multiply(v, ctx.subtract(_ONE, Decimal(1).scaleb(20 - ctx.prec)))
+    vt = ctx.multiply(v, ctx.subtract(_ONE, shift10(_ONE, 20 - ctx.prec)))
     floor_n = _floor_exponent(u, vt, ctx, max(max_n * 2, 8))
     candidates = []
     if floor_n is not None:
@@ -174,7 +174,7 @@ def recover_rational_exponent(x: SignedScaled, a: SignedScaled,
         raise DomainError("cf_tol must be in [0, 1)")
     ctx = policy.oracle_ctx()
     u, v, terms = first_level(x, a, ctx)
-    keep = ctx.subtract(_ONE, Decimal(1).scaleb(20 - ctx.prec))  # 1 - fuzz
+    keep = ctx.subtract(_ONE, shift10(_ONE, 20 - ctx.prec))  # 1 - fuzz
     vt = ctx.multiply(v, keep)
     terminated = False
     while len(terms) < max_depth:

@@ -359,13 +359,12 @@ def renormalized(sign: int, mantissa: Decimal, exponent: int) -> SignedScaled:
 
 # --- domain rules: the engine, the oracle and the device run these ----
 
-def check_power(x: SignedScaled, n: int,
-                max_abs_exponent: int = MAX_ABS_EXPONENT):
-    """Raise unless n is nonzero and within the cap, and x**n in range."""
+def check_power(x: SignedScaled, n: int):
+    """Raise unless 0 < |n| <= MAX_ABS_EXPONENT and x**n is in range."""
     if n == 0:
         raise DomainError("exponent must be nonzero")
-    if abs(n) > max_abs_exponent:
-        raise DomainError(f"|exponent| above cap {max_abs_exponent}")
+    if abs(n) > MAX_ABS_EXPONENT:
+        raise DomainError(f"|exponent| above cap {MAX_ABS_EXPONENT}")
     # the estimate below never exceeds |n|*(|exponent| + 1), so up to
     # the bound it cannot refuse
     if abs(n) * (abs(x.exponent) + 1) <= EXPONENT_BOUND:
@@ -385,12 +384,11 @@ def check_root(x: SignedScaled, n: int):
         raise EvenRootOfNegative(f"index {n} root of a negative radicand")
 
 
-def check_rational_power(x: SignedScaled, m: int, n: int,
-                         max_abs_exponent: int = MAX_ABS_EXPONENT):
+def check_rational_power(x: SignedScaled, m: int, n: int):
     """Raise unless x**(m/n) is an nth root of a power x**m in range."""
     check_root(x, n)
     if m:
-        check_power(x, m, max_abs_exponent)
+        check_power(x, m)
 
 
 def check_same_sign(a: SignedScaled, b: SignedScaled):
@@ -449,7 +447,7 @@ def fmt_bound(d: Decimal) -> str:
     if d == 0:
         return "0"
     v = SignedScaled.from_decimal(d)
-    up = v.mantissa.quantize(Decimal("0.001"), rounding=ROUND_CEILING)
+    up = _UP.quantize(v.mantissa, Decimal("0.001"))
     return to_text(renormalized(1, up, v.exponent), 3)
 
 

@@ -16,9 +16,9 @@ from functools import lru_cache, partial
 
 from .cascade import draw_power, multiply, power
 from .errors import DomainError
-from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, MAX_ABS_EXPONENT,
-                      PrecisionPolicy, SignedScaled, check_rational_power,
-                      check_root, renormalized, search_cosine, shift10)
+from .numcore import (_ONE, _TENTH, DEFAULT_POLICY, PrecisionPolicy,
+                      SignedScaled, check_rational_power, check_root,
+                      renormalized, search_cosine, shift10)
 from .trace import TraceRecorder
 
 _RESIDUE_CACHE_SIZE = 256
@@ -105,16 +105,14 @@ def _assert_root_between(x: SignedScaled, root: SignedScaled,
 def rational_power(x: SignedScaled, m: int, n: int,
                    policy: PrecisionPolicy = DEFAULT_POLICY,
                    recorder: TraceRecorder | None = None,
-                   strategy: str = "compose",
-                   max_abs_exponent: int = MAX_ABS_EXPONENT) -> SignedScaled:
+                   strategy: str = "compose") -> SignedScaled:
     """x**(m/n) with n >= 1; negative x requires odd n, and x**m must
     pass check_power whatever the strategy."""
-    check_rational_power(x, m, n, max_abs_exponent)
+    check_rational_power(x, m, n)
     if m == 0:
         return SignedScaled(1, _TENTH, 1)
-    cap = {"max_abs_exponent": max_abs_exponent}
     if strategy == "compose":
-        y = power(x, m, policy=policy, recorder=recorder, **cap)
+        y = power(x, m, policy=policy, recorder=recorder)
         return nth_root(RootQuery(y, n), policy=policy, recorder=recorder)
     if strategy == "split":
         # m/n = m1 + m2/n with 0 <= m2 < n, so only a sub-unit root is
@@ -122,9 +120,9 @@ def rational_power(x: SignedScaled, m: int, n: int,
         m1, m2 = divmod(m, n)
         root = (nth_root(RootQuery(x, n), policy=policy, recorder=recorder)
                 if m2 else None)
-        frac = (power(root, m2, policy=policy, recorder=recorder, **cap)
+        frac = (power(root, m2, policy=policy, recorder=recorder)
                 if m2 and m2 != 1 else root)
-        whole = (power(x, m1, policy=policy, recorder=recorder, **cap)
+        whole = (power(x, m1, policy=policy, recorder=recorder)
                  if m1 else None)
         if whole is None:
             return frac

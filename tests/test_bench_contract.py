@@ -1,9 +1,11 @@
-"""The benchmark's span wrappers name geocalc functions and methods.
+"""The benchmark's span wrappers and workloads call geocalc as it is.
 
-perfbench/spans.py wraps them by module and attribute name from outside
-the package, so a rename would only surface as a crash of the traced
-benchmark run.  This test loads that file by path and resolves every
-name it lists.
+perfbench/spans.py wraps functions by module and attribute name from
+outside the package, and each in-process workload calls the library
+with its own argument shapes, so a rename or a removed parameter would
+only surface as a crash of a benchmark run.  These tests load the
+benchmark's files without changing them, resolve every wrapped name,
+and run one operation of each kind the workloads time.
 """
 
 import importlib
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import geocalc
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _spans():
@@ -46,3 +49,18 @@ def test_internal_e_cache_is_inspectable():
 def test_every_device_op_is_a_script():
     # a renamed script would leave its mechsim.op.*.ms metric reading 0
     assert set(_spans().DEVICE_OPS) <= set(geocalc.mechsim.SCRIPTS)
+
+
+def test_one_op_of_each_kind_runs_as_the_workloads_call_it(monkeypatch):
+    # engine and draw specs start with their op kind, device specs with
+    # the graduation; an op marked as a known fault may return anything
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for workload, at in (("engine", 0), ("device", 1), ("draw", 0)):
+        mod = importlib.import_module(workload)
+        first = {}
+        for spec in mod.specs(1):
+            first.setdefault(spec[at], spec)
+        for spec in first.values():
+            out = mod.make_op(geocalc, spec)()
+            if not mod.is_fault(spec):
+                assert mod.check(geocalc, spec, out) is None, (workload, spec)

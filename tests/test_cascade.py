@@ -11,6 +11,7 @@ from geocalc import (Cascade, Construction, DEFAULT_POLICY, DegenerateAngle,
                      TraceRecorder, VIRTUAL_DEPTH, build_cascade, divide,
                      geometric_mean, multiply, normalize, oracle_eval, power,
                      reciprocal, shift10, to_text)
+from geocalc import cascade
 from geocalc.trace import foot_label
 from conftest import rel_diff
 
@@ -192,10 +193,22 @@ def test_power_overflow_guard():
         power(normalize("1e500000"), 10 ** 4, POL)
     # the depth cap on |n| is a separate domain rule
     with pytest.raises(DomainError):
-        power(normalize("9.9"), 10 ** 6 + 1, POL, max_abs_exponent=10 ** 6)
+        power(normalize("9.9"), 10 ** 6 + 1, POL)
     # just inside the bound still works
     v = power(normalize("1e500000"), 3, POL)
     assert v.exponent == 1500001
+
+
+def test_negative_power_runs_its_rule_once(monkeypatch):
+    # the reciprocal goes straight into the cascade, with no second rule
+    calls = []
+    check = cascade.check_power
+    monkeypatch.setattr(cascade, "check_power",
+                        lambda x, n: calls.append(check(x, n)))
+    for x, n in (("2.5", -3), ("-7.3", -2), ("0.001", -4), ("9.9", -10 ** 6)):
+        calls.clear()
+        power(normalize(x), n, POL)
+        assert len(calls) == 1, (x, n)
 
 
 def test_reciprocal_methods_agree():

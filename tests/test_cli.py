@@ -56,10 +56,31 @@ def test_div_worked_example(capsys):
     assert (code, out) == (0, "8.1274e1\n")
 
 
-def test_recip_negative_positional_needs_dashes(capsys):
+def test_recip_negative_positional_after_dashes(capsys):
     code, out, _ = run(capsys, "recip", "--digits", "8", "--",
                        "-1.602176634e-19")
     assert (code, out) == (0, "-6.2415091e18\n")
+
+
+# (argv with a negative literal as is, the same argv with its operands
+# after "--" or joined to their option by "=")
+NEGATIVE_LITERALS = [
+    (["recip", "-1.6e-19"], ["recip", "--", "-1.6e-19"]),
+    (["mul", "-2e3", "3"], ["mul", "--", "-2e3", "3"]),
+    (["solve-n", "--x", "-2e0", "--a", "-8e0"],
+     ["solve-n", "--x=-2e0", "--a=-8e0"]),
+    (["antilog", "-2.5e-3"], ["antilog", "--", "-2.5e-3"]),
+    (["recip", "-.5E+1", "--digits", "3"],
+     ["recip", "--digits", "3", "--", "-.5E+1"]),
+]
+
+
+@pytest.mark.parametrize("argv,dashed", NEGATIVE_LITERALS,
+                         ids=[" ".join(a) for a, _ in NEGATIVE_LITERALS])
+def test_negative_literals_need_no_dashes(capsys, argv, dashed):
+    want = run(capsys, *dashed)
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, *argv) == want
 
 
 def test_gmean_worked_example(capsys):
@@ -188,7 +209,11 @@ def test_usage_errors_exit_one(capsys):
                  ["solve-mn", "--x", "2", "--a", "11.3137084989847603904",
                   "--resolution", "1e-5", "--cf-depth", "1"],
                  ["solve-mn", "--x", "2", "--a", "11.3137084989847603904",
-                  "--resolution", "1e-5", "--cf-tol", "1e-3"]):
+                  "--resolution", "1e-5", "--cf-tol", "1e-3"],
+                 # a dash not followed by a decimal literal is a flag
+                 ["recip", "-e5"],
+                 ["recip", "-Infinity"],
+                 ["pow", "2", "3", "--foo"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("usage error:")

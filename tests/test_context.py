@@ -11,11 +11,11 @@ from decimal import (Context, Decimal, Inexact, ROUND_DOWN, Rounded,
 
 import pytest
 
-from geocalc import (DEFAULT_POLICY, Construction, MeasurementModel,
-                     PrecisionPolicy, RootQuery, antilog, approximate_e,
-                     build_cascade, divide, geometric_mean, multiply,
-                     natural_log, normalize, nth_root, power, rational_power,
-                     reciprocal, recover_exponent_via_logs,
+from geocalc import (DEFAULT_POLICY, Construction, GeocalcError,
+                     MeasurementModel, PrecisionPolicy, RootQuery, antilog,
+                     approximate_e, build_cascade, divide, geometric_mean,
+                     multiply, natural_log, normalize, nth_root, power,
+                     rational_power, reciprocal, recover_exponent_via_logs,
                      recover_rational_exponent, run_op,
                      solve_integer_exponent)
 
@@ -30,6 +30,18 @@ def _cascade():
 
 def _device(op, args, res):
     return lambda: run_op(op, args, MeasurementModel(resolution=Decimal(res)))
+
+
+def _refusal(op, args):
+    """The text of the device's refusal of `op args` at the default
+    graduation."""
+    def run():
+        try:
+            run_op(op, args, MeasurementModel())
+        except GeocalcError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        raise AssertionError(f"{op} {args} was not refused")
+    return run
 
 
 OPS = {
@@ -79,12 +91,18 @@ OPS = {
     "device gmean": _device("gmean", ["2", "18.5"], "1e-5"),
     "device recip": _device("recip", ["7.3"], "1e-10"),
     "device cf": _device("cf", ["2", A_2_1971_181], "1e-5"),
+    # the band's width is formatted into the refusal
+    "device pow refusal": _refusal("pow", ["2", "50000"]),
 }
 
 CONTEXTS = {
     "prec 5": Context(prec=5),
     "prec 12, round down": Context(prec=12, rounding=ROUND_DOWN),
     "traps": Context(traps=[Inexact, Rounded]),
+    "prec 5, short exponents": Context(prec=5, Emin=-10, Emax=10),
+    # InvalidOperation untrapped: a fuzz formed in this context is 0
+    "short exponents, traps": Context(prec=5, Emin=-10, Emax=10,
+                                      traps=[Inexact, Rounded]),
 }
 
 

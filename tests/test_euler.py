@@ -5,8 +5,9 @@ from decimal import (Context, Decimal, Inexact, ROUND_DOWN, localcontext)
 
 import pytest
 
-from geocalc import (DEFAULT_POLICY, DomainError, antilog, approximate_e,
-                     internal_e, multiply, natural_log, normalize)
+from geocalc import (DEFAULT_POLICY, DomainError, PrecisionPolicy, antilog,
+                     approximate_e, internal_e, multiply, natural_log,
+                     normalize)
 from conftest import rel_diff
 
 POL = DEFAULT_POLICY
@@ -122,8 +123,47 @@ def test_antilog_worked_value():
     assert rel_diff(got.value(), want, ORACLE_CTX) <= Decimal("1e-6")
 
 
+# (t, working digits, mantissa, exponent) of exp(t).  The first four
+# have convergent denominators past 10**6 (the root's index); the
+# fraction of 2.0000000000001 rounds to 0/1 and that of 0.999999999999
+# to 1/1.
+FROZEN_ANTILOG = [
+    ("0.470981467447", 30,
+     "0.160156530253391173694235701359", 1),
+    ("0.470981467447", 45,
+     "0.160156530253391173694249517445968012089485817", 1),
+    ("-2.576297462704", 30,
+     "0.760550811047847895101376438579", -1),
+    ("-2.576297462704", 45,
+     "0.760550811047847895100289250811537527347139153", -1),
+    ("-2.173064683477", 30,
+     "0.113828235538640000691378544573", 0),
+    ("-2.173064683477", 45,
+     "0.113828235538640000691393174305281318634922809", 0),
+    ("2.125466606072", 30,
+     "0.837680515553289904554999134107", 1),
+    ("2.125466606072", 45,
+     "0.837680515553289904555250957079311197159245975", 1),
+    ("2.0000000000001", 30,
+     "0.738905602504009009998047498955", 1),
+    ("2.0000000000001", 45,
+     "0.738905602504009009998046021143857177403664957", 1),
+    ("0.999999999999", 30,
+     "0.271828181486763621765297996129", 1),
+    ("0.999999999999", 45,
+     "0.271828181486763621765297724300917669215351025", 1),
+]
+
+
+@pytest.mark.parametrize("t,digits,mantissa,exponent", FROZEN_ANTILOG)
+def test_antilog_frozen_values(t, digits, mantissa, exponent):
+    got = antilog(Decimal(t), policy=PrecisionPolicy(digits))
+    assert (got.sign, str(got.mantissa), got.exponent) == (1, mantissa,
+                                                           exponent)
+
+
 def test_antilog_of_an_integer_is_a_power_of_the_internal_base():
-    # an integer t takes no rational power: e**2 within the base's bias
+    # an integer t takes no root: e**2 within the base's bias
     got = antilog(Decimal(2), policy=POL)
     want = ORACLE_CTX.exp(Decimal(2))
     assert rel_diff(got.value(), want, ORACLE_CTX) <= Decimal("2e-8")

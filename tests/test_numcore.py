@@ -12,10 +12,11 @@ import pytest
 from geocalc import (DEFAULT_POLICY, DomainError, ExponentOverflow,
                      NoConvergence, ParseError, PrecisionPolicy, SignedScaled,
                      ZeroNotRepresentable, approximate_e, multiply,
-                     normalize, oracle_eval, renormalized, shift10,
-                     to_text)
-from geocalc.numcore import (_EXACT, EXPONENT_BOUND, Interval, bisect,
-                             check_power)
+                     normalize, oracle_eval, power, rational_power,
+                     renormalized, shift10, to_text)
+from geocalc.numcore import (_EXACT, EXPONENT_BOUND, MAX_ABS_EXPONENT,
+                             Interval, bisect, check_power,
+                             check_rational_power)
 from conftest import rel_diff
 
 
@@ -216,7 +217,10 @@ def test_policy_contexts():
 # (mantissa, exponent, n, passes) about EXPONENT_BOUND = 10**9:
 # check_power returns at once while |n|*(|exponent| + 1) is within the
 # bound, and past it refuses where the float estimate of the result's
-# exponent exceeds 1.01 times the bound
+# exponent exceeds 1.01 times the bound.  Rows with |n| above
+# MAX_ABS_EXPONENT = 10**6 still pin the estimate's verdict, but
+# check_power refuses them on the cap first; each such edge is pinned
+# again below at |n| <= 10**6 with a larger exponent.
 POWER_EDGES = [
     # |n|*(|e| + 1) = bound - 1, the bound itself, and bound + 1
     ("0.999", 36, 27027027, True),
@@ -235,6 +239,18 @@ POWER_EDGES = [
     ("0.1", -100, 10 ** 7 + 1, False),
     ("0.999999", 1000, 10 ** 6 + 10 ** 4, True),
     ("0.999999", 1000, 10 ** 6 + 10 ** 4 + 1, False),
+    # the same edges within the cap: bound - 1 = 333667 * 2997
+    ("0.999", 2996, 333667, True),
+    ("0.1", 2996, 333667, True),
+    ("0.1", 1001, 10 ** 6, True),             # |n| * 1000
+    ("0.5", -1010, 999500, True),             # |n| * 1010.301
+    ("0.1", -1010, 999500, False),            # |n| * 1011
+    ("0.1", 1011, 10 ** 6, True),             # |n| * 1010 and |n| * 1011
+    ("0.1", 1012, 10 ** 6, False),
+    ("0.1", -1009, 10 ** 6, True),
+    ("0.1", -1010, 10 ** 6, False),
+    ("0.999999", 2020, 500000, True),
+    ("0.999999", 2020, 500001, False),
 ]
 
 
@@ -253,11 +269,26 @@ def test_check_power_returns_early_only_where_the_estimate_passes(
             x = SignedScaled(1, Decimal(mantissa), e)
             if e == exponent:
                 assert _estimate_refuses(x, k) is not passes
-            if _estimate_refuses(x, k):
+            if abs(k) > MAX_ABS_EXPONENT:
+                with pytest.raises(DomainError, match="above cap 1000000$"):
+                    check_power(x, k)
+            elif _estimate_refuses(x, k):
                 with pytest.raises(ExponentOverflow):
-                    check_power(x, k, 2 * EXPONENT_BOUND)
+                    check_power(x, k)
             else:
-                check_power(x, k, 2 * EXPONENT_BOUND)
+                check_power(x, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: check_power(x, 3, max_abs_exponent=10 ** 9),
+    lambda x: check_rational_power(x, 3, 2, max_abs_exponent=10 ** 9),
+    lambda x: power(x, 3, max_abs_exponent=10 ** 9),
+    lambda x: rational_power(x, 3, 2, max_abs_exponent=10 ** 9),
+], ids=["check_power", "check_rational_power", "power", "rational_power"])
+def test_the_power_cap_is_no_keyword(call):
+    # MAX_ABS_EXPONENT is the one cap on |n|: no caller sets another
+    with pytest.raises(TypeError, match="max_abs_exponent"):
+        call(normalize("2"))
 
 
 FROZEN = {
