@@ -147,7 +147,12 @@ def bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
     accepted the point, and otherwise cuts [lo, hi] to [max(lo, below),
     min(hi, above)] and halves on from there.  Its edges decide a drawn
     midpoint outside it, so a traced search halves the untraced one's
-    cut bracket unless side decided one of its drawn midpoints.
+    cut bracket unless side decided one of its drawn midpoints.  An
+    untraced engine search asks side at Newton's point itself
+    (search_cosine) and hands bisect, if side refused it, a window
+    without a point and the cosine bracket without its power; a traced
+    one, or one whose point lies near the bracket top, hands it the
+    bracket and the point.
     """
     add, divide = ctx.add, ctx.divide
     below, above, guess = window or (_NEG_INF, _POS_INF, None)
@@ -181,6 +186,62 @@ def cosine_bracket(target: Decimal, n: Decimal, ctx: Context):
     return (top, _ONE) if target > ctx.power(top, n) else COSINE_BRACKET
 
 
+@lru_cache(maxsize=64)
+def _newton_constants(n: int, prec: int, rounding: str, emin: int,
+                      emax: int):
+    """newton_window's constants at index n under a context of prec
+    digits: Newton's working digits, n and n - 1 as Decimals, the
+    half-width's scale 8u/n and its quarter, rounded at the working
+    digits on a context of their own."""
+    digits = prec + 12 + len(str(n))
+    wctx = Context(prec=digits, rounding=rounding, Emin=emin, Emax=emax)
+    nn = Decimal(n)
+    scale = wctx.divide(wctx.multiply(8, shift10(_ONE, 1 - prec)), nn)
+    return digits, nn, Decimal(n - 1), scale, wctx.divide(scale, 4)
+
+
+def _newton(n: int, target: Decimal, ctx: Context):
+    """(r, scale, wctx): Newton's root r of r**n == target at the
+    working digits, the half-width's scale 8u/n and the working context;
+    None where newton_window has no window."""
+    if n > sys.float_info.max:
+        return None
+    digits, nn, n1, scale, quarter = _newton_constants(
+        n, ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax)
+    wctx = ctx.copy()
+    wctx.prec = digits
+    sub, mul, div = wctx.subtract, wctx.multiply, wctx.divide
+    e = target.adjusted()
+    log10 = e + math.log10(float(shift10(target, -e)))
+    if log10 > _LOG10_HALF * n:
+        r = wctx.add(_ONE, wctx.create_decimal_from_float(
+            math.expm1(log10 * _LN10 / n)))
+    else:
+        r = wctx.create_decimal_from_float(10 ** (log10 / n))
+    prev = None
+    while True:
+        q = wctx.power(r, n1)
+        step = div(sub(mul(q, r), target), mul(nn, q))
+        r = sub(r, step)
+        size = step.copy_abs()
+        if prev is not None:
+            if wctx.add(size, size) > prev:
+                return None
+            if size < mul(quarter, r):
+                return r, scale, wctx
+        prev = size
+
+
+def _edges(r: Decimal, scale: Decimal, wctx: Context, prec: int):
+    """newton_window's (below, above): r -/+ scale*r, rounded outward to
+    prec digits."""
+    half = wctx.multiply(scale, r)
+    wctx.prec, wctx.rounding = prec, ROUND_FLOOR
+    below = wctx.subtract(r, half)
+    wctx.rounding = ROUND_CEILING
+    return below, wctx.add(r, half)
+
+
 def newton_window(n: int, target: Decimal, ctx: Context):
     """(below, above, point) around the root r of r**n == target, or None.
 
@@ -193,7 +254,8 @@ def newton_window(n: int, target: Decimal, ctx: Context):
     that fails to halve the previous one would mean the seed left
     Newton's basin, and then there is no window.  Otherwise Newton stops
     once a correction is below a quarter of the half-width, which leaves
-    r far closer to the root than the half-width.
+    r far closer to the root than the half-width.  Its per-index
+    constants are built once (_newton_constants).
 
     Every c outside the window misses by more than u, in the window's
     direction, for both objectives that use one:
@@ -210,41 +272,18 @@ def newton_window(n: int, target: Decimal, ctx: Context):
     edges are rounded outward to ctx, so side < 0 at below and > 0 at
     above, and [below, above] is a bracket that bisect can cut to.
 
-    The third entry, point, is r rounded under ctx, for bisect to try
-    before any midpoint: r lies far inside the window, so side almost
-    always accepts it and the search ends on one side call.
+    The third entry, point, is r rounded under ctx, which search_cosine
+    asks side at before any midpoint: r lies far inside the window, so
+    side almost always accepts it and the search ends on one side call.
     """
-    if n > sys.float_info.max:
+    newton = _newton(n, target, ctx)
+    if newton is None:
         return None
-    wctx = ctx.copy()
-    wctx.prec = ctx.prec + 12 + len(str(n))
-    sub, mul, div = wctx.subtract, wctx.multiply, wctx.divide
-    e = target.adjusted()
-    log10 = e + math.log10(float(shift10(target, -e)))
-    if log10 > _LOG10_HALF * n:
-        r = wctx.add(_ONE, wctx.create_decimal_from_float(
-            math.expm1(log10 * _LN10 / n)))
-    else:
-        r = wctx.create_decimal_from_float(10 ** (log10 / n))
-    nn, n1 = Decimal(n), Decimal(n - 1)
-    scale = div(mul(8, shift10(_ONE, 1 - ctx.prec)), nn)  # half-width / r
-    quarter, prev = div(scale, 4), None
-    while True:
-        q = wctx.power(r, n1)
-        step = div(sub(mul(q, r), target), mul(nn, q))
-        r = sub(r, step)
-        size = step.copy_abs()
-        if prev is not None:
-            if wctx.add(size, size) > prev:
-                return None
-            if size < mul(quarter, r):
-                break
-        prev = size
-    half = mul(scale, r)
-    wctx.prec, wctx.rounding = ctx.prec, ROUND_FLOOR
-    below = wctx.subtract(r, half)
-    wctx.rounding = ROUND_CEILING
-    return below, wctx.add(r, half), ctx.plus(r)
+    return (*_edges(*newton, ctx.prec), ctx.plus(newton[0]))
+
+
+# below 1 - 1e-14, Newton's point fixes the bracket at COSINE_BRACKET
+_NEAR_TOP = Decimal("0.99999999999999")
 
 
 def search_cosine(side, n: int, target: Decimal, ctx: Context, what: str,
@@ -252,17 +291,50 @@ def search_cosine(side, n: int, target: Decimal, ctx: Context, what: str,
     """The engine's angle search, for an objective solved by c**n ==
     target: side(c, i) is 0 when c meets it within one unit of ctx,
     u = 10**(1 - prec), > 0 when c is too large, < 0 when too small.
-    Newton's point (newton_window) is asked first and returned if side
-    accepts it; otherwise bisect halves the cosine bracket, cut to
-    Newton's window if there is one, until side accepts or the bracket
-    is narrower than u relative.  draw(c, i) sees the first midpoints,
-    as in bisect."""
-    lo, hi = cosine_bracket(target, Decimal(n), ctx)
+    draw(c, i) sees the first midpoints, as in bisect.
+
+    An untraced search asks side at Newton's point (newton_window) first
+    and returns the point if side accepts it: no bracket power, no
+    window edges and no bisect.  A refused point goes to bisect with
+    its window but without the point, so side is not asked there twice.
+    Both skip cosine_bracket's power, by this argument.  At prec >= 15
+    a point p in (1e-15, 1 - 1e-14) lies within one unit, 10**-prec <=
+    1e-15, of Newton's r, so r < 1 - 9e-15, and the bracket top t = 1 -
+    1e-15 exceeds r by a factor above 1 + 8e-15.  So t**n exceeds
+    target, which Newton's r meets far closer than that, by a factor
+    above 1 + 8e-15*n, and t**n > target**(1/9) lies in range wherever
+    target does.  For n >= 2 that factor is more than the few units,
+    relative, that ctx.power rounds t**n by, and t**1 is exact: the
+    rounded power is never below target, so cosine_bracket returns
+    COSINE_BRACKET, which holds p.  bisect handed the point would ask
+    side at p first and, refused, cut the bracket to the window: the
+    search makes the same side calls and returns the same cosine.
+
+    A traced search, a search with no window (an index past the float
+    range, or a seed outside Newton's basin), a point outside (1e-15,
+    1 - 1e-14) and a context under 15 digits build the bracket and the
+    window and hand bisect the point.  In a warm seed-1
+    engine-mix round of the benchmark none of the 136 searches forms
+    the bracket power, and 124 end on the point; antilog's other 12, at
+    n from about 2*10**6 to 10**9, are refused and collapse in the
+    window.
+    """
+    newton = _newton(n, target, ctx)
+    point = None if newton is None else ctx.plus(newton[0])
+    if (draw is None and point is not None and ctx.prec >= 15
+            and COSINE_BRACKET[0] < point < _NEAR_TOP):
+        if not side(point, 0):
+            return point
+        lo, hi = COSINE_BRACKET
+        point = None  # refused: bisect does not ask it again
+    else:
+        lo, hi = cosine_bracket(target, Decimal(n), ctx)
+    window = None if newton is None else (*_edges(*newton, ctx.prec), point)
     unit = shift10(_ONE, 1 - ctx.prec)
     return bisect(side, lo, hi, ctx, what,
                   lambda lo, hi: ctx.subtract(hi, lo)
                   <= ctx.multiply(unit, lo),
-                  newton_window(n, target, ctx), draw)[0]
+                  window, draw)[0]
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,20 @@
 
 `_step_bisect` is the step loop `numcore.bisect` runs, written out on its
 own: one collapse check, window test and possible side call per halving,
-after Newton's point is tried first and, where the search would take its
-first undrawn midpoint, the bracket is cut to the window.  The sweeps
-below run the root search, the rotating geometric mean and the device's
-two rotation searches on both and require the same result or exception
-type, and the same side(c, i) calls in the same order.  `_edgeless` is
-the same loop with the window's edges deciding no midpoint: every
-midpoint asks side.  The traced sweep holds a traced search to the one a
-traced search ran before bisect drew: no window edges, every midpoint
-asks side, and the first four draw a rotation; Newton's point is tried
-first and the bracket cut there too.  The seeds are fixed.
+after Newton's point, if the window carries one, is tried first and,
+where the search would take its first undrawn midpoint, the bracket is
+cut to the window.  The sweeps below run the root search, the rotating
+geometric mean and the device's two rotation searches on both and
+require the same result or exception type, and the same side(c, i)
+calls in the same order.  The engine's side calls are logged around
+`numcore.search_cosine`, so they include Newton's point whether the
+search asks it before bisect (untraced) or bisect asks it (traced).
+`_edgeless` is the same loop with the window's edges deciding no
+midpoint: every midpoint asks side.  The traced sweep holds a traced
+search to the one a traced search ran before bisect drew: no window
+edges, every midpoint asks side, and the first four draw a rotation;
+Newton's point is tried first and the bracket cut there too.  The seeds
+are fixed.
 """
 
 import math
@@ -23,7 +27,7 @@ from itertools import count
 from geocalc import (RESOLUTION_LADDER, GeocalcError, MeasurementModel,
                      NoConvergence, PrecisionPolicy, TraceRecorder,
                      geometric_mean, normalize, solve_cos_power)
-from geocalc import mechsim, numcore, roots
+from geocalc import cascade, mechsim, numcore, roots
 from geocalc.numcore import _ONE, _TWO, bisect, shift10
 
 _NEG_INF, _POS_INF = Decimal("-Infinity"), Decimal("Infinity")
@@ -85,14 +89,14 @@ def _step_bisect(side, lo: Decimal, hi: Decimal, ctx: Context, what: str,
 _edgeless = partial(_step_bisect, edges=False)
 
 
-def _recording(impl, calls):
-    """impl with every side(c, i) call appended to calls."""
-    def run(side, lo, hi, ctx, what, collapsed=None, window=None,
-            draw=None):
+def _logging(calls):
+    """numcore.search_cosine with every side(c, i) call appended to calls,
+    Newton's point included."""
+    def run(side, n, target, ctx, what, draw=None):
         def logged(c, i):
             calls.append((str(c), i))
             return side(c, i)
-        return impl(logged, lo, hi, ctx, what, collapsed, window, draw)
+        return numcore.search_cosine(logged, n, target, ctx, what, draw)
     return run
 
 
@@ -104,9 +108,13 @@ def _outcome(search):
 
 
 def _run(monkeypatch, impl, search):
+    """search() with impl as the engine's bisect: the outcome, and every
+    side call its engine searches made."""
     roots._residue_cosine.cache_clear()  # no search hides in the cache
     calls = []
-    monkeypatch.setattr(numcore, "bisect", _recording(impl, calls))
+    monkeypatch.setattr(numcore, "bisect", impl)
+    for module in (roots, cascade):
+        monkeypatch.setattr(module, "search_cosine", _logging(calls))
     return _outcome(search), calls
 
 

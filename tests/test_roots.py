@@ -2,7 +2,9 @@
 
 import math
 import random
-from decimal import Context, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,9 +13,10 @@ from geocalc import (DEFAULT_POLICY, DomainError, EvenRootOfNegative,
                      TraceRecorder, antilog, geometric_mean, normalize,
                      nth_root, oracle_eval, power, rational_power,
                      solve_cos_power)
-from geocalc import numcore, roots
-from geocalc.numcore import (_NEG_INF, _ONE, _POS_INF, bisect,
-                             cosine_bracket, newton_window, shift10)
+from geocalc import cascade, numcore, roots
+from geocalc.numcore import (_NEG_INF, _ONE, _POS_INF, COSINE_BRACKET,
+                             bisect, cosine_bracket, newton_window,
+                             search_cosine, shift10)
 from geocalc.roots import _assert_root_between
 from conftest import rel_diff
 
@@ -157,31 +160,72 @@ def _reference_solve_cos_power(n, target, ctx):
 def _search_outcome(search, n, target, ctx):
     try:
         return str(search(n, target, ctx))
-    except GeocalcError as exc:
+    except (GeocalcError, ArithmeticError) as exc:
         return type(exc).__name__
 
 
+def _edge_targets(n, ctx):
+    """Targets at the bracket top's rounded power t**n and one unit either
+    side, 10**(-15n), targets whose Newton point lies in [1 - 1e-14,
+    1 - 1e-15], and (1 - 1e-14)**n, whose point may round to either side
+    of 1 - 1e-14."""
+    top = ctx.power(COSINE_BRACKET[1], Decimal(n))
+    near_top = [ctx.power(_ONE - Decimal(k) * Decimal("1e-15"), Decimal(n))
+                for k in ("1", "2", "5", "9.9")]
+    for target in near_top:
+        assert (Decimal("0.99999999999999") <= newton_window(n, target, ctx)[2]
+                <= Decimal("0.999999999999999"))
+    return [ctx.next_minus(top), top, ctx.next_plus(top),
+            shift10(_ONE, -15 * n), *near_top,
+            ctx.power(Decimal("0.99999999999999"), Decimal(n))]
+
+
 def test_newton_window_leaves_every_search_bit_identical():
+    """solve_cos_power against the reference search, which forms the
+    bracket, asks Newton's point and then side at every midpoint of the
+    bracket cut to the window, under the policy's contexts and a
+    caller's own truncating one (whose exponent range can end a search
+    in a decimal signal), with newton_window's constants built afresh
+    and then cached."""
     rng = random.Random(1313)
+    contexts = [PrecisionPolicy(digits).ctx() for digits in (30, 50, 62)]
+    contexts.append(Context(prec=40, rounding=ROUND_DOWN))
     cases = 0
-    for digits in (30, 50, 62):
-        ctx = PrecisionPolicy(digits).ctx()
+    for ctx in contexts:
         for n in (1, 2, 3, 5, 7, 9, 11, 12, 40, 300, 12345, 99991,
                   999999937):
+            targets = _edge_targets(n, ctx)
             for _ in range(6):  # rounds of targets, from one seeded rng
-                targets = [Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
-                           for _ in range(2)]
-                targets += [Decimal("0." + "9" * rng.randint(1, digits + 2))
+                targets += [Decimal(f"0.{rng.randrange(10 ** 11, 10 ** 12)}")
+                            for _ in range(2)]
+                targets += [Decimal("0." + "9" * rng.randint(1, ctx.prec + 2))
                             for _ in range(2)]
                 if n > 1:
                     targets.append(shift10(_ONE, -rng.randint(1, n - 1)))
-                for target in targets:
-                    want = _search_outcome(_reference_solve_cos_power, n,
-                                           target, ctx)
-                    got = _search_outcome(solve_cos_power, n, target, ctx)
-                    assert got == want, (digits, n, str(target))
-                    cases += 1
-    assert cases == 3 * 6 * (13 * 5 - 1)
+            for target in targets:
+                numcore._newton_constants.cache_clear()
+                cold = _search_outcome(solve_cos_power, n, target, ctx)
+                want = _search_outcome(_reference_solve_cos_power, n, target,
+                                       ctx)
+                got = _search_outcome(solve_cos_power, n, target, ctx)
+                assert cold == got == want, (ctx.prec, n, str(target))
+                cases += 1
+    assert cases == 4 * (6 * (13 * 5 - 1) + 13 * 9)
+    ctx = POL.ctx()
+    for search in (solve_cos_power, _reference_solve_cos_power):
+        assert _search_outcome(search, 10 ** 5000, Decimal("0.5"), ctx) == (
+            "1.00000000000000000000000000000")
+    # under 15 digits a truncated point below 1 - 1e-14 fixes no bracket:
+    # these roots lie above 1 - 1e-15 and get the top one
+    for digits in (5, 8):
+        ctx = Context(prec=digits, rounding=ROUND_DOWN)
+        for target in ("0.9999999970", "0.999999999234039",
+                       "0.9999999999999985"):
+            want = _search_outcome(_reference_solve_cos_power, 1,
+                                   Decimal(target), ctx)
+            assert want == "0.999999999999999"
+            assert _search_outcome(solve_cos_power, 1, Decimal(target),
+                                   ctx) == want
 
 
 def test_newton_window_carries_a_point_with_every_window():
@@ -206,30 +250,70 @@ def test_newton_window_carries_a_point_with_every_window():
     assert windows == 3 * 8 * 10
 
 
-def _searches(monkeypatch, run):
-    """run(); then, for every engine search it made, (side, window, the
-    side calls, [bisect's result] or [] if it raised).  The residue cache
-    starts empty, so the searches do not depend on earlier tests."""
-    roots._residue_cosine.cache_clear()
-    searches = []
+def _bracket_first_search(side, n, target, ctx, what, draw=None):
+    """The engine's angle search with the bracket and the window formed
+    first, then bisect handed the point: the reference for
+    search_cosine's side calls and cosine."""
+    unit = shift10(_ONE, 1 - ctx.prec)
+    return bisect(side, *cosine_bracket(target, Decimal(n), ctx), ctx, what,
+                  lambda lo, hi: ctx.subtract(hi, lo)
+                  <= ctx.multiply(unit, lo),
+                  newton_window(n, target, ctx), draw)[0]
 
-    def recording(side, lo, hi, ctx, what, collapsed, window=None,
-                  draw=None):
-        calls, result = [], []
-        searches.append((side, window, calls, result))
+
+def _searches(monkeypatch, run, search=search_cosine):
+    """run() with search as the engine's angle search; then, for every
+    search it made, a record of its side, n, Newton's window, the side
+    calls, its cosine, bisect's (c, lo, hi, accepted) or None if bisect
+    did not run, and the bracket powers and window edges it formed.
+    The residue cache starts empty, so the searches do not depend on
+    earlier tests."""
+    roots._residue_cosine.cache_clear()
+    searches, running = [], []
+
+    def counting(name, impl):
+        def run(*args):
+            for record in running:
+                setattr(record, name, getattr(record, name) + 1)
+            return impl(*args)
+        return run
+
+    def recording_bisect(*args):
+        running[0].ended = bisect(*args)
+        return running[0].ended
+
+    def recording(side, n, target, ctx, what, draw=None):
+        record = SimpleNamespace(side=side, n=n,
+                                 window=newton_window(n, target, ctx),
+                                 calls=[], cosine=None, ended=None,
+                                 brackets=0, edges=0)
+        searches.append(record)
 
         def counted(c, i):
-            calls.append(c)
+            record.calls.append(c)
             return side(c, i)
-        result.append(bisect(counted, lo, hi, ctx, what, collapsed, window,
-                             draw))
-        return result[0]
-    monkeypatch.setattr(numcore, "bisect", recording)
+        running.append(record)
+        try:
+            record.cosine = search(counted, n, target, ctx, what, draw)
+        finally:
+            running.pop()
+        return record.cosine
+    monkeypatch.setattr(numcore, "bisect", recording_bisect)
+    monkeypatch.setattr(numcore, "cosine_bracket",
+                        counting("brackets", cosine_bracket))
+    monkeypatch.setattr(numcore, "_edges", counting("edges", numcore._edges))
+    for module in (roots, cascade):
+        monkeypatch.setattr(module, "search_cosine", recording)
     run()
     return searches
 
 
-def _search_corpus():
+def _accepted(search):
+    """Whether the search ended on a cosine side accepted, not collapsed."""
+    return search.ended is None or search.ended[3]
+
+
+def _search_corpus(recorder=None):
     """Root, powfrac and rotating-mean calls over random 12-digit operands,
     with root indices 2..12 and powfrac indices 2..7."""
     rng = random.Random(2626)
@@ -238,10 +322,10 @@ def _search_corpus():
         return normalize(f"0.{rng.randrange(10 ** 11, 10 ** 12)}"
                          f"e{rng.randint(-12, 12)}")
     for _ in range(75):
-        nth_root(RootQuery(number(), rng.randint(2, 12)), POL)
+        nth_root(RootQuery(number(), rng.randint(2, 12)), POL, recorder)
         rational_power(number(), rng.randint(-9, 9) or 1, rng.randint(2, 7),
-                       POL)
-        geometric_mean(number(), number(), POL, method="rotate")
+                       POL, recorder)
+        geometric_mean(number(), number(), POL, recorder, method="rotate")
 
 
 def test_searches_end_on_newtons_point(monkeypatch):
@@ -249,12 +333,53 @@ def test_searches_end_on_newtons_point(monkeypatch):
     Newton's point, and none returns a point side rejects."""
     searches = _searches(monkeypatch, _search_corpus)
     assert len(searches) >= 250
-    one_call = [s for s in searches if len(s[2]) == 1]
+    one_call = [s for s in searches if len(s.calls) == 1]
     assert len(one_call) >= 0.95 * len(searches)
-    for side, window, calls, [(c, lo, hi, accepted)] in searches:
-        assert side(c, 0) == 0 or not accepted
-        if len(calls) == 1:
-            assert c == calls[0] == window[2] and accepted
+    for s in searches:
+        assert s.ended is None or s.ended[0] == s.cosine
+        assert s.side(s.cosine, 0) == 0 or not _accepted(s)
+        if len(s.calls) == 1:
+            assert s.cosine == s.calls[0] == s.window[2] and _accepted(s)
+
+
+def test_an_accepted_point_ends_the_search(monkeypatch):
+    """Over the search corpus and antilog's searches at n near 10**9, each
+    untraced search asks side at the cosines the bracket-first search
+    asked at, in the same order, and returns the same cosine.  One whose
+    point side accepts makes that one side call, forms no bracket power
+    and no window edges, and makes no bisect call; each of antilog's
+    refused points is asked once, and its search collapses in the
+    window.  A traced search makes the bracket-first search's side calls
+    and draws the same trace."""
+    def run():
+        _search_corpus()
+        for t in ("0.123456789", "-2.718281828", "1.000000002"):
+            antilog(Decimal(t), POL)
+
+    searches = _searches(monkeypatch, run)
+    bracket_first = _searches(monkeypatch, run, _bracket_first_search)
+    assert [(s.calls, s.cosine) for s in searches] == [
+        (s.calls, s.cosine) for s in bracket_first]
+    on_point = [s for s in searches if s.side(s.calls[0], 0) == 0]
+    assert len(on_point) >= 0.95 * (len(searches) - 6)
+    for s in on_point:
+        assert s.calls == [s.window[2]] == [s.cosine]
+        assert (s.ended, s.brackets, s.edges) == (None, 0, 0)
+    refused = [s for s in searches if s.n >= 10 ** 8]
+    assert len(refused) == 6
+    for s in refused:
+        assert s.calls == [s.window[2]] and not _accepted(s)
+        assert (s.brackets, s.edges) == (0, 1)
+
+    traces = []
+    for search in (search_cosine, _bracket_first_search):
+        recorder = TraceRecorder()
+        traced = _searches(monkeypatch, partial(_search_corpus, recorder),
+                           search)
+        traces.append(([(s.calls, s.cosine) for s in traced],
+                       recorder.dumps()))
+    assert traces[0] == traces[1]
+    assert len(traces[0][0]) == len(bracket_first) - 6
 
 
 def test_searches_past_newtons_point_end_in_its_window(monkeypatch):
@@ -278,21 +403,22 @@ def test_searches_past_newtons_point_end_in_its_window(monkeypatch):
         antilog(Decimal("0.123456789"), POL)  # e**(123456789/10**9)
     searches = _searches(monkeypatch, run)
     assert len(searches) >= 150
-    for side, (below, above, point), calls, [(c, lo, hi, accepted)] in (
-            searches):
-        assert len(calls) <= 3
-        if accepted and c == point:
+    for s in searches:
+        (below, above, point), c = s.window, s.cosine
+        assert len(s.calls) <= 3
+        if _accepted(s) and c == point:
             assert below < c < above
         else:
+            _, lo, hi, _ = s.ended
             assert below <= lo < hi <= above
-        if not accepted:
+        if not _accepted(s):
             assert c == min(max(ctx.divide(ctx.add(lo, hi), 2), lo), hi)
             assert lo <= c <= hi
-        assert side(c, 0) == 0 or not accepted
+        assert s.side(c, 0) == 0 or not _accepted(s)
     # at n = 10**9 the window is already collapsed: no halving at all
-    for side, window, calls, [(c, lo, hi, accepted)] in searches[-2:]:
-        assert calls == [window[2]] and not accepted
-        assert (lo, hi) == window[:2]
+    for s in searches[-2:]:
+        assert s.calls == [s.window[2]] and not _accepted(s)
+        assert s.ended[1:3] == s.window[:2]
 
 
 def test_root_of_an_index_past_newtons_basin():
