@@ -2,7 +2,7 @@
 
 import math
 import random
-from decimal import ROUND_DOWN, Context, Decimal
+from decimal import ROUND_DOWN, Context, Decimal, InvalidOperation
 from functools import partial
 from types import SimpleNamespace
 
@@ -157,10 +157,12 @@ def _reference_solve_cos_power(n, target, ctx):
                   window and (_NEG_INF, _POS_INF) + window[2:])[0]
 
 
-def _search_outcome(search, n, target, ctx):
+def _search_outcome(search, n, target, ctx, signals=()):
+    """The cosine as text, or the name of the GeocalcError raised, or of
+    one of the decimal signals that the caller lets end a search."""
     try:
         return str(search(n, target, ctx))
-    except (GeocalcError, ArithmeticError) as exc:
+    except (GeocalcError, *signals) as exc:
         return type(exc).__name__
 
 
@@ -171,7 +173,7 @@ def _edge_targets(n, ctx):
     of 1 - 1e-14."""
     top = ctx.power(COSINE_BRACKET[1], Decimal(n))
     near_top = [ctx.power(_ONE - Decimal(k) * Decimal("1e-15"), Decimal(n))
-                for k in ("1", "2", "5", "9.9")]
+                for k in ("1", "2", "5", "9.5")]
     for target in near_top:
         assert (Decimal("0.99999999999999") <= newton_window(n, target, ctx)[2]
                 <= Decimal("0.999999999999999"))
@@ -183,15 +185,19 @@ def _edge_targets(n, ctx):
 def test_newton_window_leaves_every_search_bit_identical():
     """solve_cos_power against the reference search, which forms the
     bracket, asks Newton's point and then side at every midpoint of the
-    bracket cut to the window, under the policy's contexts and a
-    caller's own truncating one (whose exponent range can end a search
-    in a decimal signal), with newton_window's constants built afresh
-    and then cached."""
+    bracket cut to the window, under the policy's contexts, 15 digits
+    (the fewest a policy allows) among them, and a caller's own
+    truncating ones.  Only a caller's context, whose default exponent
+    range can end a search in InvalidOperation, may end one in a
+    decimal signal.  Each target is solved with newton_window's
+    constants built afresh and then cached."""
     rng = random.Random(1313)
-    contexts = [PrecisionPolicy(digits).ctx() for digits in (30, 50, 62)]
-    contexts.append(Context(prec=40, rounding=ROUND_DOWN))
+    contexts = [(PrecisionPolicy(digits).ctx(), ())
+                for digits in (30, 50, 62, 15)]
+    contexts += [(Context(prec=digits, rounding=ROUND_DOWN),
+                  (InvalidOperation,)) for digits in (40, 15)]
     cases = 0
-    for ctx in contexts:
+    for ctx, signals in contexts:
         for n in (1, 2, 3, 5, 7, 9, 11, 12, 40, 300, 12345, 99991,
                   999999937):
             targets = _edge_targets(n, ctx)
@@ -204,23 +210,28 @@ def test_newton_window_leaves_every_search_bit_identical():
                     targets.append(shift10(_ONE, -rng.randint(1, n - 1)))
             for target in targets:
                 numcore._newton_constants.cache_clear()
-                cold = _search_outcome(solve_cos_power, n, target, ctx)
+                cold = _search_outcome(solve_cos_power, n, target, ctx,
+                                       signals)
                 want = _search_outcome(_reference_solve_cos_power, n, target,
-                                       ctx)
-                got = _search_outcome(solve_cos_power, n, target, ctx)
+                                       ctx, signals)
+                got = _search_outcome(solve_cos_power, n, target, ctx,
+                                      signals)
                 assert cold == got == want, (ctx.prec, n, str(target))
                 cases += 1
-    assert cases == 4 * (6 * (13 * 5 - 1) + 13 * 9)
+    assert cases == 6 * (6 * (13 * 5 - 1) + 13 * 9)
     ctx = POL.ctx()
     for search in (solve_cos_power, _reference_solve_cos_power):
         assert _search_outcome(search, 10 ** 5000, Decimal("0.5"), ctx) == (
             "1.00000000000000000000000000000")
-    # under 15 digits a truncated point below 1 - 1e-14 fixes no bracket:
-    # these roots lie above 1 - 1e-15 and get the top one
-    for digits in (5, 8):
+    # under 15 digits a point below 1 - 1e-14 fixes no bracket: these
+    # roots lie above 1 - 1e-15 and get the top one, while their points
+    # truncate to 1 - 10**-digits (at 14 digits, to 1 - 1e-14 itself)
+    for digits in range(5, 15):
         ctx = Context(prec=digits, rounding=ROUND_DOWN)
-        for target in ("0.9999999970", "0.999999999234039",
-                       "0.9999999999999985"):
+        targets = ["0.9999999999999985"]
+        if digits in (5, 8):
+            targets += ["0.9999999970", "0.999999999234039"]
+        for target in targets:
             want = _search_outcome(_reference_solve_cos_power, 1,
                                    Decimal(target), ctx)
             assert want == "0.999999999999999"
